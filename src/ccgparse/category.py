@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterator, Protocol
+from typing import Callable, Protocol
 
 
 class Modality(Enum):
@@ -113,9 +113,6 @@ class FeatureBundle:
     def __bool__(self) -> bool:
         return bool(self.pairs)
 
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        return iter(self.pairs)
-
 
 # ---------------------------------------------------------------------------
 # categories
@@ -158,18 +155,6 @@ Category = Atom | Functor | Singleton | Var
 #: Atom attributes whose values are computed from the substituting span
 #: rather than stored on derived categories.
 COMPUTED_ATTRS = ("lexc", "weight")
-
-
-def atom(name: str, **feats: str) -> Atom:
-    return Atom(name, FeatureBundle.of(**feats))
-
-
-def fwd(result: Category, argument: Category, modality: Modality = Modality.DIAMOND) -> Functor:
-    return Functor(result, Slash(Direction.FORWARD, modality), argument)
-
-
-def bwd(result: Category, argument: Category, modality: Modality = Modality.DIAMOND) -> Functor:
-    return Functor(result, Slash(Direction.BACKWARD, modality), argument)
 
 
 def singleton(text: str) -> Singleton:

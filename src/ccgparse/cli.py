@@ -2,7 +2,8 @@
 
 Exit codes partition outcomes: 0 success, 1 linguistic negative (no parse,
 violations found, suite failures), 2 operational error (unreadable files,
-bad usage, lexicon syntax errors, unknown tokens).
+bad usage, lexicon syntax errors, unknown tokens, an exhausted reduction
+budget, input nested too deeply).
 """
 
 from __future__ import annotations
@@ -14,70 +15,65 @@ from pathlib import Path
 from .category import CategorySyntaxError, parse_category
 from . import logical_form as lf
 from .lexicon import Lexicon, lexicon_notes, parse_lexicon, tokenize, validate_lexicon
-from .parser import ParseSettings, ParserError, build_chart, goal_matches
+from .parser import ParseSettings, ParserError, build_chart, chart_readings, parse
 from .derivation import document, render_ascii, render_json
 
 OK, NEGATIVE, ERROR = 0, 1, 2
 
 
-def _fail(message: str) -> int:
-    print(message, file=sys.stderr)
-    return ERROR
+class CommandError(Exception):
+    """An operational error: main prints the message, if any, and exits 2."""
 
 
 def _load_lexicon(path: str, strict: bool = True):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        return None, [], _fail(f"cannot read lexicon {path}: {exc}")
+        raise CommandError(f"cannot read lexicon {path}: {exc}") from None
     lexicon, issues = parse_lexicon(text)
     for issue in issues:
         print(f"{path}: {issue}", file=sys.stderr)
     if strict and any(i.severity == "error" for i in issues):
-        return None, issues, ERROR
-    return lexicon, issues, OK
+        raise CommandError()
+    return lexicon, issues
+
+
+def _parse_setup(args: argparse.Namespace) -> tuple[Lexicon, ParseSettings]:
+    """Load and validate the lexicon; settings come from it and the flags."""
+    lexicon, _ = _load_lexicon(args.lexicon)
+    violations = validate_lexicon(lexicon)
+    if violations:
+        raise CommandError("\n".join(f"{args.lexicon}: {v}" for v in violations))
+    settings = ParseSettings.from_lexicon(
+        lexicon,
+        weight_threshold=args.weight_threshold,
+        max_steps=args.max_steps,
+        all_derivations=getattr(args, "all_derivations", None),
+        case_fold=args.case_fold,
+    )
+    return lexicon, settings
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    lexicon, _, status = _load_lexicon(args.lexicon)
-    if lexicon is None:
-        return status
-    violations = validate_lexicon(lexicon)
-    if violations:
-        for v in violations:
-            print(f"{args.lexicon}: {v}", file=sys.stderr)
-        return ERROR
+    lexicon, settings = _parse_setup(args)
     goal = None
     if args.goal is not None:
         try:
             goal = parse_category(args.goal, lexicon.config.default_modality)
         except CategorySyntaxError as exc:
-            return _fail(f"bad goal category: {exc}")
+            raise CommandError(f"bad goal category: {exc}") from None
     tokens = tokenize(args.sentence, args.case_fold)
     if not tokens:
-        return _fail("empty sentence")
-    settings = ParseSettings.from_lexicon(
-        lexicon,
-        weight_threshold=args.weight_threshold,
-        max_steps=args.max_steps,
-        all_derivations=args.all_derivations,
-        case_fold=args.case_fold,
-    )
-    try:
-        chart = build_chart(lexicon, tokens, settings)
-    except (ParserError, lf.BudgetExceeded) as exc:
-        return _fail(str(exc))
-    edges = [e for e in chart.spanning() if goal_matches(goal, e)]
-    edges.sort(key=lambda e: e.reading_key())
+        raise CommandError("empty sentence")
+    chart = build_chart(lexicon, tokens, settings)
+    edges = chart_readings(chart, goal)
     doc = document(tokens, edges, chart)
     sys.stdout.write(render_json(doc) if args.json else render_ascii(doc))
     return OK if edges else NEGATIVE
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    lexicon, issues, status = _load_lexicon(args.lexicon, strict=False)
-    if lexicon is None:
-        return status
+    lexicon, issues = _load_lexicon(args.lexicon, strict=False)
     syntax_errors = [i for i in issues if i.severity == "error"]
     violations = validate_lexicon(lexicon)
     for v in violations:
@@ -92,11 +88,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _check_line(lexicon: Lexicon, settings: ParseSettings, sentence: str, count: int, lf_specs: list[lf.Term]) -> str | None:
     """Run one suite line; None on pass, else a failure description."""
-    tokens = tokenize(sentence, settings.case_fold)
     try:
-        chart = build_chart(lexicon, tokens, settings)
-        edges = chart.spanning()
-    except ParserError as exc:
+        edges = parse(lexicon, tokenize(sentence, settings.case_fold), settings=settings)
+    except (ParserError, lf.BudgetExceeded) as exc:
         return str(exc)
     if len(edges) != count:
         got = ", ".join(sorted(lf.pretty_print(e.lf) for e in edges)) or "none"
@@ -108,24 +102,11 @@ def _check_line(lexicon: Lexicon, settings: ParseSettings, sentence: str, count:
 
 
 def cmd_test(args: argparse.Namespace) -> int:
-    lexicon, _, status = _load_lexicon(args.lexicon)
-    if lexicon is None:
-        return status
-    violations = validate_lexicon(lexicon)
-    if violations:
-        for v in violations:
-            print(f"{args.lexicon}: {v}", file=sys.stderr)
-        return ERROR
+    lexicon, settings = _parse_setup(args)
     try:
         text = Path(args.suite).read_text(encoding="utf-8")
     except OSError as exc:
-        return _fail(f"cannot read suite {args.suite}: {exc}")
-    settings = ParseSettings.from_lexicon(
-        lexicon,
-        weight_threshold=args.weight_threshold,
-        max_steps=args.max_steps,
-        case_fold=args.case_fold,
-    )
+        raise CommandError(f"cannot read suite {args.suite}: {exc}") from None
     passed = failed = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -133,18 +114,18 @@ def cmd_test(args: argparse.Namespace) -> int:
             continue
         parts = [p.strip() for p in line.split("\t")]
         if len(parts) != 3:
-            return _fail(f"{args.suite}:{lineno}: expected 'sentence<TAB>count<TAB>lfs', got {len(parts)} field(s)")
+            raise CommandError(f"{args.suite}:{lineno}: expected 'sentence<TAB>count<TAB>lfs', got {len(parts)} field(s)")
         sentence, count_text, lf_text = parts
         try:
             count = int(count_text)
         except ValueError:
-            return _fail(f"{args.suite}:{lineno}: bad reading count {count_text!r}")
+            raise CommandError(f"{args.suite}:{lineno}: bad reading count {count_text!r}") from None
         lf_specs: list[lf.Term] = []
         if lf_text != "-":
             try:
                 lf_specs = [lf.parse_term(p.strip()) for p in lf_text.split("|")]
             except lf.LFSyntaxError as exc:
-                return _fail(f"{args.suite}:{lineno}: bad expected logical form: {exc}")
+                raise CommandError(f"{args.suite}:{lineno}: bad expected logical form: {exc}") from None
         problem = _check_line(lexicon, settings, sentence, count, lf_specs)
         if problem is None:
             passed += 1
@@ -188,11 +169,19 @@ def make_arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = make_arg_parser()
     args = parser.parse_args(argv)
-    for name in ("weight_threshold", "max_steps"):
-        value = getattr(args, name, None)
-        if value is not None and value < 1:
-            return _fail(f"--{name.replace('_', '-')} must be at least 1")
-    return args.func(args)
+    try:
+        for name in ("weight_threshold", "max_steps"):
+            value = getattr(args, name, None)
+            if value is not None and value < 1:
+                raise CommandError(f"--{name.replace('_', '-')} must be at least 1")
+        return args.func(args)
+    except (CommandError, ParserError, lf.BudgetExceeded) as exc:
+        message = str(exc)
+    except RecursionError:
+        message = "input nested too deeply"
+    if message:
+        print(message, file=sys.stderr)
+    return ERROR
 
 
 def entry_point() -> None:

@@ -5,11 +5,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .category import render_category
+from .category import RuleId, render_category
 from . import logical_form as lf
 from .parser import Chart, Edge
 
-RULE_LABELS = ("LEX", ">", "<", ">B", "<B", ">Bx", "<Bx", ">S", "<S")
+RULE_LABELS = ("LEX",) + tuple(rule.label for rule in RuleId)
 
 
 @dataclass(frozen=True)

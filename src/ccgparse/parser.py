@@ -1,17 +1,18 @@
 """Exhaustive CKY chart parsing over the fixed combinatory rule inventory.
 
-Eight binary rules plus lexical seeding: forward and backward application
-(which also perform string-category substitution), harmonic and crossing
-composition, and substitution.  Every rule is gated by the modalities of
-the slashes it consumes.  Cells pack edges by (category, logical-form
-alpha class) so derivational ambiguity with identical results is not
-duplicated.
+Eight binary rules, one row each of the table RULES, plus lexical seeding:
+forward and backward application (which also perform string-category
+substitution), harmonic and crossing composition, and substitution.
+Every rule is gated by the modalities of the slashes it consumes.  Cells
+pack edges by (category, logical-form alpha class) so derivational
+ambiguity with identical results is not duplicated.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .category import (
     COMPUTED_ATTRS,
@@ -162,31 +163,88 @@ def _functor(edge: Edge, direction: Direction) -> Functor | None:
     return None
 
 
-def _carries_computed(c: Category) -> bool:
-    return isinstance(c, Atom) and any(a in COMPUTED_ATTRS for a, _ in c.features.pairs)
-
-
-def _composable(middle_a: Category, middle_b: Category) -> bool:
-    """Whether the consumed middle category may be discharged without an edge.
+def _composable(*middles: Category) -> bool:
+    """Whether the consumed middle categories may be discharged without an edge.
 
     Computed span predicates (weight, lexc) are only checkable when a slot
     is filled by application; composing them away would silently drop the
     constraint, so such slots are application-only.
     """
-    return not (_carries_computed(middle_a) or _carries_computed(middle_b))
+    return not any(isinstance(c, Atom) and any(a in COMPUTED_ATTRS for a in c.features.attrs()) for c in middles)
 
 
-def _normalize(term: lf.Term, max_steps: int) -> lf.Term:
+class RuleRow(NamedTuple):
+    """A row of the rule table: f is the primary functor, g the other neighbour."""
+
+    rule: RuleId
+    primary_left: bool
+    f_direction: Direction
+    g_direction: Direction | None
+    shape: str
+
+
+_FWD, _BWD = Direction.FORWARD, Direction.BACKWARD
+
+# Shapes, with f's slash written forward and | for g's slash:
+#   A  application   X/Y      Y    => X    f g
+#   B  composition   X/Y      Y|Z  => X|Z  \x. f (g x)
+#   S  substitution  (X/Y)/Z  Y|Z  => X|Z  \x. f x (g x)
+# Rows are tried in order.  Chart.add keeps the first edge for each
+# reading, so the order decides which derivation a packed reading shows.
+RULES = (
+    RuleRow(RuleId.FWD_APP, True, _FWD, None, "A"),
+    RuleRow(RuleId.BWD_APP, False, _BWD, None, "A"),
+    RuleRow(RuleId.FWD_COMP_HARMONIC, True, _FWD, _FWD, "B"),
+    RuleRow(RuleId.BWD_COMP_HARMONIC, False, _BWD, _BWD, "B"),
+    RuleRow(RuleId.FWD_COMP_CROSSING, True, _FWD, _BWD, "B"),
+    RuleRow(RuleId.BWD_COMP_CROSSING, False, _BWD, _FWD, "B"),
+    RuleRow(RuleId.FWD_SUBST, True, _FWD, _FWD, "S"),
+    RuleRow(RuleId.BWD_SUBST, False, _BWD, _BWD, "S"),
+)
+
+
+def _category_step(row: RuleRow, f_edge: Edge, g_edge: Edge, weight_threshold: int) -> tuple[Category, Bindings] | None:
+    """The result category of one rule with its bindings, or None if a gate blocks it.
+
+    Every slash the rule consumes must admit it.  Application matches f's
+    argument against g's edge, so a string-valued argument needs no rule
+    of its own; composition and substitution unify category structure.
+    """
+    f = _functor(f_edge, row.f_direction)
+    if f is None or not modality_admits(row.rule, f.slash.modality):
+        return None
+    if row.shape == "A":
+        bnd = match_argument(f.argument, g_edge, derived=lambda attr: derived_feature(g_edge, attr, weight_threshold))
+        return None if bnd is None else (f.result, bnd)
+    g = _functor(g_edge, row.g_direction)
+    if g is None or not modality_admits(row.rule, g.slash.modality):
+        return None
+    if row.shape == "B":
+        head, slot, bnd = f.result, f.argument, Bindings()
+    else:  # f is (X/Y)/Z: its inner slash shares f's direction and is gated too
+        inner = f.result
+        if not (
+            isinstance(inner, Functor)
+            and inner.slash.direction is row.f_direction
+            and modality_admits(row.rule, inner.slash.modality)
+        ):
+            return None
+        head, slot, bnd = inner.result, inner.argument, unify(f.argument, g.argument)
+    if bnd is None or not _composable(slot, g.result):
+        return None
+    bnd = unify(slot, g.result, bnd)
+    return None if bnd is None else (Functor(head, g.slash, g.argument), bnd)
+
+
+def _lf_step(shape: str, f: lf.Term, g: lf.Term, max_steps: int) -> lf.Term:
+    """f g, \\x. f (g x) or \\x. f x (g x) by shape, normalized once."""
+    if shape == "A":
+        term: lf.Term = lf.App(f, g)
+    else:
+        x = lf.fresh_name("x", lf.free_vars(f) | lf.free_vars(g))
+        head = lf.App(f, lf.Var(x)) if shape == "S" else f
+        term = lf.Abs(x, lf.App(head, lf.App(g, lf.Var(x))))
     return lf.beta_normalize(term, max_steps=max_steps)
-
-
-def _compose_lf(f: lf.Term, g: lf.Term, max_steps: int) -> lf.Term:
-    x = lf.fresh_name("x", lf.free_vars(f) | lf.free_vars(g))
-    return _normalize(lf.Abs(x, lf.App(f, lf.App(g, lf.Var(x)))), max_steps)
-
-def _subst_lf(f: lf.Term, g: lf.Term, max_steps: int) -> lf.Term:
-    x = lf.fresh_name("x", lf.free_vars(f) | lf.free_vars(g))
-    return _normalize(lf.Abs(x, lf.App(lf.App(f, lf.Var(x)), lf.App(g, lf.Var(x)))), max_steps)
 
 
 def combine(
@@ -195,146 +253,28 @@ def combine(
     weight_threshold: int = 4,
     max_steps: int = lf.DEFAULT_STEP_BUDGET,
 ) -> list[Edge]:
-    """All edges derivable from two adjacent constituents.
-
-    Application matches the functor's argument specification against the
-    neighbouring edge, so a string-valued argument needs no rule of its
-    own.  Composition and substitution unify category structure and are
-    blocked whenever a participating slash's modality rejects the rule.
-    """
+    """All edges derivable from two adjacent constituents, one per rule in RULES that fires."""
     out: list[Edge] = []
-    span = (left.start, right.end)
-    tokens = left.tokens + right.tokens
-
-    def emit(rule: RuleId, category: Category, term: lf.Term, bnd: Bindings) -> None:
-        out.append(
-            Edge(
-                span[0],
-                span[1],
-                tokens,
-                apply_bindings(category, bnd),
-                _normalize(term, max_steps),
-                rule,
-                (left, right),
-            )
-        )
-
-    def derived_for(edge: Edge):
-        return lambda attr: derived_feature(edge, attr, weight_threshold)
-
-    # application
-    if (c := _functor(left, Direction.FORWARD)) is not None:
-        if modality_admits(RuleId.FWD_APP, c.slash.modality):
-            bnd = match_argument(c.argument, right, derived=derived_for(right))
-            if bnd is not None:
-                emit(RuleId.FWD_APP, c.result, lf.App(left.lf, right.lf), bnd)
-    if (c := _functor(right, Direction.BACKWARD)) is not None:
-        if modality_admits(RuleId.BWD_APP, c.slash.modality):
-            bnd = match_argument(c.argument, left, derived=derived_for(left))
-            if bnd is not None:
-                emit(RuleId.BWD_APP, c.result, lf.App(right.lf, left.lf), bnd)
-
-    # harmonic composition
-    fc = _functor(left, Direction.FORWARD)
-    gc = _functor(right, Direction.FORWARD)
-    if (
-        fc is not None
-        and gc is not None
-        and modality_admits(RuleId.FWD_COMP_HARMONIC, fc.slash.modality)
-        and modality_admits(RuleId.FWD_COMP_HARMONIC, gc.slash.modality)
-        and _composable(fc.argument, gc.result)
-    ):
-        bnd = unify(fc.argument, gc.result)
-        if bnd is not None:
-            category = Functor(fc.result, gc.slash, gc.argument)
-            emit(RuleId.FWD_COMP_HARMONIC, category, _compose_lf(left.lf, right.lf, max_steps), bnd)
-    fc = _functor(right, Direction.BACKWARD)
-    gc = _functor(left, Direction.BACKWARD)
-    if (
-        fc is not None
-        and gc is not None
-        and modality_admits(RuleId.BWD_COMP_HARMONIC, fc.slash.modality)
-        and modality_admits(RuleId.BWD_COMP_HARMONIC, gc.slash.modality)
-        and _composable(fc.argument, gc.result)
-    ):
-        bnd = unify(fc.argument, gc.result)
-        if bnd is not None:
-            category = Functor(fc.result, gc.slash, gc.argument)
-            emit(RuleId.BWD_COMP_HARMONIC, category, _compose_lf(right.lf, left.lf, max_steps), bnd)
-
-    # crossing composition
-    fc = _functor(left, Direction.FORWARD)
-    gc = _functor(right, Direction.BACKWARD)
-    if (
-        fc is not None
-        and gc is not None
-        and modality_admits(RuleId.FWD_COMP_CROSSING, fc.slash.modality)
-        and modality_admits(RuleId.FWD_COMP_CROSSING, gc.slash.modality)
-        and _composable(fc.argument, gc.result)
-    ):
-        bnd = unify(fc.argument, gc.result)
-        if bnd is not None:
-            category = Functor(fc.result, gc.slash, gc.argument)
-            emit(RuleId.FWD_COMP_CROSSING, category, _compose_lf(left.lf, right.lf, max_steps), bnd)
-    fc = _functor(right, Direction.BACKWARD)
-    gc = _functor(left, Direction.FORWARD)
-    if (
-        fc is not None
-        and gc is not None
-        and modality_admits(RuleId.BWD_COMP_CROSSING, fc.slash.modality)
-        and modality_admits(RuleId.BWD_COMP_CROSSING, gc.slash.modality)
-        and _composable(fc.argument, gc.result)
-    ):
-        bnd = unify(fc.argument, gc.result)
-        if bnd is not None:
-            category = Functor(fc.result, gc.slash, gc.argument)
-            emit(RuleId.BWD_COMP_CROSSING, category, _compose_lf(right.lf, left.lf, max_steps), bnd)
-
-    # substitution
-    fc = _functor(left, Direction.FORWARD)
-    gc = _functor(right, Direction.FORWARD)
-    if (
-        fc is not None
-        and gc is not None
-        and isinstance(fc.result, Functor)
-        and fc.result.slash.direction is Direction.FORWARD
-        and modality_admits(RuleId.FWD_SUBST, fc.slash.modality)
-        and modality_admits(RuleId.FWD_SUBST, fc.result.slash.modality)
-        and modality_admits(RuleId.FWD_SUBST, gc.slash.modality)
-        and _composable(fc.result.argument, gc.result)
-    ):
-        bnd = unify(fc.argument, gc.argument)
-        if bnd is not None:
-            bnd = unify(fc.result.argument, gc.result, bnd)
-            if bnd is not None:
-                category = Functor(fc.result.result, gc.slash, gc.argument)
-                emit(RuleId.FWD_SUBST, category, _subst_lf(left.lf, right.lf, max_steps), bnd)
-    fc = _functor(right, Direction.BACKWARD)
-    gc = _functor(left, Direction.BACKWARD)
-    if (
-        fc is not None
-        and gc is not None
-        and isinstance(fc.result, Functor)
-        and fc.result.slash.direction is Direction.BACKWARD
-        and modality_admits(RuleId.BWD_SUBST, fc.slash.modality)
-        and modality_admits(RuleId.BWD_SUBST, fc.result.slash.modality)
-        and modality_admits(RuleId.BWD_SUBST, gc.slash.modality)
-        and _composable(fc.result.argument, gc.result)
-    ):
-        bnd = unify(fc.argument, gc.argument)
-        if bnd is not None:
-            bnd = unify(fc.result.argument, gc.result, bnd)
-            if bnd is not None:
-                category = Functor(fc.result.result, gc.slash, gc.argument)
-                emit(RuleId.BWD_SUBST, category, _subst_lf(right.lf, left.lf, max_steps), bnd)
-
+    for row in RULES:
+        f_edge, g_edge = (left, right) if row.primary_left else (right, left)
+        step = _category_step(row, f_edge, g_edge, weight_threshold)
+        if step is not None:
+            category, bnd = step
+            term = _lf_step(row.shape, f_edge.lf, g_edge.lf, max_steps)
+            tokens = left.tokens + right.tokens
+            out.append(Edge(left.start, right.end, tokens, apply_bindings(category, bnd), term, row.rule, (left, right)))
     return out
 
 
 # ---------------------------------------------------------------------------
 # the chart loop
 
-def seed_edges(lex: Lexicon, tokens: list[str] | tuple[str, ...], case_fold: bool = False) -> list[Edge]:
+def seed_edges(
+    lex: Lexicon,
+    tokens: list[str] | tuple[str, ...],
+    case_fold: bool = False,
+    max_steps: int = lf.DEFAULT_STEP_BUDGET,
+) -> list[Edge]:
     """Lexical edges for every entry match; raises when a token is uncovered."""
     edges: list[Edge] = []
     covered = [False] * len(tokens)
@@ -342,18 +282,8 @@ def seed_edges(lex: Lexicon, tokens: list[str] | tuple[str, ...], case_fold: boo
     for start in range(len(tokens)):
         for entry, length in lookup(lex, tokens, start, case_fold):
             category = rename_variables(entry.category, str(next(fresh)))
-            edges.append(
-                Edge(
-                    start,
-                    start + length,
-                    tuple(tokens[start : start + length]),
-                    category,
-                    entry.lf,
-                    None,
-                    (),
-                    entry,
-                )
-            )
+            term = lf.beta_normalize(entry.lf, max_steps=max_steps)
+            edges.append(Edge(start, start + length, tuple(tokens[start : start + length]), category, term, entry=entry))
             for i in range(start, start + length):
                 covered[i] = True
     unknown = sorted({tokens[i] for i, c in enumerate(covered) if not c})
@@ -370,7 +300,7 @@ def build_chart(lex: Lexicon, tokens: list[str] | tuple[str, ...], settings: Par
     if len(tokens) > settings.max_tokens:
         raise SentenceTooLongError(f"{len(tokens)} tokens exceeds the limit of {settings.max_tokens}")
     chart = Chart(tokens, settings.all_derivations)
-    for edge in seed_edges(lex, tokens, settings.case_fold):
+    for edge in seed_edges(lex, tokens, settings.case_fold, settings.max_steps):
         chart.add(edge)
     n = len(tokens)
     for length in range(2, n + 1):
@@ -395,6 +325,13 @@ def goal_matches(goal: Category | None, edge: Edge) -> bool:
     return unify(goal, edge.category) is not None
 
 
+def chart_readings(chart: Chart, goal: Category | None = None) -> list[Edge]:
+    """The chart's spanning edges that match the goal, sorted by reading key."""
+    found = [e for e in chart.spanning() if goal_matches(goal, e)]
+    found.sort(key=Edge.reading_key)
+    return found
+
+
 def parse(
     lex: Lexicon,
     tokens: list[str] | tuple[str, ...],
@@ -406,7 +343,4 @@ def parse(
     An empty result is a normal NO PARSE outcome; unknown tokens and
     over-long sentences raise ParserError subclasses.
     """
-    chart = build_chart(lex, tokens, settings)
-    found = [e for e in chart.spanning() if goal_matches(goal, e)]
-    found.sort(key=Edge.reading_key)
-    return found
+    return chart_readings(build_chart(lex, tokens, settings), goal)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import ccgparse
 from ccgparse.cli import main
 
@@ -172,6 +174,53 @@ def test_suite_dash_skips_lf_check(capsys, tmp_path):
     suite.write_text("John kicked the bucket\t2\t-\n", encoding="utf-8")
     code, out, _ = run(capsys, "test", "-l", FRAGMENT, str(suite))
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# operational errors: exit 2 with one line, never a traceback
+
+def test_suite_reports_exhausted_budget_as_failure(capsys):
+    code, out, err = run(capsys, "test", "-l", FRAGMENT, "--max-steps", "1", CORPUS)
+    assert code == 1
+    assert "FAIL  John persuaded Mary to hit Harry  [no normal form within 1 steps]" in out.splitlines()
+    assert err == ""
+
+
+DIVERGENT = r"""
+the := NP/N : \n. (\x. x x) (\x. x x) ;
+bucket := N : bucket ;
+kicked := (S\NP)/*"the bucket" : \x\y. die_{x} y ;
+"""
+
+
+@pytest.mark.parametrize("command", ["validate", "parse", "test"])
+def test_divergent_singleton_derivation_is_operational_error(capsys, tmp_path, command):
+    suite = tmp_path / "suite.tsv"
+    suite.write_text("kicked\t0\t-\n", encoding="utf-8")
+    argv = {"validate": [], "parse": ["kicked"], "test": [str(suite)]}[command]
+    code, out, err = run(capsys, command, "-l", write(tmp_path, DIVERGENT), *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "no normal form within 10000 steps\n"
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "w := " + "(" * 600 + "NP" + ")" * 600 + " : w ;",
+        "w := NP : f " + " ".join(f"a{i}" for i in range(3000)) + " ;",
+    ],
+    ids=["deep category", "long application"],
+)
+def test_deep_input_is_operational_error(tmp_path, entry):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccgparse", "parse", "-l", write(tmp_path, entry), "w"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "input nested too deeply\n"
 
 
 # ---------------------------------------------------------------------------

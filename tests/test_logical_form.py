@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccgparse import logical_form as lf
+import lfhelpers as lfh
 from genterms import sample
 
 p = lf.parse_term
@@ -82,7 +83,7 @@ def test_normal_order_finds_normal_form_where_applicative_diverges():
     term = lf.app(k, lf.Const("ok"), omega)
     assert lf.beta_normalize(term, max_steps=100) == lf.Const("ok")
     with pytest.raises(lf.BudgetExceeded):
-        lf.beta_normalize(term, max_steps=100, strategy=lf.APPLICATIVE)
+        lfh.applicative_normalize(term, max_steps=100)
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +178,19 @@ def test_conjunction_reads_as_and_constant():
 
 def test_head_constants_sees_through_conjunction():
     t = p(r"pass_{thumbs} time_{self i} i & inalien poss thumbs i")
-    assert lf.head_constants(t) == {"pass", "inalien"}
-    assert lf.head_constants(p(r"\y. smalltalk_{x} one y")) == {"smalltalk"}
+    assert lfh.head_constants(t) == {"pass", "inalien"}
+    assert lfh.head_constants(p(r"\y. smalltalk_{x} one y")) == {"smalltalk"}
 
 
 def test_applies_to():
     t = p(r"def (rel (\x. divulge_{x} secret you) beans)")
-    assert lf.applies_to(t, "divulge", "secret")
-    assert not lf.applies_to(t, "divulge", "beans")
+    assert lfh.applies_to(t, "divulge", "secret")
+    assert not lfh.applies_to(t, "divulge", "beans")
 
 
 def test_has_subscripts():
-    assert lf.has_subscripts(p("die_{def bucket} j"))
-    assert not lf.has_subscripts(p("kick (def bucket) j"))
+    assert lfh.has_subscripts(p("die_{def bucket} j"))
+    assert not lfh.has_subscripts(p("kick (def bucket) j"))
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +201,6 @@ def test_has_subscripts():
 def test_strategies_agree_on_generated_terms(pair):
     term, _ = pair
     normal = lf.beta_normalize(term)
-    applicative = lf.beta_normalize(term, strategy=lf.APPLICATIVE)
+    applicative = lfh.applicative_normalize(term)
     assert lf.alpha_eq(normal, applicative)
     assert lf.free_vars(normal) <= lf.free_vars(term)

@@ -156,6 +156,44 @@ def test_composition_cannot_discharge_computed_feature_slot():
     assert combine(picked, the) == []
 
 
+# One firing pair per rule; each gate case below changes one slash, slot or
+# argument of it so that the gate alone must block the rule.
+FIRING = {
+    RuleId.FWD_COMP_HARMONIC: ("S/VP", "VP/NP"),
+    RuleId.BWD_COMP_HARMONIC: (r"VP\NP", r"S\VP"),
+    RuleId.FWD_SUBST: ("(S/PP)/NP", "PP/NP"),
+    RuleId.BWD_SUBST: (r"PP\NP", r"(S\PP)\NP"),
+}
+
+
+@pytest.mark.parametrize(
+    "gate, rule, left, right",
+    [
+        ("primary modality", RuleId.FWD_COMP_HARMONIC, "S/*VP", "VP/NP"),
+        ("primary modality", RuleId.BWD_COMP_HARMONIC, r"VP\NP", r"S\*VP"),
+        ("secondary modality", RuleId.FWD_COMP_HARMONIC, "S/VP", "VP/*NP"),
+        ("secondary modality", RuleId.BWD_COMP_HARMONIC, r"VP\*NP", r"S\VP"),
+        ("inner direction", RuleId.FWD_SUBST, r"(S\PP)/NP", "PP/NP"),
+        ("inner direction", RuleId.BWD_SUBST, r"PP\NP", r"(S/PP)\NP"),
+        ("inner modality", RuleId.FWD_SUBST, "(S/*PP)/NP", "PP/NP"),
+        ("inner modality", RuleId.BWD_SUBST, r"PP\NP", r"(S\*PP)\NP"),
+        ("computed slot", RuleId.FWD_COMP_HARMONIC, "S/VP[weight=-]", "VP/NP"),
+        ("computed slot", RuleId.BWD_COMP_HARMONIC, r"VP\NP", r"S\VP[lexc=+]"),
+        ("computed slot", RuleId.FWD_SUBST, "(S/PP[weight=-])/NP", "PP/NP"),
+        ("computed slot", RuleId.BWD_SUBST, r"PP\NP", r"(S\PP[lexc=+])\NP"),
+        ("argument unification", RuleId.FWD_SUBST, "(S/PP)/NP", "PP/N"),
+        ("argument unification", RuleId.BWD_SUBST, r"PP\N", r"(S\PP)\NP"),
+    ],
+)
+def test_rule_gate_blocks(gate, rule, left, right):
+    def fired(left_cat, right_cat):
+        edges = combine(edge_for("a", left_cat, "f"), edge_for("b", right_cat, "g", start=1))
+        return rule in [e.rule for e in edges]
+
+    assert fired(*FIRING[rule])
+    assert not fired(left, right), gate
+
+
 # ---------------------------------------------------------------------------
 # derived features
 
@@ -274,6 +312,13 @@ def test_edges_are_beta_normal(fragment, corpus):
     for chart in corpus_charts(fragment, corpus):
         for edge in chart.all_edges():
             assert lf.alpha_eq(lf.beta_normalize(edge.lf), edge.lf)
+
+
+def test_lexical_edges_are_beta_normal():
+    # a redex in an entry is reduced at seeding, so both entries pack into one reading
+    lex = load("w := NP : (\\x. f x) a ;\nw := NP : f a ;\n")
+    (edge,) = parse(lex, ["w"])
+    assert edge.lf == lf.parse_term("f a")
 
 
 def test_no_composition_or_substitution_over_star(fragment, corpus):
