@@ -12,13 +12,11 @@ from .category import (
     FeatureBundle,
     Functor,
     Modality,
-    RuleId,
     Singleton,
     Slash,
     Var,
     Violation,
     match_argument,
-    modality_admits,
     parse_category,
     render_category,
     unify,
@@ -40,6 +38,7 @@ from .parser import (
     Edge,
     ParseSettings,
     ParserError,
+    RuleId,
     SentenceTooLongError,
     UnknownTokenError,
     build_chart,

@@ -27,43 +27,6 @@ class Direction(Enum):
     BACKWARD = "\\"
 
 
-class RuleId(Enum):
-    """The fixed binary rule inventory. Values double as display labels."""
-
-    FWD_APP = ">"
-    BWD_APP = "<"
-    FWD_COMP_HARMONIC = ">B"
-    BWD_COMP_HARMONIC = "<B"
-    FWD_COMP_CROSSING = ">Bx"
-    BWD_COMP_CROSSING = "<Bx"
-    FWD_SUBST = ">S"
-    BWD_SUBST = "<S"
-
-    @property
-    def label(self) -> str:
-        return self.value
-
-
-_APPLICATION = frozenset({RuleId.FWD_APP, RuleId.BWD_APP})
-_HARMONIC = frozenset(
-    {RuleId.FWD_COMP_HARMONIC, RuleId.BWD_COMP_HARMONIC, RuleId.FWD_SUBST, RuleId.BWD_SUBST}
-)
-
-
-def modality_admits(rule: RuleId, slash_modality: Modality) -> bool:
-    """Whether a slash of the given modality may feed the given rule.
-
-    Application is open to all four modalities.  Harmonic composition and
-    substitution require DIAMOND or DOT.  Crossing composition requires
-    CROSS or DOT.
-    """
-    if rule in _APPLICATION:
-        return True
-    if rule in _HARMONIC:
-        return slash_modality in (Modality.DIAMOND, Modality.DOT)
-    return slash_modality in (Modality.CROSS, Modality.DOT)
-
-
 # ---------------------------------------------------------------------------
 # feature bundles
 
@@ -558,34 +521,34 @@ def _slash_text(slash: Slash) -> str:
     return text
 
 
-def _feature_text(feats: FeatureBundle, display: bool) -> str:
+def _feature_text(feats: FeatureBundle, name: Callable[[str], str]) -> str:
     if not feats:
         return ""
     rendered = []
     for a, v in feats.pairs:
-        if display and is_feature_variable(v):
-            v = variable_display_name(v)
+        if is_feature_variable(v):
+            v = name(v)
         rendered.append(f"{a}={v}")
     return "[" + ", ".join(rendered) + "]"
 
 
-def render_category(c: Category, display: bool = True) -> str:
+def render_category(c: Category, name: Callable[[str], str] = variable_display_name) -> str:
     """Deterministic rendering that re-parses to an equal category.
 
-    With ``display`` set, freshness suffixes on variables are stripped.
+    ``name`` spells each variable; the default strips freshness suffixes.
     """
     match c:
-        case Atom(name, feats):
-            return name + _feature_text(feats, display)
+        case Atom(atom, feats):
+            return atom + _feature_text(feats, name)
         case Singleton(tokens):
             return '"' + " ".join(tokens) + '"'
-        case Var(name):
-            return variable_display_name(name) if display else name
+        case Var(var):
+            return name(var)
         case Functor(result, slash, argument):
-            left = render_category(result, display)
+            left = render_category(result, name)
             if isinstance(result, Functor):
                 left = f"({left})"
-            right = render_category(argument, display)
+            right = render_category(argument, name)
             if isinstance(argument, Functor):
                 right = f"({right})"
             return f"{left}{_slash_text(slash)}{right}"
@@ -600,21 +563,7 @@ def category_key(c: Category) -> str:
     """
     mapping: dict[str, str] = {}
 
-    def canon(c: Category) -> Category:
-        match c:
-            case Atom(name, feats):
-                pairs = []
-                for a, v in feats.pairs:
-                    if is_feature_variable(v):
-                        v = mapping.setdefault(v, f"?v{len(mapping)}")
-                    pairs.append((a, v))
-                return Atom(name, FeatureBundle(tuple(pairs)))
-            case Functor(result, slash, argument):
-                left = canon(result)
-                return Functor(left, slash, canon(argument))
-            case Var(name):
-                return Var(mapping.setdefault(name, f"V{len(mapping)}"))
-            case _:
-                return c
+    def name(v: str) -> str:
+        return mapping.setdefault(v, f"?v{len(mapping)}" if is_feature_variable(v) else f"V{len(mapping)}")
 
-    return render_category(canon(c), display=False)
+    return render_category(c, name)

@@ -141,8 +141,10 @@ def make_arg_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ccgparse", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, settings: bool = True) -> None:
         p.add_argument("-l", "--lexicon", required=True, help="lexicon (.ccg) file")
+        if not settings:
+            return
         p.add_argument("--weight-threshold", type=int, default=None, metavar="N")
         p.add_argument("--max-steps", type=int, default=None, metavar="N", help="beta reduction budget")
         p.add_argument("--case-fold", action="store_true", help="lower-case sentence tokens and entry lookups")
@@ -156,7 +158,7 @@ def make_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("validate", help="check a lexicon against the structural constraints")
-    common(p)
+    common(p, settings=False)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("test", help="run a tab-separated sentence suite")

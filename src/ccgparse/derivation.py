@@ -5,9 +5,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .category import RuleId, render_category
+from .category import render_category
 from . import logical_form as lf
-from .parser import Chart, Edge
+from .parser import Chart, Edge, RuleId
 
 RULE_LABELS = ("LEX",) + tuple(rule.label for rule in RuleId)
 

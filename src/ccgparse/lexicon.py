@@ -358,10 +358,16 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
     form carries one abstraction per argument slot, that every atom name
     is declared or built in, and that every singleton's token string is
     itself derivable from the lexicon, without which singleton application
-    could never fire.
+    could never fire.  Every logical form is normalized as a parse would
+    do it, under the lexicon's own settings; a BudgetExceeded names the
+    entry's line and, when a singleton's derivation diverged, the singleton.
     """
     out: list[Violation] = []
     for entry in lex.all_entries():
+        try:
+            lf.beta_normalize(entry.lf)
+        except lf.BudgetExceeded as exc:
+            raise lf.BudgetExceeded(f"line {entry.source_line}: logical form of {entry}: {exc}") from None
         for v in validate_category(entry.category):
             out.append(v.at_line(entry.source_line))
         lambdas = len(_leading_lambdas(entry.lf))
@@ -391,6 +397,8 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
                 derivable = bool(parse(lex, list(s.tokens)))
             except ParserError:
                 derivable = False
+            except lf.BudgetExceeded as exc:
+                raise lf.BudgetExceeded(f'line {entry.source_line}: derivation of "{" ".join(s.tokens)}": {exc}') from None
             if not derivable:
                 out.append(
                     Violation(

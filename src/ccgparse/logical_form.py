@@ -143,34 +143,11 @@ def beta_normalize(t: Term, max_steps: int = DEFAULT_STEP_BUDGET) -> Term:
 
 def alpha_eq(a: Term, b: Term) -> bool:
     """Equality up to consistent renaming of bound variables."""
-
-    def go(a: Term, b: Term, env_a: dict[str, int], env_b: dict[str, int], depth: int) -> bool:
-        match a, b:
-            case Var(na), Var(nb):
-                ia, ib = env_a.get(na), env_b.get(nb)
-                if ia is None and ib is None:
-                    return na == nb
-                return ia == ib
-            case Const(na, ca), Const(nb, cb):
-                if na != nb or len(ca) != len(cb):
-                    return False
-                return all(go(x, y, env_a, env_b, depth) for x, y in zip(ca, cb))
-            case Abs(va, ba), Abs(vb, bb):
-                ea = dict(env_a)
-                eb = dict(env_b)
-                ea[va] = depth
-                eb[vb] = depth
-                return go(ba, bb, ea, eb, depth + 1)
-            case App(fa, aa), App(fb, ab):
-                return go(fa, fb, env_a, env_b, depth) and go(aa, ab, env_a, env_b, depth)
-            case _:
-                return False
-
-    return go(a, b, {}, {}, 0)
+    return alpha_key(a) == alpha_key(b)
 
 
 def alpha_key(t: Term) -> str:
-    """Canonical string shared by alpha-equivalent terms."""
+    """Canonical string shared by alpha-equivalent terms: bound variables by binder depth, free ones by name."""
 
     def go(t: Term, env: dict[str, int], depth: int) -> str:
         match t:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from enum import Enum
 from typing import NamedTuple
 
 from .category import (
@@ -21,11 +22,10 @@ from .category import (
     Category,
     Direction,
     Functor,
-    RuleId,
+    Modality,
     apply_bindings,
     category_key,
     match_argument,
-    modality_admits,
     rename_variables,
     unify,
 )
@@ -33,6 +33,23 @@ from . import logical_form as lf
 from .lexicon import MARKER_LEXC_PLUS, LexEntry, Lexicon, lookup
 
 DEFAULT_MAX_TOKENS = 32
+
+
+class RuleId(Enum):
+    """The fixed binary rule inventory. Values double as display labels."""
+
+    FWD_APP = ">"
+    BWD_APP = "<"
+    FWD_COMP_HARMONIC = ">B"
+    BWD_COMP_HARMONIC = "<B"
+    FWD_COMP_CROSSING = ">Bx"
+    BWD_COMP_CROSSING = "<Bx"
+    FWD_SUBST = ">S"
+    BWD_SUBST = "<S"
+
+    @property
+    def label(self) -> str:
+        return self.value
 
 
 class ParserError(Exception):
@@ -78,6 +95,7 @@ class Edge:
     rule: RuleId | None = None
     children: tuple["Edge", ...] = ()
     entry: LexEntry | None = None
+    lexc: bool = False  # some lexical entry at the leaves carries lexc+
 
     @property
     def span(self) -> tuple[int, int]:
@@ -91,24 +109,16 @@ class Edge:
         return (category_key(self.category), lf.alpha_key(self.lf))
 
 
-def covered_entries(edge: Edge):
-    """Lexical entries at the leaves under this edge."""
-    if edge.entry is not None:
-        yield edge.entry
-    for child in edge.children:
-        yield from covered_entries(child)
-
-
 def derived_feature(edge: Edge, attr: str, weight_threshold: int = 4) -> str:
     """Compute a span predicate for an edge, never stored on its category.
 
     ``weight`` is "-" when the span covers at most weight_threshold tokens;
-    ``lexc`` is "+" when any covered entry carries the lexc+ marker.
+    ``lexc`` is "+" when the edge's lexc flag is set.
     """
     if attr == "weight":
         return "-" if edge.end - edge.start <= weight_threshold else "+"
     if attr == "lexc":
-        return "+" if any(MARKER_LEXC_PLUS in e.markers for e in covered_entries(edge)) else "-"
+        return "+" if edge.lexc else "-"
     raise ValueError(f"not a computed feature: {attr!r}")
 
 
@@ -181,25 +191,30 @@ class RuleRow(NamedTuple):
     f_direction: Direction
     g_direction: Direction | None
     shape: str
+    admits: tuple[Modality, ...]
 
 
 _FWD, _BWD = Direction.FORWARD, Direction.BACKWARD
+_ANY = tuple(Modality)
+_HARMONIC = (Modality.DIAMOND, Modality.DOT)
+_CROSSING = (Modality.CROSS, Modality.DOT)
 
 # Shapes, with f's slash written forward and | for g's slash:
 #   A  application   X/Y      Y    => X    f g
 #   B  composition   X/Y      Y|Z  => X|Z  \x. f (g x)
 #   S  substitution  (X/Y)/Z  Y|Z  => X|Z  \x. f x (g x)
+# Every slash a rule consumes must have one of the row's ``admits`` modalities.
 # Rows are tried in order.  Chart.add keeps the first edge for each
 # reading, so the order decides which derivation a packed reading shows.
 RULES = (
-    RuleRow(RuleId.FWD_APP, True, _FWD, None, "A"),
-    RuleRow(RuleId.BWD_APP, False, _BWD, None, "A"),
-    RuleRow(RuleId.FWD_COMP_HARMONIC, True, _FWD, _FWD, "B"),
-    RuleRow(RuleId.BWD_COMP_HARMONIC, False, _BWD, _BWD, "B"),
-    RuleRow(RuleId.FWD_COMP_CROSSING, True, _FWD, _BWD, "B"),
-    RuleRow(RuleId.BWD_COMP_CROSSING, False, _BWD, _FWD, "B"),
-    RuleRow(RuleId.FWD_SUBST, True, _FWD, _FWD, "S"),
-    RuleRow(RuleId.BWD_SUBST, False, _BWD, _BWD, "S"),
+    RuleRow(RuleId.FWD_APP, True, _FWD, None, "A", _ANY),
+    RuleRow(RuleId.BWD_APP, False, _BWD, None, "A", _ANY),
+    RuleRow(RuleId.FWD_COMP_HARMONIC, True, _FWD, _FWD, "B", _HARMONIC),
+    RuleRow(RuleId.BWD_COMP_HARMONIC, False, _BWD, _BWD, "B", _HARMONIC),
+    RuleRow(RuleId.FWD_COMP_CROSSING, True, _FWD, _BWD, "B", _CROSSING),
+    RuleRow(RuleId.BWD_COMP_CROSSING, False, _BWD, _FWD, "B", _CROSSING),
+    RuleRow(RuleId.FWD_SUBST, True, _FWD, _FWD, "S", _HARMONIC),
+    RuleRow(RuleId.BWD_SUBST, False, _BWD, _BWD, "S", _HARMONIC),
 )
 
 
@@ -211,13 +226,13 @@ def _category_step(row: RuleRow, f_edge: Edge, g_edge: Edge, weight_threshold: i
     of its own; composition and substitution unify category structure.
     """
     f = _functor(f_edge, row.f_direction)
-    if f is None or not modality_admits(row.rule, f.slash.modality):
+    if f is None or f.slash.modality not in row.admits:
         return None
     if row.shape == "A":
         bnd = match_argument(f.argument, g_edge, derived=lambda attr: derived_feature(g_edge, attr, weight_threshold))
         return None if bnd is None else (f.result, bnd)
     g = _functor(g_edge, row.g_direction)
-    if g is None or not modality_admits(row.rule, g.slash.modality):
+    if g is None or g.slash.modality not in row.admits:
         return None
     if row.shape == "B":
         head, slot, bnd = f.result, f.argument, Bindings()
@@ -226,7 +241,7 @@ def _category_step(row: RuleRow, f_edge: Edge, g_edge: Edge, weight_threshold: i
         if not (
             isinstance(inner, Functor)
             and inner.slash.direction is row.f_direction
-            and modality_admits(row.rule, inner.slash.modality)
+            and inner.slash.modality in row.admits
         ):
             return None
         head, slot, bnd = inner.result, inner.argument, unify(f.argument, g.argument)
@@ -259,10 +274,10 @@ def combine(
         f_edge, g_edge = (left, right) if row.primary_left else (right, left)
         step = _category_step(row, f_edge, g_edge, weight_threshold)
         if step is not None:
-            category, bnd = step
             term = _lf_step(row.shape, f_edge.lf, g_edge.lf, max_steps)
+            category = apply_bindings(*step)
             tokens = left.tokens + right.tokens
-            out.append(Edge(left.start, right.end, tokens, apply_bindings(category, bnd), term, row.rule, (left, right)))
+            out.append(Edge(left.start, right.end, tokens, category, term, row.rule, (left, right), lexc=left.lexc or right.lexc))
     return out
 
 
@@ -283,7 +298,8 @@ def seed_edges(
         for entry, length in lookup(lex, tokens, start, case_fold):
             category = rename_variables(entry.category, str(next(fresh)))
             term = lf.beta_normalize(entry.lf, max_steps=max_steps)
-            edges.append(Edge(start, start + length, tuple(tokens[start : start + length]), category, term, entry=entry))
+            lexc = MARKER_LEXC_PLUS in entry.markers
+            edges.append(Edge(start, start + length, tuple(tokens[start : start + length]), category, term, entry=entry, lexc=lexc))
             for i in range(start, start + length):
                 covered[i] = True
     unknown = sorted({tokens[i] for i, c in enumerate(covered) if not c})

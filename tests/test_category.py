@@ -12,14 +12,12 @@ from ccgparse.category import (
     FeatureBundle,
     Functor,
     Modality,
-    RuleId,
     Singleton,
     Slash,
     Var,
     apply_bindings,
     category_key,
     match_argument,
-    modality_admits,
     parse_category,
     render_category,
     rename_variables,
@@ -27,6 +25,7 @@ from ccgparse.category import (
     unify,
     validate_category,
 )
+from ccgparse.parser import RULES, RuleId
 
 
 @dataclass(frozen=True)
@@ -203,7 +202,8 @@ def test_bare_singleton_entry_category_is_fine():
     ],
 )
 def test_modality_admits(rule, modality, expected):
-    assert modality_admits(rule, modality) is expected
+    (row,) = [row for row in RULES if row.rule is rule]
+    assert (modality in row.admits) is expected
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +247,15 @@ def test_rename_variables_keeps_entry_internal_coreference():
     assert renamed.result.features.get("head") == renamed.argument.features.get("head")
     assert renamed.result.features.get("head") != "?h"
     assert category_key(renamed) == category_key(c)
+
+
+def test_category_key_numbers_feature_and_category_variables_together():
+    c = cat(r"((X\NP[agr=?a])/Y)/(Y/N[agr=?a, head=?h])")
+    expected = r"((V0\NP[agr=?v1])/V2)/(V2/N[agr=?v1, head=?v3])"
+    assert category_key(c) == expected
+    assert category_key(rename_variables(c, "4")) == expected
+    assert category_key(cat(r"((Y\NP[agr=?b])/X)/(X/N[agr=?b, head=?z])")) == expected
+    assert render_category(rename_variables(c, "4")) == render_category(c)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,14 @@ def test_validate_good_fragment(capsys, tmp_path):
     assert "ok" in out
 
 
+@pytest.mark.parametrize("flag", [["--max-steps", "1"], ["--weight-threshold", "6"], ["--case-fold"]])
+def test_validate_takes_no_parse_settings(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "-l", FRAGMENT, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 def test_validate_singleton_as_result(capsys, tmp_path):
     path = write(tmp_path, r'up := "up"/NP : \x. up x ;' + "\nup := ((S\\NP)\\(S\\NP))/NP : \\x\\p\\y. up (p y) x ;")
     code, out, _ = run(capsys, "validate", "-l", path)
@@ -201,7 +209,26 @@ def test_divergent_singleton_derivation_is_operational_error(capsys, tmp_path, c
     code, out, err = run(capsys, command, "-l", write(tmp_path, DIVERGENT), *argv)
     assert code == 2
     assert out == ""
-    assert err == "no normal form within 10000 steps\n"
+    assert err == "line 2: logical form of the := NP/N: no normal form within 10000 steps\n"
+
+
+DIVERGENT_DERIVATION = r"""
+the := NP/N : \n. n n ;
+bucket := N : \x. x x ;
+kicked := (S\NP)/*"the bucket" : \x\y. die_{x} y ;
+"""
+
+
+@pytest.mark.parametrize("command", ["validate", "parse", "test"])
+def test_budget_error_names_the_singleton_whose_derivation_diverges(capsys, tmp_path, command):
+    suite = tmp_path / "suite.tsv"
+    suite.write_text("kicked\t0\t-\n", encoding="utf-8")
+    # the lexicon check runs under the lexicon's own budget, not --max-steps
+    argv = {"validate": [], "parse": ["--max-steps", "5", "kicked"], "test": [str(suite)]}[command]
+    code, out, err = run(capsys, command, "-l", write(tmp_path, DIVERGENT_DERIVATION), *argv)
+    assert code == 2
+    assert out == ""
+    assert err == 'line 4: derivation of "the bucket": no normal form within 10000 steps\n'
 
 
 @pytest.mark.parametrize(
@@ -215,6 +242,18 @@ def test_divergent_singleton_derivation_is_operational_error(capsys, tmp_path, c
 def test_deep_input_is_operational_error(tmp_path, entry):
     proc = subprocess.run(
         [sys.executable, "-m", "ccgparse", "parse", "-l", write(tmp_path, entry), "w"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "input nested too deeply\n"
+
+
+def test_validate_rejects_a_logical_form_every_parse_rejects(tmp_path):
+    entry = "w := NP : f " + " ".join(f"a{i}" for i in range(3000)) + " ;"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccgparse", "validate", "-l", write(tmp_path, entry)],
         capture_output=True,
         text=True,
     )

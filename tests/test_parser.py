@@ -3,20 +3,19 @@ import pytest
 from ccgparse import logical_form as lf
 from ccgparse.category import (
     Functor,
-    RuleId,
-    modality_admits,
     parse_category,
     render_category,
 )
-from ccgparse.lexicon import parse_lexicon, tokenize
+from ccgparse.lexicon import MARKER_LEXC_PLUS, parse_lexicon, tokenize
 from ccgparse.parser import (
+    RULES,
     Edge,
     ParseSettings,
+    RuleId,
     SentenceTooLongError,
     UnknownTokenError,
     build_chart,
     combine,
-    covered_entries,
     derived_feature,
     parse,
     seed_edges,
@@ -290,9 +289,16 @@ def test_singleton_span_must_be_a_constituent(fragment):
     assert edges == []
 
 
+def leaf_entries(edge):
+    if edge.entry is not None:
+        yield edge.entry
+    for child in edge.children:
+        yield from leaf_entries(child)
+
+
 def test_lexical_edges_record_entries(fragment):
     edge = stub_chart_edge(fragment, "the book")
-    leaves = list(covered_entries(edge))
+    leaves = list(leaf_entries(edge))
     assert sorted(" ".join(e.phon) for e in leaves) == ["book", "the"]
 
 
@@ -339,8 +345,19 @@ def test_no_composition_or_substitution_over_star(fragment, corpus):
             for child in edge.children:
                 cat = child.category
                 if isinstance(cat, Functor):
-                    assert modality_admits(edge.rule, cat.slash.modality), render_category(cat)
+                    (row,) = [row for row in RULES if row.rule is edge.rule]
+                    assert cat.slash.modality in row.admits, render_category(cat)
     assert seen > 0
+
+
+def test_edge_lexc_flags_a_lexc_plus_leaf(fragment, corpus):
+    flagged = unflagged = 0
+    for chart in corpus_charts(fragment, corpus):
+        for edge in chart.all_edges():
+            assert edge.lexc == any(MARKER_LEXC_PLUS in e.markers for e in leaf_entries(edge))
+            flagged += edge.lexc
+            unflagged += not edge.lexc
+    assert flagged > 0 and unflagged > 0
 
 
 def test_no_edge_category_has_singleton_result(fragment, corpus):
