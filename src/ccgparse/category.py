@@ -283,7 +283,6 @@ class EdgeLike(Protocol):
 def match_argument(
     spec: Category,
     edge: EdgeLike,
-    bindings: Bindings | None = None,
     derived: Callable[[str], str] | None = None,
 ) -> Bindings | None:
     """Match a functor's argument specification against a derived edge.
@@ -295,10 +294,8 @@ def match_argument(
     callback instead of being unified structurally.
     """
     if isinstance(spec, Singleton):
-        if tuple(edge.tokens) == spec.tokens:
-            return bindings.copy() if bindings is not None else Bindings()
-        return None
-    bnd = bindings.copy() if bindings is not None else Bindings()
+        return Bindings() if tuple(edge.tokens) == spec.tokens else None
+    bnd = Bindings()
     if isinstance(spec, Atom):
         computed = [(a, v) for a, v in spec.features.pairs if a in COMPUTED_ATTRS]
         if computed:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .category import render_category
 from . import logical_form as lf
@@ -42,28 +42,25 @@ class DerivationDoc:
     near_misses: tuple[NearMiss, ...] = ()
 
 
-def _tree(edge: Edge) -> TreeNode:
-    return TreeNode(
-        edge.span,
-        render_category(edge.category),
-        lf.pretty_print(edge.lf),
-        edge.label,
-        tuple(_tree(child) for child in edge.children),
-    )
-
-
 def document(tokens: list[str] | tuple[str, ...], edges: list[Edge], chart: Chart | None = None) -> DerivationDoc:
     """Build a document; readings are sorted by (category, logical form).
 
-    With no readings and a chart available, the longest derived sub-spans
-    are recorded as near misses.
+    Each chart edge becomes one TreeNode, so readings that share a
+    sub-derivation share its node. With no readings and a chart available,
+    the longest derived sub-spans are recorded as near misses.
     """
-    readings = tuple(
-        sorted(
-            (Reading(render_category(e.category), lf.pretty_print(e.lf), _tree(e)) for e in edges),
-            key=lambda r: (r.category, r.lf),
-        )
-    )
+    nodes: dict[Edge, TreeNode] = {}  # Edge hashes by identity
+
+    def node(edge: Edge) -> TreeNode:
+        if edge not in nodes:
+            children = tuple(node(child) for child in edge.children)
+            nodes[edge] = TreeNode(
+                edge.span, render_category(edge.category), lf.pretty_print(edge.lf), edge.label, children
+            )
+        return nodes[edge]
+
+    roots = (node(e) for e in edges)
+    readings = tuple(sorted((Reading(t.category, t.lf, t) for t in roots), key=lambda r: (r.category, r.lf)))
     near: tuple[NearMiss, ...] = ()
     if not readings and chart is not None:
         near = tuple(
@@ -165,16 +162,6 @@ def render_ascii(doc: DerivationDoc) -> str:
 # ---------------------------------------------------------------------------
 # JSON round trip
 
-def _node_obj(node: TreeNode) -> dict:
-    return {
-        "span": list(node.span),
-        "category": node.category,
-        "lf": node.lf,
-        "rule": node.rule,
-        "children": [_node_obj(c) for c in node.children],
-    }
-
-
 def _node_from(obj: dict) -> TreeNode:
     return TreeNode(
         tuple(obj["span"]),
@@ -186,17 +173,9 @@ def _node_from(obj: dict) -> TreeNode:
 
 
 def render_json(doc: DerivationDoc) -> str:
-    """Stable JSON for the document; read_json restores an equal value."""
-    payload = {
-        "sentence": list(doc.sentence),
-        "readings": [
-            {"category": r.category, "lf": r.lf, "tree": _node_obj(r.tree)} for r in doc.readings
-        ],
-        "near_misses": [
-            {"span": list(m.span), "category": m.category, "lf": m.lf} for m in doc.near_misses
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """Stable JSON for the document: each dataclass's fields in order (tuples
+    become lists); read_json restores an equal value."""
+    return json.dumps(asdict(doc), indent=2) + "\n"
 
 
 def read_json(text: str) -> DerivationDoc:

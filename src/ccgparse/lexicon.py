@@ -15,6 +15,7 @@ contributing lexical content to the computed ``lexc`` feature.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -351,6 +352,18 @@ def _permutes_arguments(entry: LexEntry) -> bool:
     return any(b < a for a, b in zip(positions, positions[1:]))
 
 
+@contextmanager
+def _naming_source(where: str):
+    """Re-raise an exhausted budget or recursion limit as a BudgetExceeded
+    that names where in the lexicon it happened."""
+    try:
+        yield
+    except lf.BudgetExceeded as exc:
+        raise lf.BudgetExceeded(f"{where}: {exc}") from None
+    except RecursionError:
+        raise lf.BudgetExceeded(f"{where}: input nested too deeply") from None
+
+
 def validate_lexicon(lex: Lexicon) -> list[Violation]:
     """All structural violations across the lexicon (errors only).
 
@@ -359,15 +372,14 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
     is declared or built in, and that every singleton's token string is
     itself derivable from the lexicon, without which singleton application
     could never fire.  Every logical form is normalized as a parse would
-    do it, under the lexicon's own settings; a BudgetExceeded names the
-    entry's line and, when a singleton's derivation diverged, the singleton.
+    do it, under the lexicon's own settings.  A step budget or nesting depth
+    exhausted there raises BudgetExceeded naming the entry's line and, when
+    a singleton's derivation is at fault, the singleton.
     """
     out: list[Violation] = []
     for entry in lex.all_entries():
-        try:
+        with _naming_source(f"line {entry.source_line}: logical form of {entry}"):
             lf.beta_normalize(entry.lf)
-        except lf.BudgetExceeded as exc:
-            raise lf.BudgetExceeded(f"line {entry.source_line}: logical form of {entry}: {exc}") from None
         for v in validate_category(entry.category):
             out.append(v.at_line(entry.source_line))
         lambdas = len(_leading_lambdas(entry.lf))
@@ -393,12 +405,11 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
             if not s.tokens or s.tokens in checked:
                 continue
             checked.add(s.tokens)
-            try:
-                derivable = bool(parse(lex, list(s.tokens)))
-            except ParserError:
-                derivable = False
-            except lf.BudgetExceeded as exc:
-                raise lf.BudgetExceeded(f'line {entry.source_line}: derivation of "{" ".join(s.tokens)}": {exc}') from None
+            with _naming_source(f'line {entry.source_line}: derivation of "{" ".join(s.tokens)}"'):
+                try:
+                    derivable = bool(parse(lex, list(s.tokens)))
+                except ParserError:
+                    derivable = False
             if not derivable:
                 out.append(
                     Violation(

@@ -5,6 +5,7 @@ with ``pytest -v -s`` shows one pass/fail line per criterion.  Expected
 values were derived by hand before implementation and are frozen here.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -318,3 +319,16 @@ def test_c7_golden_files_byte_exact(fragment):
         doc = document(tokens, edges, chart)
         assert renderer(doc) == (GOLDEN / name).read_text(encoding="utf-8"), name
     report("7c golden files byte-exact")
+
+
+def test_c7_corpus_golden_byte_exact(capsys, corpus):
+    """Default `parse` output for every corpus sentence; each block of the
+    golden file is headed by `# <sentence>`."""
+    golden = (GOLDEN / "corpus.ascii.expected").read_text(encoding="utf-8")
+    _, *parts = re.split(r"^# (.*)\n", golden, flags=re.M)
+    expected = dict(zip(parts[::2], parts[1::2]))
+    assert list(expected) == [sentence for sentence, _, _ in corpus]
+    for sentence in expected:
+        main(["parse", "-l", str(ccgparse.fragment_path()), sentence])
+        assert capsys.readouterr().out == expected[sentence], f"first differing sentence: {sentence}"
+    report("7d corpus golden byte-exact")

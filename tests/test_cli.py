@@ -231,15 +231,18 @@ def test_budget_error_names_the_singleton_whose_derivation_diverges(capsys, tmp_
     assert err == 'line 4: derivation of "the bucket": no normal form within 10000 steps\n'
 
 
+LONG_APPLICATION = "w := NP : f " + " ".join(f"a{i}" for i in range(3000)) + " ;"
+
+
 @pytest.mark.parametrize(
-    "entry",
+    "entry, message",
     [
-        "w := " + "(" * 600 + "NP" + ")" * 600 + " : w ;",
-        "w := NP : f " + " ".join(f"a{i}" for i in range(3000)) + " ;",
+        ("w := " + "(" * 600 + "NP" + ")" * 600 + " : w ;", "input nested too deeply"),
+        (LONG_APPLICATION, "line 1: logical form of w := NP: input nested too deeply"),
     ],
     ids=["deep category", "long application"],
 )
-def test_deep_input_is_operational_error(tmp_path, entry):
+def test_deep_input_is_operational_error(tmp_path, entry, message):
     proc = subprocess.run(
         [sys.executable, "-m", "ccgparse", "parse", "-l", write(tmp_path, entry), "w"],
         capture_output=True,
@@ -247,19 +250,112 @@ def test_deep_input_is_operational_error(tmp_path, entry):
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == "input nested too deeply\n"
+    assert proc.stderr == message + "\n"
 
 
 def test_validate_rejects_a_logical_form_every_parse_rejects(tmp_path):
-    entry = "w := NP : f " + " ".join(f"a{i}" for i in range(3000)) + " ;"
     proc = subprocess.run(
-        [sys.executable, "-m", "ccgparse", "validate", "-l", write(tmp_path, entry)],
+        [sys.executable, "-m", "ccgparse", "validate", "-l", write(tmp_path, LONG_APPLICATION)],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == "input nested too deeply\n"
+    assert proc.stderr == "line 1: logical form of w := NP: input nested too deeply\n"
+
+
+# each entry normalizes on its own; composing two of them nests twice as deep
+DEEP_DERIVATION = (
+    r"w := NP/NP : \x. f x " + " ".join(f"a{i}" for i in range(600)) + " ;\n"
+    + 'v := S/*"w w" : \\x. x ;\n'
+)
+
+
+@pytest.mark.parametrize("command", ["validate", "parse", "test"])
+def test_depth_error_names_the_singleton_whose_derivation_nests_too_deeply(capsys, tmp_path, command):
+    suite = tmp_path / "suite.tsv"
+    suite.write_text("w\t1\t-\n", encoding="utf-8")
+    argv = {"validate": [], "parse": ["w"], "test": [str(suite)]}[command]
+    code, out, err = run(capsys, command, "-l", write(tmp_path, DEEP_DERIVATION), *argv)
+    assert code == 2
+    assert out == ""
+    assert err == 'line 2: derivation of "w w": input nested too deeply\n'
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: one case per path that no other test runs; "{d}"
+# stands for the test's directory in file names, argv and expected output
+
+CONTRACT = [
+    ("empty sentence", {}, ["parse", "-l", FRAGMENT, ""], 2, "", "empty sentence\n"),
+    ("blank sentence", {}, ["parse", "-l", FRAGMENT, "  "], 2, "", "empty sentence\n"),
+    (
+        "bad goal",
+        {},
+        ["parse", "-l", FRAGMENT, "--goal", "S/", "John"],
+        2,
+        "",
+        "bad goal category: unexpected end of category\n",
+    ),
+    (
+        "unreadable suite",
+        {},
+        ["test", "-l", FRAGMENT, "{d}/none.tsv"],
+        2,
+        "",
+        "cannot read suite {d}/none.tsv: [Errno 2] No such file or directory: '{d}/none.tsv'\n",
+    ),
+    (
+        "bad reading count",
+        {"s.tsv": "John kicked the bucket\tx\t-\n"},
+        ["test", "-l", FRAGMENT, "{d}/s.tsv"],
+        2,
+        "",
+        "{d}/s.tsv:1: bad reading count 'x'\n",
+    ),
+    (
+        "bad expected logical form",
+        {"s.tsv": "John kicked the bucket\t2\tkick (\n"},
+        ["test", "-l", FRAGMENT, "{d}/s.tsv"],
+        2,
+        "",
+        "{d}/s.tsv:1: bad expected logical form: unexpected end of logical form\n",
+    ),
+    (
+        "lexicon syntax error under parse",
+        {"x.ccg": "the := NP/ : \\x. x ;\n"},
+        ["parse", "-l", "{d}/x.ccg", "the"],
+        2,
+        "",
+        "{d}/x.ccg: line 1: error: bad category: unexpected end of category\n",
+    ),
+    (
+        "validation violation under parse",
+        {"x.ccg": 'up := "up"/NP : \\x. up x ;\n'},
+        ["parse", "-l", "{d}/x.ccg", "up"],
+        2,
+        "",
+        '{d}/x.ccg: SINGLETON_AS_RESULT: "up"/NP puts a string category in result position (line 1)\n',
+    ),
+    (
+        "suite failure",
+        {"s.tsv": "John kicked the bucket\t5\t-\n"},
+        ["test", "-l", FRAGMENT, "{d}/s.tsv"],
+        1,
+        "FAIL  John kicked the bucket  [expected 5 reading(s), got 2 (die_{def bucket} j, kick (def bucket) j)]\n"
+        "0 passed, 1 failed\n",
+        "",
+    ),
+]
+
+
+@pytest.mark.parametrize("files, argv, code, out, err", [c[1:] for c in CONTRACT], ids=[c[0] for c in CONTRACT])
+def test_exit_code_contract(capsys, tmp_path, files, argv, code, out, err):
+    d = str(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    got = run(capsys, *(a.replace("{d}", d) for a in argv))
+    assert got == (code, out.replace("{d}", d), err.replace("{d}", d))
 
 
 # ---------------------------------------------------------------------------

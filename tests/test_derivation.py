@@ -31,6 +31,34 @@ def all_nodes(node):
         yield from all_nodes(child)
 
 
+SIX_CLAUSES = (
+    "John kicked and Mary dragged and I cooked and You spilled and John cooked and Mary kicked the bucket"
+)
+
+
+def reachable(roots):
+    """Distinct objects (by id) reachable through .children."""
+    seen, todo = {}, list(roots)
+    while todo:
+        item = todo.pop()
+        if id(item) not in seen:
+            seen[id(item)] = item
+            todo.extend(item.children)
+    return seen
+
+
+def test_one_tree_node_per_chart_edge(fragment):
+    tokens = tokenize(SIX_CLAUSES)
+    edges = sorted(build_chart(fragment, tokens).spanning(), key=lambda e: e.reading_key())
+    doc = document(tokens, edges)
+    assert len(doc.readings) == 42  # the fifth Catalan number
+    assert len(reachable(r.tree for r in doc.readings)) == len(reachable(edges)) == 205
+    # walked reading by reading the trees have 1554 nodes: readings share sub-derivations
+    assert sum(1 for r in doc.readings for _ in all_nodes(r.tree)) == 1554
+    for reading in doc.readings:
+        assert (reading.category, reading.lf) == (reading.tree.category, reading.tree.lf)
+
+
 def test_rule_labels_in_fixed_set(fragment, corpus):
     for sentence, _, _ in corpus:
         doc = doc_for(fragment, sentence)
