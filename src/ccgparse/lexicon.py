@@ -156,23 +156,37 @@ def _strip_comments(text: str) -> str:
 
 
 def _chunks(text: str) -> Iterator[tuple[int, str]]:
-    """Yield (line_number, chunk) for each ';'-terminated chunk."""
+    """Yield (line_number, chunk) for each ';'-terminated chunk.
+
+    A chunk that runs into a second ':=' on a later line ends before that
+    line and is yielded, like an unterminated tail, with a '\\0' marker.
+    """
     buf: list[str] = []
     start_line = 1
     line = 1
     started = False
+    entry_line = 0  # line of the chunk's ':=', 0 while there is none
+    line_start = 0  # index in buf where the current line begins
     for ch in text:
         if ch == ";":
             yield start_line, "".join(buf)
             buf = []
             started = False
+            entry_line = line_start = 0
         else:
+            if ch == "=" and buf and buf[-1] == ":":
+                if entry_line and entry_line < line:
+                    yield start_line, "".join(buf[:line_start]) + "\0"
+                    del buf[:line_start]
+                    start_line, line_start = line, 0
+                entry_line = line
             if not started and not ch.isspace():
                 started = True
                 start_line = line
+            buf.append(ch)
             if ch == "\n":
                 line += 1
-            buf.append(ch)
+                line_start = len(buf)
     tail = "".join(buf)
     if tail.strip():
         yield start_line, tail + "\0"  # unterminated marker

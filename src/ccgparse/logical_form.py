@@ -8,6 +8,7 @@ binder feeds the predicate's contingency, not its argument structure).
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -56,19 +57,23 @@ def absn(variables: list[str] | tuple[str, ...], body: Term) -> Term:
     return body
 
 
+# free_vars, substitute, beta_normalize and alpha_key run once or more per
+# chart edge, so they dispatch on type(t) rather than with structural
+# pattern matching, which is several times slower.
+
 def free_vars(t: Term) -> frozenset[str]:
-    match t:
-        case Var(name):
-            return frozenset({name})
-        case Const(_, cs):
-            out: frozenset[str] = frozenset()
-            for c in cs:
-                out |= free_vars(c)
-            return out
-        case Abs(v, body):
-            return free_vars(body) - {v}
-        case App(f, a):
-            return free_vars(f) | free_vars(a)
+    cls = type(t)
+    if cls is Var:
+        return frozenset((t.name,))
+    if cls is App:
+        return free_vars(t.fun) | free_vars(t.arg)
+    if cls is Abs:
+        return free_vars(t.body) - {t.var}
+    if cls is Const:
+        out: frozenset[str] = frozenset()
+        for c in t.contingencies:
+            out |= free_vars(c)
+        return out
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -79,66 +84,91 @@ def fresh_name(base: str, avoid: frozenset[str]) -> str:
     return name
 
 
+def _map_subscripts(t: Const, fn) -> Const:
+    cs = t.contingencies
+    cs2 = tuple([fn(c) for c in cs])
+    return t if all(map(operator.is_, cs, cs2)) else Const(t.name, cs2)
+
+
 def substitute(t: Term, v: str, s: Term) -> Term:
-    """Capture-avoiding substitution of s for free occurrences of v."""
-    match t:
-        case Var(name):
-            return s if name == v else t
-        case Const(name, cs):
-            return Const(name, tuple(substitute(c, v, s) for c in cs))
-        case App(f, a):
-            return App(substitute(f, v, s), substitute(a, v, s))
-        case Abs(x, body):
+    """Capture-avoiding substitution of s for free occurrences of v.
+
+    Subterms without a free v come back as the same objects.
+    """
+    s_free = free_vars(s)
+
+    def go(t: Term) -> Term:
+        cls = type(t)
+        if cls is Var:
+            return s if t.name == v else t
+        if cls is App:
+            f, a = t.fun, t.arg
+            f2, a2 = go(f), go(a)
+            return t if f2 is f and a2 is a else App(f2, a2)
+        if cls is Abs:
+            x, body = t.var, t.body
             if x == v:
                 return t
-            if x in free_vars(s) and v in free_vars(body):
-                x2 = fresh_name(x, free_vars(s) | free_vars(body))
-                body = substitute(body, x, Var(x2))
-                return Abs(x2, substitute(body, v, s))
-            return Abs(x, substitute(body, v, s))
-    raise TypeError(f"not a term: {t!r}")
+            if x in s_free and v in free_vars(body):
+                x2 = fresh_name(x, s_free | free_vars(body))
+                return Abs(x2, go(substitute(body, x, Var(x2))))
+            body2 = go(body)
+            return t if body2 is body else Abs(x, body2)
+        if cls is Const:
+            return _map_subscripts(t, go) if t.contingencies else t
+        raise TypeError(f"not a term: {t!r}")
 
-
-def _step_normal(t: Term) -> Term | None:
-    """One leftmost-outermost reduction, or None if t is normal."""
-    match t:
-        case App(Abs(v, body), a):
-            return substitute(body, v, a)
-        case App(f, a):
-            rf = _step_normal(f)
-            if rf is not None:
-                return App(rf, a)
-            ra = _step_normal(a)
-            if ra is not None:
-                return App(f, ra)
-            return None
-        case Abs(v, body):
-            rb = _step_normal(body)
-            return Abs(v, rb) if rb is not None else None
-        case Const(name, cs):
-            for i, c in enumerate(cs):
-                rc = _step_normal(c)
-                if rc is not None:
-                    return Const(name, cs[:i] + (rc,) + cs[i + 1 :])
-            return None
-        case _:
-            return None
+    return go(t)
 
 
 def beta_normalize(t: Term, max_steps: int = DEFAULT_STEP_BUDGET) -> Term:
     """Reduce to beta-normal form in normal order (leftmost-outermost).
 
-    Normal order finds a normal form whenever one exists.  Raises
-    BudgetExceeded after max_steps reductions.
+    Normal order finds a normal form whenever one exists.  The reducer
+    makes one pass.  At an application it first reduces the function side
+    until it is an abstraction, which it contracts, or a variable or
+    constant head with its arguments, which it normalizes left to right;
+    it then normalizes the argument.  These are the contractions, in the
+    same order, of restarting the leftmost-outermost search from the root
+    after each one.  Already-normal subterms come back as the same objects.
+    Raises BudgetExceeded when a reduction beyond max_steps is due.
     """
-    for _ in range(max_steps):
-        r = _step_normal(t)
-        if r is None:
-            return t
-        t = r
-    if _step_normal(t) is None:
+    steps = 0
+
+    def nf(t: Term) -> Term:
+        cls = type(t)
+        if cls is App:
+            return reduce_app(t, True)
+        if cls is Abs:
+            body = nf(t.body)
+            return t if body is t.body else Abs(t.var, body)
+        if cls is Const and t.contingencies:
+            return _map_subscripts(t, nf)
         return t
-    raise BudgetExceeded(f"no normal form within {max_steps} steps")
+
+    def reduce_app(t: App, whole: bool) -> Term:
+        # The normal form of t; with whole false, an abstraction that t
+        # reduces to comes back unnormalized, for the caller to contract.
+        # Recursion follows the function side of the application spine.
+        nonlocal steps
+        while True:
+            f = t.fun
+            cls = type(f)
+            if cls is App:
+                f = reduce_app(f, False)
+            elif cls is not Abs:
+                f = nf(f)
+            if type(f) is not Abs:
+                a = nf(t.arg)
+                return t if f is t.fun and a is t.arg else App(f, a)
+            if steps >= max_steps:
+                raise BudgetExceeded(f"no normal form within {max_steps} steps")
+            steps += 1
+            t = substitute(f.body, f.var, t.arg)
+            if type(t) is not App:
+                return t if type(t) is Abs and not whole else nf(t)
+
+    return nf(t)
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
@@ -148,24 +178,41 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 def alpha_key(t: Term) -> str:
     """Canonical string shared by alpha-equivalent terms: bound variables by binder depth, free ones by name."""
+    out: list[str] = []
+    binders: dict[str, list[int]] = {}  # name -> depths of the binders in scope
 
-    def go(t: Term, env: dict[str, int], depth: int) -> str:
-        match t:
-            case Var(name):
-                i = env.get(name)
-                return f"b{depth - 1 - i}" if i is not None else f"f:{name}"
-            case Const(name, cs):
-                subs = "{" + ",".join(go(c, env, depth) for c in cs) + "}" if cs else ""
-                return f"c:{name}{subs}"
-            case Abs(v, body):
-                env2 = dict(env)
-                env2[v] = depth
-                return "(\\" + go(body, env2, depth + 1) + ")"
-            case App(f, a):
-                return "(" + go(f, env, depth) + " " + go(a, env, depth) + ")"
-        raise TypeError(f"not a term: {t!r}")
+    def go(t: Term, depth: int) -> None:
+        cls = type(t)
+        if cls is Var:
+            ds = binders.get(t.name)
+            out.append(f"b{depth - 1 - ds[-1]}" if ds else "f:" + t.name)
+        elif cls is App:
+            out.append("(")
+            go(t.fun, depth)
+            out.append(" ")
+            go(t.arg, depth)
+            out.append(")")
+        elif cls is Abs:
+            out.append("(\\")
+            ds = binders.setdefault(t.var, [])
+            ds.append(depth)
+            go(t.body, depth + 1)
+            ds.pop()
+            out.append(")")
+        elif cls is Const:
+            out.append("c:" + t.name)
+            if t.contingencies:
+                sep = "{"
+                for c in t.contingencies:
+                    out.append(sep)
+                    go(c, depth)
+                    sep = ","
+                out.append("}")
+        else:
+            raise TypeError(f"not a term: {t!r}")
 
-    return go(t, {}, 0)
+    go(t, 0)
+    return "".join(out)
 
 
 def spine(t: Term) -> tuple[Term, list[Term]]:

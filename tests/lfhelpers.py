@@ -1,16 +1,78 @@
-"""Logical-form queries and a second reducer used only by the tests.
+"""Logical-form queries and reference reducers used only by the tests.
 
 The idiom-head queries let the acceptance tests tell idiomatic readings
-from literal ones; the applicative-order reducer is what the property
-tests compare the library's normal-order ``beta_normalize`` against.
+from literal ones.  The property tests compare the library's one-pass
+normal-order ``beta_normalize`` against two step-at-a-time reducers: the
+leftmost-outermost one below, which must make the same contractions and
+so give the same term, and an applicative-order one, which must agree up
+to alpha equivalence.
 """
 
 from ccgparse import logical_form as lf
-from ccgparse.logical_form import Abs, App, Const, Term, Var, spine, substitute
+from ccgparse.logical_form import Abs, App, Const, Term, Var, free_vars, fresh_name, spine, substitute
 
 #: Logical-form heads that mark a reading as idiomatic in the shipped
 #: grammar's test corpus.
 IDIOM_HEADS = frozenset({"die", "divulge", "smalltalk", "omniway", "revulse", "pass"})
+
+
+def reference_substitute(t: Term, v: str, s: Term) -> Term:
+    """Capture-avoiding substitution, rebuilding every node on the way."""
+    match t:
+        case Var(name):
+            return s if name == v else t
+        case Const(name, cs):
+            return Const(name, tuple(reference_substitute(c, v, s) for c in cs))
+        case App(f, a):
+            return App(reference_substitute(f, v, s), reference_substitute(a, v, s))
+        case Abs(x, body):
+            if x == v:
+                return t
+            if x in free_vars(s) and v in free_vars(body):
+                x2 = fresh_name(x, free_vars(s) | free_vars(body))
+                body = reference_substitute(body, x, Var(x2))
+                return Abs(x2, reference_substitute(body, v, s))
+            return Abs(x, reference_substitute(body, v, s))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _step_normal(t: Term) -> Term | None:
+    """One leftmost-outermost reduction, or None if t is normal."""
+    match t:
+        case App(Abs(v, body), a):
+            return reference_substitute(body, v, a)
+        case App(f, a):
+            rf = _step_normal(f)
+            if rf is not None:
+                return App(rf, a)
+            ra = _step_normal(a)
+            if ra is not None:
+                return App(f, ra)
+            return None
+        case Abs(v, body):
+            rb = _step_normal(body)
+            return Abs(v, rb) if rb is not None else None
+        case Const(name, cs):
+            for i, c in enumerate(cs):
+                rc = _step_normal(c)
+                if rc is not None:
+                    return Const(name, cs[:i] + (rc,) + cs[i + 1 :])
+            return None
+        case _:
+            return None
+
+
+def small_step(t: Term) -> tuple[Term, int]:
+    """Normal form in normal order, restarting the leftmost-outermost search
+    from the root after each contraction, and the number of contractions.
+
+    Only for terms that have a normal form.
+    """
+    steps = 0
+    while (r := _step_normal(t)) is not None:
+        t = r
+        steps += 1
+    return t, steps
 
 
 def _step_applicative(t: Term) -> Term | None:

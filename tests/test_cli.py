@@ -253,6 +253,19 @@ def test_deep_input_is_operational_error(tmp_path, entry, message):
     assert proc.stderr == message + "\n"
 
 
+@pytest.mark.parametrize("depth, code", [(200, 0), (250, 2)])
+def test_right_nested_logical_form_depth(tmp_path, depth, code):
+    """The logical-form reader, not the reducer, sets the limit."""
+    entry = "w := NP : " + "f (" * depth + "a" + ")" * depth + " ;"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccgparse", "parse", "-l", write(tmp_path, entry), "w"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == code
+    assert proc.stderr == ("" if code == 0 else "input nested too deeply\n")
+
+
 def test_validate_rejects_a_logical_form_every_parse_rejects(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ccgparse", "validate", "-l", write(tmp_path, LONG_APPLICATION)],

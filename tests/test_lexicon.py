@@ -75,6 +75,27 @@ def test_syntax_errors_carry_line_numbers_and_do_not_stop_parsing():
     assert len(lex.all_entries()) == 2
 
 
+def test_missing_semicolon_is_reported_and_the_next_entry_kept():
+    text = "the := NP/N : \\x. def x\nbucket := N : bucket ;\nJohn := NP : j\n\nMary := NP : m ;\n"
+    lex, issues = parse_lexicon(text)
+    assert [str(i) for i in issues] == [
+        "line 1: error: entry not terminated by ';'",
+        "line 3: error: entry not terminated by ';'",
+    ]
+    entries = [(e.source_line, e.phon, lf.pretty_print(e.lf)) for e in lex.all_entries()]
+    assert entries == [
+        (1, ("the",), r"\x. def x"),
+        (2, ("bucket",), "bucket"),
+        (3, ("John",), "j"),
+        (5, ("Mary",), "m"),
+    ]
+
+
+def test_entry_may_span_lines():
+    lex = load("picked := (S\\NP)/NP\n  : \\y\\x. pick y x ;\nJohn := NP : j ;")
+    assert [e.source_line for e in lex.all_entries()] == [1, 3]
+
+
 def test_duplicate_entry_is_warning():
     _, issues = parse_lexicon("John := NP : j ;\nJohn := NP : j ;")
     assert [i.severity for i in issues] == ["warning"]

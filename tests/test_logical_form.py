@@ -77,6 +77,20 @@ def test_budget_exceeded():
         lf.beta_normalize(lf.App(omega, omega), max_steps=50)
 
 
+def test_divergence_exhausts_the_default_budget():
+    omega = lf.Abs("x", lf.App(lf.Var("x"), lf.Var("x")))
+    with pytest.raises(lf.BudgetExceeded, match="within 10000 steps"):
+        lf.beta_normalize(lf.App(omega, omega))
+
+
+def test_normal_subterms_are_shared():
+    normal = p(r"\x. die_{def bucket} (hit x)")
+    assert lf.beta_normalize(normal) is normal
+    out = lf.beta_normalize(lf.app(lf.Const("f"), normal, lf.App(p(r"\x. x"), lf.Const("a"))))
+    assert out.fun.arg is normal
+    assert lf.substitute(normal, "y", lf.Const("q")) is normal
+
+
 def test_normal_order_finds_normal_form_where_applicative_diverges():
     omega = lf.App(lf.Abs("x", lf.App(lf.Var("x"), lf.Var("x"))), lf.Abs("x", lf.App(lf.Var("x"), lf.Var("x"))))
     k = lf.Abs("a", lf.Abs("b", lf.Var("a")))
@@ -99,6 +113,27 @@ def test_alpha_eq_subscript_presence_matters():
 
 def test_alpha_eq_distinct_constants():
     assert not lf.alpha_eq(p(r"\x. p x"), p(r"\x. q x"))
+
+
+# strings produced before the single-pass alpha_key; chart_readings sorts by them
+ALPHA_KEYS = [
+    (p(r"\x. \x. x"), "(\\(\\b0))"),
+    (lf.Abs("x", lf.App(lf.Abs("x", lf.Var("x")), lf.Var("x"))), "(\\((\\b0) b0))"),
+    (lf.App(lf.Abs("x", lf.App(lf.Const("g"), lf.Var("x"))), lf.Var("x")), "((\\(c:g b0)) f:x)"),
+    (lf.Abs("y", lf.Const("die", (lf.Var("x"), lf.Var("y")))), "(\\c:die{f:x,b0})"),
+    (p(r"\x\y. die_{x, f y} y"), "(\\(\\(c:die{b1,(c:f b0)} b0)))"),
+    (
+        p(r"\i. cause (init (hold_{\x\p\y. up (p y) x} (def book) i)) i"),
+        "(\\((c:cause (c:init ((c:hold{(\\(\\(\\((c:up (b1 b0)) b2))))} (c:def c:book)) b0))) b0))",
+    ),
+    (p(r"\x\y. pick x y & choose x y"), "(\\(\\((c:and ((c:pick b1) b0)) ((c:choose b1) b0))))"),
+    (p(r"\x\y\z. x (y z) z"), "(\\(\\(\\((b2 (b1 b0)) b0))))"),
+]
+
+
+@pytest.mark.parametrize("term, key", ALPHA_KEYS, ids=[lf.pretty_print(t) for t, _ in ALPHA_KEYS])
+def test_alpha_key_strings(term, key):
+    assert lf.alpha_key(term) == key
 
 
 def test_alpha_key_agrees_with_alpha_eq():
@@ -195,6 +230,60 @@ def test_has_subscripts():
 
 # ---------------------------------------------------------------------------
 # strategy agreement and variable hygiene on generated terms
+
+# binder names that collide with each other and with the free u0, so that
+# substitution has to rename binders to avoid capture
+COLLAPSED_NAMES = ("x", "y", "u0")
+
+
+def collapse_binders(t: lf.Term, env: dict[str, str] | None = None) -> lf.Term:
+    """An alpha-equivalent term whose binders reuse COLLAPSED_NAMES."""
+    env = env or {}
+    match t:
+        case lf.Var(name):
+            return lf.Var(env.get(name, name))
+        case lf.Const(name, cs):
+            return lf.Const(name, tuple(collapse_binders(c, env) for c in cs))
+        case lf.App(f, a):
+            return lf.App(collapse_binders(f, env), collapse_binders(a, env))
+        case lf.Abs(v, body):
+            taken = {env.get(n, n) for n in lf.free_vars(t)}
+            name = next(n for n in COLLAPSED_NAMES + (v,) if n not in taken)
+            return lf.Abs(name, collapse_binders(body, {**env, v: name}))
+    raise TypeError(f"not a term: {t!r}")
+
+
+# capture-avoiding renames, and a divergent argument that normal order drops
+HAND_CASES = [
+    lf.App(p(r"\x\y. x y"), lf.Var("y")),
+    lf.app(p(r"\x\y\y'. x y y'"), lf.Var("y"), lf.Var("y'")),
+    lf.App(p(r"\f. \x. f (f x)"), p(r"\y. \x. hit x y")),
+    lf.App(lf.Abs("x", lf.Abs("u0", lf.Const("die", (lf.Var("x"), lf.Var("u0"))))), lf.Var("u0")),
+    lf.app(p(r"\a\b. a"), lf.Const("ok"), lf.App(p(r"\x. x x"), p(r"\x. x x"))),
+]
+
+
+@pytest.mark.parametrize("term", HAND_CASES, ids=lf.pretty_print)
+def test_one_pass_reducer_matches_small_steps_on_hand_cases(term):
+    assert lf.beta_normalize(term) == lfh.small_step(term)[0]
+
+
+def test_one_pass_reducer_makes_the_small_step_contractions():
+    """Same term by ==, binder names included, and the budget runs out at
+    the same contraction, on 6000 generated terms and their binder-collapsed
+    variants."""
+    renamed = 0
+    for i, (generated, _) in enumerate(sample(5151, 6000, depth=7)):
+        for term in (generated, collapse_binders(generated)):
+            expected, steps = lfh.small_step(term)
+            assert lf.beta_normalize(term) == expected, f"term {i}: {lf.pretty_print(term)}"
+            assert lf.beta_normalize(term, max_steps=steps) == expected, f"term {i}: {lf.pretty_print(term)}"
+            if steps:
+                with pytest.raises(lf.BudgetExceeded):
+                    lf.beta_normalize(term, max_steps=steps - 1)
+            renamed += "'" in lf.pretty_print(expected)
+    assert renamed > 0  # fresh_name primes a binder it renames
+
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sample(4242, 150)))
