@@ -12,6 +12,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Protocol
 
+from .cursor import Cursor
+
 
 class Modality(Enum):
     """Slash modality. The written default is DIAMOND (harmonic)."""
@@ -380,119 +382,64 @@ class CategorySyntaxError(ValueError):
     pass
 
 
-_WORD_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9']*")
+_CATEGORY_SCANNER = re.compile(
+    r"""\s*(?: (?P<slash>[/\\](?:[*.]|x(?![A-Za-z0-9]))?)
+    | (?P<string>"[^"]*") | (?P<unterminated>")
+    | (?P<punct>[()\[\],=+-])
+    | (?P<var>\?[A-Za-z0-9][A-Za-z0-9']*) | (?P<bad_var>\?)
+    | (?P<word>[A-Za-z0-9][A-Za-z0-9']*)
+    | (?P<bad_char>\S) )""",
+    re.VERBOSE,
+)
+_CATEGORY_ERRORS = {
+    "unterminated": "unterminated string category in {text!r}",
+    "bad_var": "bad feature variable at {rest!r}",
+    "bad_char": "unexpected character {found!r} in category {text!r}",
+}
 _MODALITY_CHARS = {"*": Modality.STAR, ".": Modality.DOT, "x": Modality.CROSS}
 CATEGORY_VARIABLES = frozenset({"X", "Y", "Z"})
 
 
-def _lex_category(text: str) -> list[tuple[str, object]]:
-    tokens: list[tuple[str, object]] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "/\\":
-            direction = Direction.FORWARD if c == "/" else Direction.BACKWARD
-            modality = None
-            j = i + 1
-            if j < n and text[j] in "*.":
-                modality = _MODALITY_CHARS[text[j]]
-                j += 1
-            elif j < n and text[j] == "x" and (j + 1 >= n or not _WORD_RE.match(text[j + 1])):
-                modality = Modality.CROSS
-                j += 1
-            tokens.append(("slash", (direction, modality)))
-            i = j
-        elif c == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise CategorySyntaxError(f"unterminated string category in {text!r}")
-            tokens.append(("string", tuple(text[i + 1 : j].split())))
-            i = j + 1
-        elif c in "()[],=+-":
-            tokens.append((c, c))
-            i += 1
-        elif c == "?":
-            m = _WORD_RE.match(text, i + 1)
-            if not m:
-                raise CategorySyntaxError(f"bad feature variable at {text[i:]!r}")
-            tokens.append(("word", "?" + m.group()))
-            i = m.end()
-        else:
-            m = _WORD_RE.match(text, i)
-            if not m:
-                raise CategorySyntaxError(f"unexpected character {c!r} in category {text!r}")
-            tokens.append(("word", m.group()))
-            i = m.end()
-    return tokens
+def _category(cur: Cursor, default_modality: Modality) -> Category:
+    left = _part(cur, default_modality)
+    while cur.peek()[0] == "slash":
+        slash = cur.take()[1]
+        modality = _MODALITY_CHARS.get(slash[1:], default_modality)
+        left = Functor(left, Slash(Direction(slash[0]), modality), _part(cur, default_modality))
+    return left
 
 
-class _CatParser:
-    def __init__(self, tokens: list[tuple[str, object]], default_modality: Modality):
-        self.tokens = tokens
-        self.pos = 0
-        self.default_modality = default_modality
+def _part(cur: Cursor, default_modality: Modality) -> Category:
+    kind, text = cur.take()
+    if text == "(":
+        inner = _category(cur, default_modality)
+        cur.take(")")
+        return inner
+    if kind == "string":
+        return Singleton(tuple(text[1:-1].split()))
+    if kind != "word":
+        raise cur.unexpected(text)
+    if text in CATEGORY_VARIABLES:
+        return Var(text)
+    return Atom(text, _features(cur) if cur.peek()[1] == "[" else FeatureBundle())
 
-    def peek(self) -> tuple[str, object] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self, kind: str | None = None) -> tuple[str, object]:
-        tok = self.peek()
-        if tok is None:
-            raise CategorySyntaxError("unexpected end of category")
-        if kind is not None and tok[0] != kind:
-            raise CategorySyntaxError(f"expected {kind}, found {tok[1]!r}")
-        self.pos += 1
-        return tok
-
-    def category(self) -> Category:
-        left = self.part()
-        while (tok := self.peek()) is not None and tok[0] == "slash":
-            self.take()
-            direction, modality = tok[1]  # type: ignore[misc]
-            if modality is None:
-                modality = self.default_modality
-            right = self.part()
-            left = Functor(left, Slash(direction, modality), right)
-        return left
-
-    def part(self) -> Category:
-        tok = self.take()
-        kind, value = tok
-        if kind == "(":
-            inner = self.category()
-            self.take(")")
-            return inner
-        if kind == "string":
-            return Singleton(value)  # type: ignore[arg-type]
-        if kind == "word":
-            name = value  # type: ignore[assignment]
-            if name in CATEGORY_VARIABLES:
-                return Var(name)
-            features = FeatureBundle()
-            if (nxt := self.peek()) is not None and nxt[0] == "[":
-                features = self.features()
-            return Atom(name, features)
-        raise CategorySyntaxError(f"unexpected {value!r} in category")
-
-    def features(self) -> FeatureBundle:
-        self.take("[")
-        pairs: list[tuple[str, str]] = []
-        while True:
-            attr = self.take("word")[1]
-            self.take("=")
-            kind, value = self.take()
-            if kind not in ("word", "+", "-"):
-                raise CategorySyntaxError(f"bad feature value {value!r}")
-            pairs.append((attr, value))  # type: ignore[arg-type]
-            kind, _ = self.take()
-            if kind == "]":
-                break
-            if kind != ",":
-                raise CategorySyntaxError("expected ',' or ']' in feature list")
-        return FeatureBundle(tuple(pairs))
+def _features(cur: Cursor) -> FeatureBundle:
+    """A bracketed feature list; only a value may be a ``?name`` variable."""
+    cur.take("[")
+    pairs: list[tuple[str, str]] = []
+    while True:
+        attr = cur.take("word")[1]
+        cur.take("=")
+        kind, value = cur.take()
+        if kind not in ("word", "var") and value not in ("+", "-"):
+            raise CategorySyntaxError(f"bad feature value {value!r}")
+        pairs.append((attr, value))
+        separator = cur.take()[1]
+        if separator == "]":
+            return FeatureBundle(tuple(pairs))
+        if separator != ",":
+            raise CategorySyntaxError("expected ',' or ']' in feature list")
 
 
 def parse_category(text: str, default_modality: Modality = Modality.DIAMOND) -> Category:
@@ -501,12 +448,12 @@ def parse_category(text: str, default_modality: Modality = Modality.DIAMOND) -> 
     Slashes associate to the left: A/B/C is (A/B)/C.  A bare slash has the
     default modality; ``/*`` is application-only, ``/x`` crossing, ``/.``
     free.  Double quotes delimit string categories; bare X, Y, Z are
-    category variables; features go in brackets, ``NP[agr=3s, head=?h]``.
+    category variables; features go in brackets, ``NP[agr=3s, head=?h]``,
+    and a ``?name`` feature variable may stand only as a feature's value.
     """
-    parser = _CatParser(_lex_category(text), default_modality)
-    cat = parser.category()
-    if parser.peek() is not None:
-        raise CategorySyntaxError(f"trailing material in category {text!r}")
+    cur = Cursor(_CATEGORY_SCANNER, _CATEGORY_ERRORS, text, CategorySyntaxError, "category")
+    cat = _category(cur, default_modality)
+    cur.finish()
     return cat
 
 

@@ -15,9 +15,10 @@ contributing lexical content to the computed ``lexc`` feature.
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .category import (
     Atom,
@@ -139,57 +140,34 @@ def lookup(
 # ---------------------------------------------------------------------------
 # parsing the file format
 
-def _strip_comments(text: str) -> str:
-    out: list[str] = []
-    in_quote = False
-    for ch_line in text.splitlines():
-        kept: list[str] = []
-        for ch in ch_line:
-            if ch == '"':
-                in_quote = not in_quote
-            if ch == "#" and not in_quote:
-                break
-            kept.append(ch)
-        in_quote = False  # quotes do not span lines
-        out.append("".join(kept))
-    return "\n".join(out)
+_CODE_RE = re.compile(r'(?:[^"#]|"[^"]*"?)*')  # a line up to a '#' outside quotes
 
 
-def _chunks(text: str) -> Iterator[tuple[int, str]]:
-    """Yield (line_number, chunk) for each ';'-terminated chunk.
+def _chunks(text: str) -> Iterator[tuple[int, str, bool]]:
+    """Yield (line, text, terminated) for each chunk that is not blank.
 
-    A chunk that runs into a second ':=' on a later line ends before that
-    line and is yielded, like an unterminated tail, with a '\\0' marker.
+    Chunks end at ';'.  A chunk that runs into a second ':=' on a later line
+    ends before that line, unterminated, and so does a tail without ';'.
+    ``line`` is where the chunk's text begins; a quote does not span lines.
     """
-    buf: list[str] = []
-    start_line = 1
-    line = 1
-    started = False
-    entry_line = 0  # line of the chunk's ':=', 0 while there is none
-    line_start = 0  # index in buf where the current line begins
-    for ch in text:
-        if ch == ";":
-            yield start_line, "".join(buf)
-            buf = []
-            started = False
-            entry_line = line_start = 0
-        else:
-            if ch == "=" and buf and buf[-1] == ":":
-                if entry_line and entry_line < line:
-                    yield start_line, "".join(buf[:line_start]) + "\0"
-                    del buf[:line_start]
-                    start_line, line_start = line, 0
-                entry_line = line
-            if not started and not ch.isspace():
-                started = True
-                start_line = line
-            buf.append(ch)
-            if ch == "\n":
-                line += 1
-                line_start = len(buf)
-    tail = "".join(buf)
-    if tail.strip():
-        yield start_line, tail + "\0"  # unterminated marker
+    parts: list[str] = []  # the chunk's text, line by line
+    start = entry = 0  # the lines of its first text and of its ':=', 0 while none
+    for number, raw in enumerate(text.splitlines(), 1):
+        for i, piece in enumerate(_CODE_RE.match(raw).group().split(";")):
+            if i:
+                if start:
+                    yield start, "\n".join(parts), True
+                parts, start, entry = [], 0, 0
+            if ":=" in piece:
+                if entry and entry < number:
+                    yield start, "\n".join(parts) + "\n", False
+                    parts, start = [], number
+                entry = number
+            parts.append(piece)
+            if not start and piece.strip():
+                start = number
+    if start:
+        yield start, "\n".join(parts), False
 
 
 def _parse_markers(text: str, line: int, issues: list[LexiconIssue]) -> tuple[str, frozenset[str]]:
@@ -222,12 +200,9 @@ def parse_lexicon(text: str) -> tuple[Lexicon, list[LexiconIssue]]:
     declared: set[str] = set(BUILTIN_ATOMS)
     pending: list[tuple[int, str, str, str, frozenset[str]]] = []
 
-    for line, chunk in _chunks(_strip_comments(text)):
-        if chunk.endswith("\0"):
+    for line, chunk, terminated in _chunks(text):
+        if not terminated:
             issues.append(LexiconIssue(line, "entry not terminated by ';'"))
-            chunk = chunk[:-1]
-        if not chunk.strip():
-            continue
         if ":=" not in chunk:
             words = chunk.split()
             if words[0] == "set" and len(words) == 3:
@@ -367,15 +342,16 @@ def _permutes_arguments(entry: LexEntry) -> bool:
 
 
 @contextmanager
-def _naming_source(where: str):
+def _naming_source(where: Callable[[], str]):
     """Re-raise an exhausted budget or recursion limit as a BudgetExceeded
-    that names where in the lexicon it happened."""
+    that names where in the lexicon it happened; ``where()`` spells that
+    place only then."""
     try:
         yield
     except lf.BudgetExceeded as exc:
-        raise lf.BudgetExceeded(f"{where}: {exc}") from None
+        raise lf.BudgetExceeded(f"{where()}: {exc}") from None
     except RecursionError:
-        raise lf.BudgetExceeded(f"{where}: input nested too deeply") from None
+        raise lf.BudgetExceeded(f"{where()}: input nested too deeply") from None
 
 
 def validate_lexicon(lex: Lexicon) -> list[Violation]:
@@ -392,7 +368,7 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
     """
     out: list[Violation] = []
     for entry in lex.all_entries():
-        with _naming_source(f"line {entry.source_line}: logical form of {entry}"):
+        with _naming_source(lambda: f"line {entry.source_line}: logical form of {entry}"):
             lf.beta_normalize(entry.lf)
         for v in validate_category(entry.category):
             out.append(v.at_line(entry.source_line))
@@ -419,7 +395,7 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
             if not s.tokens or s.tokens in checked:
                 continue
             checked.add(s.tokens)
-            with _naming_source(f'line {entry.source_line}: derivation of "{" ".join(s.tokens)}"'):
+            with _naming_source(lambda: f'line {entry.source_line}: derivation of "{" ".join(s.tokens)}"'):
                 try:
                     derivable = bool(parse(lex, list(s.tokens)))
                 except ParserError:

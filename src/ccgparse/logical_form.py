@@ -12,6 +12,8 @@ import operator
 import re
 from dataclasses import dataclass
 
+from .cursor import Cursor
+
 DEFAULT_STEP_BUDGET = 10000
 
 
@@ -232,8 +234,8 @@ class LFSyntaxError(ValueError):
     pass
 
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9']*")
-_PUNCT = "\\.(){}_,&"
+_LF_SCANNER = re.compile(r"\s*(?:(?P<punct>[\\.(){}_,&])|(?P<ident>[A-Za-z][A-Za-z0-9']*)|(?P<bad_char>\S))")
+_LF_ERRORS = {"bad_char": "unexpected character {found!r} in logical form {text!r}"}
 
 _LEVEL_TOP = 0
 _LEVEL_CONJ = 1
@@ -241,111 +243,73 @@ _LEVEL_APP = 2
 _LEVEL_ATOM = 3
 
 
-def _lex_lf(text: str) -> list[str]:
-    out: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _PUNCT:
-            out.append(c)
-            i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if not m:
-            raise LFSyntaxError(f"unexpected character {c!r} in logical form {text!r}")
-        out.append(m.group())
-        i = m.end()
-    return out
+def _term(cur: Cursor, bound: list[str]) -> Term:
+    """Read a term; ``bound`` holds the names that enclosing lambdas bind."""
+    return _lam(cur, bound) if cur.peek()[1] == "\\" else _conj(cur, bound)
 
 
-class _LFParser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-        self.bound: list[str] = []
+def _lam(cur: Cursor, bound: list[str]) -> Term:
+    binders: list[str] = []
+    while cur.peek()[1] == "\\":
+        cur.take()
+        kind, name = cur.take()
+        if kind != "ident":
+            raise LFSyntaxError(f"bad binder name {name!r}")
+        binders.append(name)
+    cur.take(".")
+    return absn(binders, _term(cur, bound + binders))
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise LFSyntaxError("unexpected end of logical form")
-        if expected is not None and tok != expected:
-            raise LFSyntaxError(f"expected {expected!r}, found {tok!r}")
-        self.pos += 1
-        return tok
+def _conj(cur: Cursor, bound: list[str]) -> Term:
+    left = _application(cur, bound)
+    while cur.peek()[1] == "&":
+        cur.take()
+        left = App(App(Const("and"), left), _application(cur, bound))
+    return left
 
-    def term(self) -> Term:
-        if self.peek() == "\\":
-            return self.lam()
-        return self.conj()
 
-    def lam(self) -> Term:
-        binders: list[str] = []
-        while self.peek() == "\\":
-            self.take()
-            name = self.take()
-            if not _IDENT_RE.fullmatch(name):
-                raise LFSyntaxError(f"bad binder name {name!r}")
-            binders.append(name)
-        self.take(".")
-        self.bound.extend(binders)
-        body = self.term()
-        del self.bound[len(self.bound) - len(binders) :]
-        return absn(binders, body)
+def _application(cur: Cursor, bound: list[str]) -> Term:
+    fun = _atom(cur, bound)
+    while (tok := cur.peek())[0] == "ident" or tok[1] in ("(", "\\"):
+        if tok[1] == "\\":
+            # a lambda swallows the rest; it can only be the last argument
+            raise LFSyntaxError("parenthesize lambda arguments")
+        fun = App(fun, _atom(cur, bound))
+    return fun
 
-    def conj(self) -> Term:
-        left = self.application()
-        while self.peek() == "&":
-            self.take()
-            right = self.application()
-            left = App(App(Const("and"), left), right)
-        return left
 
-    def application(self) -> Term:
-        parts = [self.atom()]
-        while (tok := self.peek()) is not None and (tok == "(" or tok == "\\" or _IDENT_RE.fullmatch(tok)):
-            if tok == "\\":
-                # a lambda swallows the rest; it can only be the last argument
-                raise LFSyntaxError("parenthesize lambda arguments")
-            parts.append(self.atom())
-        return app(parts[0], *parts[1:])
+def _atom(cur: Cursor, bound: list[str]) -> Term:
+    kind, tok = cur.take()
+    if tok == "(":
+        inner = _term(cur, bound)
+        cur.take(")")
+        return inner
+    if kind != "ident":
+        raise cur.unexpected(tok)
+    subs: tuple[Term, ...] = ()
+    if cur.peek()[1] == "_":
+        cur.take()
+        subs = _subscript(cur, bound)
+    if tok in bound:
+        if subs:
+            raise LFSyntaxError(f"subscript on bound variable {tok!r}; subscripts attach to constants")
+        return Var(tok)
+    return Const(tok, subs)
 
-    def atom(self) -> Term:
-        tok = self.take()
-        if tok == "(":
-            inner = self.term()
-            self.take(")")
-            return inner
-        if not _IDENT_RE.fullmatch(tok):
-            raise LFSyntaxError(f"unexpected {tok!r} in logical form")
-        subs: tuple[Term, ...] = ()
-        if self.peek() == "_":
-            self.take()
-            subs = self.subscript()
-        if tok in self.bound:
-            if subs:
-                raise LFSyntaxError(f"subscript on bound variable {tok!r}; subscripts attach to constants")
-            return Var(tok)
-        return Const(tok, subs)
 
-    def subscript(self) -> tuple[Term, ...]:
-        if self.peek() == "{":
-            self.take()
-            terms = [self.term()]
-            while self.peek() == ",":
-                self.take()
-                terms.append(self.term())
-            self.take("}")
-            return tuple(terms)
-        name = self.take()
-        if not _IDENT_RE.fullmatch(name):
-            raise LFSyntaxError(f"bad subscript {name!r}")
-        return (Var(name) if name in self.bound else Const(name),)
+def _subscript(cur: Cursor, bound: list[str]) -> tuple[Term, ...]:
+    if cur.peek()[1] == "{":
+        cur.take()
+        terms = [_term(cur, bound)]
+        while cur.peek()[1] == ",":
+            cur.take()
+            terms.append(_term(cur, bound))
+        cur.take("}")
+        return tuple(terms)
+    kind, name = cur.take()
+    if kind != "ident":
+        raise LFSyntaxError(f"bad subscript {name!r}")
+    return (Var(name) if name in bound else Const(name),)
 
 
 def parse_term(text: str) -> Term:
@@ -357,10 +321,9 @@ def parse_term(text: str) -> Term:
     preceding constant.  Identifiers bound by an enclosing lambda are
     variables; all others are constants.
     """
-    parser = _LFParser(_lex_lf(text))
-    t = parser.term()
-    if parser.peek() is not None:
-        raise LFSyntaxError(f"trailing material in logical form {text!r}")
+    cur = Cursor(_LF_SCANNER, _LF_ERRORS, text, LFSyntaxError, "logical form")
+    t = _term(cur, [])
+    cur.finish()
     return t
 
 

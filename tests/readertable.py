@@ -124,13 +124,7 @@ def outcome(read, text: str) -> str:
 
 
 def chunk_stream(text: str) -> list[list]:
-    out = []
-    for line, chunk in lx._chunks(lx._strip_comments(text)):
-        terminated = not chunk.endswith("\0")
-        chunk = chunk if terminated else chunk[:-1]
-        if chunk.strip():
-            out.append([line, chunk, terminated])
-    return out
+    return [list(chunk) for chunk in lx._chunks(text)]
 
 
 def rows(seed: int = 0) -> list[list]:

@@ -8,6 +8,7 @@ from ccgparse.category import (
     NON_STAR_SINGLETON_SLASH,
     SINGLETON_AS_RESULT,
     Atom,
+    CategorySyntaxError,
     Direction,
     FeatureBundle,
     Functor,
@@ -228,6 +229,40 @@ ROUND_TRIP = [
 def test_render_parse_round_trip(text):
     c = parse_category(text)
     assert parse_category(render_category(c)) == c
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("NP/?x", "unexpected '?x' in category"),
+        ("?X", "unexpected '?X' in category"),
+        ("NP[?a=b]", "expected word, found '?a'"),
+        ("NP[a=b, ?c=d]", "expected word, found '?c'"),
+    ],
+)
+def test_feature_variable_only_as_feature_value(text, message):
+    with pytest.raises(CategorySyntaxError) as exc:
+        parse_category(text)
+    assert str(exc.value) == message
+    assert cat("NP[a=?b]") == Atom("NP", FeatureBundle.of(a="?b"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("/", "unexpected '/' in category"),
+        (r"NP/\x", r"unexpected '\\x' in category"),
+        ("NP[a=/]", "bad feature value '/'"),
+        ('NP[a="up"]', "bad feature value '\"up\"'"),
+        ("NP[a/*b]", "expected '=', found '/*'"),
+        ("(S/NP]", "expected ')', found ']'"),
+        ("NP[]", "expected word, found ']'"),
+    ],
+)
+def test_syntax_errors_name_the_token_text(text, message):
+    with pytest.raises(CategorySyntaxError) as exc:
+        parse_category(text)
+    assert str(exc.value) == message
 
 
 def test_left_associative_slashes():

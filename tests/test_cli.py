@@ -311,6 +311,14 @@ CONTRACT = [
         "bad goal category: unexpected end of category\n",
     ),
     (
+        "bad goal token",
+        {},
+        ["parse", "-l", FRAGMENT, "--goal", "/", "John walked"],
+        2,
+        "",
+        "bad goal category: unexpected '/' in category\n",
+    ),
+    (
         "unreadable suite",
         {},
         ["test", "-l", FRAGMENT, "{d}/none.tsv"],

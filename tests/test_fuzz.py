@@ -1,5 +1,6 @@
-"""Fuzzed input: the readers raise only their own syntax errors, and the CLI
-maps whatever it is given to exit 0, 1 or 2 without a traceback.
+"""Fuzzed input: the readers raise only their own syntax errors, what they
+accept renders back to text they read as the same value, and the CLI maps
+whatever it is given to exit 0, 1 or 2 without a traceback.
 
 Inputs are short and example counts small, so these run in about a second.
 """
@@ -10,7 +11,7 @@ import io
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ccgparse import logical_form as lf
-from ccgparse.category import CategorySyntaxError, parse_category
+from ccgparse.category import CategorySyntaxError, parse_category, render_category
 from ccgparse.cli import main
 from ccgparse.lexicon import parse_lexicon
 
@@ -56,6 +57,36 @@ def test_parse_category_raises_only_its_syntax_error(text):
         parse_category(text)
     except CategorySyntaxError:
         pass
+
+
+def _spliced(samples, alphabet):
+    """A sample with a few characters spliced in, so that many still read."""
+    return st.builds(
+        lambda text, i, extra: text[:i] + extra + text[i:],
+        st.sampled_from(samples),
+        st.integers(0, 40),
+        st.text(alphabet=alphabet, max_size=2),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_spliced(LFS, LF_CHARS), st.text(alphabet=LF_CHARS, max_size=24)))
+def test_accepted_logical_form_round_trips(text):
+    try:
+        t = lf.parse_term(text)
+    except lf.LFSyntaxError:
+        return
+    assert lf.parse_term(lf.pretty_print(t)) == t
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_spliced(CATEGORIES, CATEGORY_CHARS), st.text(alphabet=CATEGORY_CHARS, max_size=24)))
+def test_accepted_category_round_trips(text):
+    try:
+        c = parse_category(text)
+    except CategorySyntaxError:
+        return
+    assert parse_category(render_category(c)) == c
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,5 @@
+import pytest
+
 from ccgparse import logical_form as lf
 from ccgparse.category import Modality, Singleton, parse_category
 from ccgparse.lexicon import (
@@ -94,6 +96,20 @@ def test_missing_semicolon_is_reported_and_the_next_entry_kept():
 def test_entry_may_span_lines():
     lex = load("picked := (S\\NP)/NP\n  : \\y\\x. pick y x ;\nJohn := NP : j ;")
     assert [e.source_line for e in lex.all_entries()] == [1, 3]
+
+
+@pytest.mark.parametrize(
+    "text, issue",
+    [
+        ("w := NP/?x : \\y. w ;", "line 1: error: bad category: unexpected '?x' in category"),
+        ("atoms ?x ;\nw := NP/?x : \\y. w ;", "line 2: error: bad category: unexpected '?x' in category"),
+        ("w := NP[?a=b] : w ;", "line 1: error: bad category: expected word, found '?a'"),
+    ],
+)
+def test_feature_variable_outside_a_feature_value_is_a_line_error(text, issue):
+    lex, issues = parse_lexicon(text)
+    assert [str(i) for i in issues] == [issue]
+    assert lex.all_entries() == []
 
 
 def test_duplicate_entry_is_warning():

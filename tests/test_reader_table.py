@@ -16,7 +16,8 @@ def table(kind):
 
 
 def first_differences(got, want, limit=5):
-    return [(text, g, w) for text, g, w in zip((r[0] for r in want), got, want) if g != w[1:]][:limit]
+    """(input, got, pinned) for the first rows where the two differ."""
+    return [(row[0], g, row[1:]) for g, row in zip(got, want) if g != row[1:]][:limit]
 
 
 @pytest.mark.parametrize("kind", ["reader", "lexicon"])
