@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Protocol
+from typing import Callable, Iterator, Protocol
 
 from .cursor import Cursor
 
@@ -335,6 +335,17 @@ class Violation:
         return f"{self.code}: {self.detail}{where}"
 
 
+def category_parts(c: Category) -> Iterator[Category]:
+    """The category and all its parts in pre-order: a functor, then its
+    result's parts, then its argument's."""
+    stack = [c]
+    while stack:
+        c = stack.pop()
+        yield c
+        if isinstance(c, Functor):
+            stack += (c.argument, c.result)
+
+
 def validate_category(c: Category) -> list[Violation]:
     """All structural violations in a category; empty iff well-formed.
 
@@ -344,34 +355,26 @@ def validate_category(c: Category) -> list[Violation]:
     Singleton like any other.
     """
     out: list[Violation] = []
-
-    def walk(c: Category) -> None:
-        match c:
-            case Singleton(tokens):
-                if not tokens:
-                    out.append(Violation(EMPTY_SINGLETON, "a string category cannot be empty"))
+    for part in category_parts(c):
+        match part:
+            case Singleton(()):
+                out.append(Violation(EMPTY_SINGLETON, "a string category cannot be empty"))
             case Functor(result, slash, argument):
                 if isinstance(result, Singleton):
                     out.append(
                         Violation(
                             SINGLETON_AS_RESULT,
-                            f"{render_category(c)} puts a string category in result position",
+                            f"{render_category(part)} puts a string category in result position",
                         )
                     )
                 if isinstance(argument, Singleton) and slash.modality is not Modality.STAR:
                     out.append(
                         Violation(
                             NON_STAR_SINGLETON_SLASH,
-                            f"{render_category(c)} must use an application-only slash "
+                            f"{render_category(part)} must use an application-only slash "
                             "on its string argument",
                         )
                     )
-                walk(result)
-                walk(argument)
-            case _:
-                pass
-
-    walk(c)
     return out
 
 
@@ -437,6 +440,10 @@ def _features(cur: Cursor) -> FeatureBundle:
         pairs.append((attr, value))
         separator = cur.take()[1]
         if separator == "]":
+            attrs = [a for a, _ in pairs]
+            for i, a in enumerate(attrs):
+                if a in attrs[:i]:
+                    raise CategorySyntaxError(f"repeated feature attribute {a!r}")
             return FeatureBundle(tuple(pairs))
         if separator != ",":
             raise CategorySyntaxError("expected ',' or ']' in feature list")

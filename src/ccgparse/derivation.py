@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from typing import Iterable
 
 from .category import render_category
 from . import logical_form as lf
@@ -78,66 +79,43 @@ def document(tokens: list[str] | tuple[str, ...], edges: list[Edge], chart: Char
 _SEP = 2
 
 
-def _collect(node: TreeNode, leaves: list[TreeNode], internal: list[TreeNode]) -> None:
-    if node.rule == "LEX":
-        leaves.append(node)
-        return
-    for child in node.children:
-        _collect(child, leaves, internal)
-    internal.append(node)
-
-
 def _render_tree(sentence: tuple[str, ...], node: TreeNode) -> list[str]:
-    leaves: list[TreeNode] = []
-    internal: list[TreeNode] = []
-    _collect(node, leaves, internal)
-    leaves.sort(key=lambda n: n.span)
-    internal.sort(key=lambda n: (n.span[1] - n.span[0], n.span[0]))
-
-    start = min(n.span[0] for n in leaves)
-    end = max(n.span[1] for n in leaves)
-    cols = list(range(start, end))
+    nodes, stack = [], [node]
+    while stack:
+        nodes.append(stack.pop())
+        stack += nodes[-1].children
+    # Narrow spans first: widening a span's last column widens every span
+    # that holds it.  Spans of one length in one tree are disjoint.
+    nodes.sort(key=lambda n: (n.span[1] - n.span[0], n.span[0]))
+    leaves = sorted((n for n in nodes if n.rule == "LEX"), key=lambda n: n.span)
+    cols = range(leaves[0].span[0], leaves[-1].span[1])
     widths = {i: len(sentence[i]) for i in cols}
 
-    # rows are (span, text, underline) pieces; underline text is sized later
-    rows: list[list[tuple[tuple[int, int], str, bool]]] = []
-    rows.append([((i, i + 1), sentence[i], False) for i in cols])
-    rows.append([(n.span, "", True) for n in leaves])
-    rows.append([(n.span, n.category, False) for n in leaves])
-    rows.append([(n.span, ": " + n.lf, False) for n in leaves])
-    for n in internal:
-        rows.append([(n.span, n.rule, True)])
-        rows.append([(n.span, n.category, False)])
-        rows.append([(n.span, ": " + n.lf, False)])
+    def width(span: tuple[int, int]) -> int:
+        return sum(widths[i] for i in range(*span)) + _SEP * (span[1] - span[0] - 1)
 
-    def fit(span: tuple[int, int], needed: int) -> None:
-        have = sum(widths[i] for i in range(span[0], span[1])) + _SEP * (span[1] - span[0] - 1)
-        if have < needed:
-            widths[span[1] - 1] += needed - have
+    def label(n: TreeNode) -> str:
+        return "" if n.rule == "LEX" else n.rule
 
-    pieces = [p for row in rows for p in row]
-    pieces.sort(key=lambda p: p[0][1] - p[0][0])
-    for span, text, is_rule in pieces:
-        fit(span, len(text) + 2 if is_rule else len(text))
+    for n in nodes:
+        need = max(len(label(n)) + 2, len(n.category), len(n.lf) + 2)
+        have = width(n.span)
+        if have < need:
+            widths[n.span[1] - 1] += need - have
 
-    offsets = {}
-    pos = 0
-    for i in cols:
-        offsets[i] = pos
-        pos += widths[i] + _SEP
+    def row(pieces: Iterable[tuple[tuple[int, int], str]], underline: bool = False) -> str:
+        line = ""
+        for span, text in pieces:
+            w = width(span)
+            offset = width((cols.start, span[0])) + _SEP  # the columns before span, each with its separator
+            line = line.ljust(offset) + (text.rjust(w, "-") if underline else text.ljust(w))
+        return line.rstrip()
 
-    lines = []
-    for row in rows:
-        line: list[str] = []
-        for span, text, is_rule in sorted(row, key=lambda p: p[0]):
-            width = sum(widths[i] for i in range(span[0], span[1])) + _SEP * (span[1] - span[0] - 1)
-            if is_rule:
-                text = "-" * (width - len(text)) + text
-            offset = offsets[span[0]]
-            if len("".join(line)) < offset:
-                line.append(" " * (offset - len("".join(line))))
-            line.append(text.ljust(width))
-        lines.append("".join(line).rstrip())
+    lines = [row(((i, i + 1), sentence[i]) for i in cols)]
+    for group in [leaves] + [[n] for n in nodes if n.rule != "LEX"]:
+        lines.append(row(((n.span, label(n)) for n in group), underline=True))
+        lines.append(row((n.span, n.category) for n in group))
+        lines.append(row((n.span, ": " + n.lf) for n in group))
     return lines
 
 

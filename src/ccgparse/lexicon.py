@@ -28,6 +28,7 @@ from .category import (
     Modality,
     Singleton,
     Violation,
+    category_parts,
     parse_category,
     render_category,
     validate_category,
@@ -302,26 +303,6 @@ def _leading_lambdas(t: lf.Term) -> list[str]:
     return out
 
 
-def _atom_names(c: Category) -> set[str]:
-    match c:
-        case Atom(name, _):
-            return {name}
-        case Functor(result, _, argument):
-            return _atom_names(result) | _atom_names(argument)
-        case _:
-            return set()
-
-
-def _singletons(c: Category) -> set[Singleton]:
-    match c:
-        case Singleton(_):
-            return {c}
-        case Functor(result, _, argument):
-            return _singletons(result) | _singletons(argument)
-        case _:
-            return set()
-
-
 def _permutes_arguments(entry: LexEntry) -> bool:
     """True when the entry's own binders hit the predicate out of order.
 
@@ -361,15 +342,15 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
     form carries one abstraction per argument slot, that every atom name
     is declared or built in, and that every singleton's token string is
     itself derivable from the lexicon, without which singleton application
-    could never fire.  Every logical form is normalized as a parse would
-    do it, under the lexicon's own settings.  A step budget or nesting depth
+    could never fire.  Every logical form is normalized and keyed as in a
+    parse, under the lexicon's own settings.  A step budget or nesting depth
     exhausted there raises BudgetExceeded naming the entry's line and, when
     a singleton's derivation is at fault, the singleton.
     """
     out: list[Violation] = []
     for entry in lex.all_entries():
         with _naming_source(lambda: f"line {entry.source_line}: logical form of {entry}"):
-            lf.beta_normalize(entry.lf)
+            lf.alpha_key(lf.beta_normalize(entry.lf))
         for v in validate_category(entry.category):
             out.append(v.at_line(entry.source_line))
         lambdas = len(_leading_lambdas(entry.lf))
@@ -382,7 +363,8 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
                     entry.source_line,
                 )
             )
-        for name in sorted(_atom_names(entry.category) - set(lex.atom_declarations)):
+        names = {part.name for part in category_parts(entry.category) if isinstance(part, Atom)}
+        for name in sorted(names - lex.atom_declarations):
             out.append(
                 Violation(UNDECLARED_ATOM, f"{entry}: category symbol {name!r} is not declared", entry.source_line)
             )
@@ -391,7 +373,8 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
 
     checked: set[tuple[str, ...]] = set()
     for entry in lex.all_entries():
-        for s in sorted(_singletons(entry.category), key=lambda s: s.tokens):
+        singletons = {part for part in category_parts(entry.category) if isinstance(part, Singleton)}
+        for s in sorted(singletons, key=lambda s: s.tokens):
             if not s.tokens or s.tokens in checked:
                 continue
             checked.add(s.tokens)

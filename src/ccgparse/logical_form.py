@@ -127,48 +127,43 @@ def beta_normalize(t: Term, max_steps: int = DEFAULT_STEP_BUDGET) -> Term:
     """Reduce to beta-normal form in normal order (leftmost-outermost).
 
     Normal order finds a normal form whenever one exists.  The reducer
-    makes one pass.  At an application it first reduces the function side
-    until it is an abstraction, which it contracts, or a variable or
-    constant head with its arguments, which it normalizes left to right;
-    it then normalizes the argument.  These are the contractions, in the
+    makes one pass.  It unwinds an application into its head and pending
+    arguments, contracts while the head is an abstraction, then normalizes
+    the head and the arguments left to right: the contractions, in the
     same order, of restarting the leftmost-outermost search from the root
-    after each one.  Already-normal subterms come back as the same objects.
-    Raises BudgetExceeded when a reduction beyond max_steps is due.
+    after each one.  Unwinding is a loop, so a spine that grows with each
+    contraction exhausts the budget, not the stack.  Already-normal
+    subterms come back as the same objects.  Raises BudgetExceeded when a
+    reduction beyond max_steps is due.
     """
     steps = 0
 
     def nf(t: Term) -> Term:
+        nonlocal steps
         cls = type(t)
-        if cls is App:
-            return reduce_app(t, True)
         if cls is Abs:
             body = nf(t.body)
             return t if body is t.body else Abs(t.var, body)
-        if cls is Const and t.contingencies:
-            return _map_subscripts(t, nf)
-        return t
-
-    def reduce_app(t: App, whole: bool) -> Term:
-        # The normal form of t; with whole false, an abstraction that t
-        # reduces to comes back unnormalized, for the caller to contract.
-        # Recursion follows the function side of the application spine.
-        nonlocal steps
+        if cls is not App:
+            return _map_subscripts(t, nf) if cls is Const and t.contingencies else t
+        pending, t = [t], t.fun  # the spine's applications, innermost last
         while True:
-            f = t.fun
-            cls = type(f)
-            if cls is App:
-                f = reduce_app(f, False)
-            elif cls is not Abs:
-                f = nf(f)
-            if type(f) is not Abs:
-                a = nf(t.arg)
-                return t if f is t.fun and a is t.arg else App(f, a)
+            while type(t) is App:
+                pending.append(t)
+                t = t.fun
+            if type(t) is not Abs or not pending:
+                break
             if steps >= max_steps:
                 raise BudgetExceeded(f"no normal form within {max_steps} steps")
             steps += 1
-            t = substitute(f.body, f.var, t.arg)
-            if type(t) is not App:
-                return t if type(t) is Abs and not whole else nf(t)
+            t = substitute(t.body, t.var, pending.pop().arg)
+        if type(t) is not Const or t.contingencies:  # a plain constant head is normal
+            t = nf(t)
+        while pending:
+            node = pending.pop()
+            a = nf(node.arg)
+            t = node if t is node.fun and a is node.arg else App(t, a)
+        return t
 
     return nf(t)
 

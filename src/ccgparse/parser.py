@@ -11,7 +11,7 @@ ambiguity with identical results is not duplicated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -77,10 +77,7 @@ class ParseSettings:
     @classmethod
     def from_lexicon(cls, lex: Lexicon, **overrides) -> "ParseSettings":
         settings = cls(weight_threshold=lex.config.weight_threshold)
-        for name, value in overrides.items():
-            if value is not None:
-                setattr(settings, name, value)
-        return settings
+        return replace(settings, **{name: value for name, value in overrides.items() if value is not None})
 
 
 @dataclass(frozen=True, eq=False)

@@ -176,6 +176,16 @@ def test_bare_singleton_entry_category_is_fine():
     assert validate_category(singleton("every which way")) == []
 
 
+def test_validate_lists_violations_in_pre_order():
+    # a functor's own violations, then its result's, then its argument's
+    violations = validate_category(cat('(("up"/NP)/"down")/(S/"x")'))
+    assert [str(v) for v in violations] == [
+        'NON_STAR_SINGLETON_SLASH: ("up"/NP)/"down" must use an application-only slash on its string argument',
+        'SINGLETON_AS_RESULT: "up"/NP puts a string category in result position',
+        'NON_STAR_SINGLETON_SLASH: S/"x" must use an application-only slash on its string argument',
+    ]
+
+
 # ---------------------------------------------------------------------------
 # modality gating
 

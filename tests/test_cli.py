@@ -277,6 +277,15 @@ def test_validate_rejects_a_logical_form_every_parse_rejects(tmp_path):
     assert proc.stderr == "line 1: logical form of w := NP: input nested too deeply\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "parse"])
+def test_a_divergent_spine_is_a_budget_error(capsys, tmp_path, command):
+    argv = {"validate": [], "parse": ["w"]}[command]
+    code, out, err = run(capsys, command, "-l", write(tmp_path, r"w := NP : (\x. x x x) (\x. x x x) ;"), *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "line 1: logical form of w := NP: no normal form within 10000 steps\n"
+
+
 # each entry normalizes on its own; composing two of them nests twice as deep
 DEEP_DERIVATION = (
     r"w := NP/NP : \x. f x " + " ".join(f"a{i}" for i in range(600)) + " ;\n"
@@ -317,6 +326,22 @@ CONTRACT = [
         2,
         "",
         "bad goal category: unexpected '/' in category\n",
+    ),
+    (
+        "repeated goal attribute",
+        {},
+        ["parse", "-l", FRAGMENT, "--goal", "NP[a=b,a=c]", "John"],
+        2,
+        "",
+        "bad goal category: repeated feature attribute 'a'\n",
+    ),
+    (
+        "repeated attribute under validate",
+        {"x.ccg": "w := NP[a=b,a=c] : w ;\n"},
+        ["validate", "-l", "{d}/x.ccg"],
+        1,
+        "",
+        "{d}/x.ccg: line 1: error: bad category: repeated feature attribute 'a'\n",
     ),
     (
         "unreadable suite",

@@ -112,6 +112,15 @@ def test_feature_variable_outside_a_feature_value_is_a_line_error(text, issue):
     assert lex.all_entries() == []
 
 
+def test_repeated_feature_attribute_is_a_line_error():
+    lex, issues = parse_lexicon("w := NP[a=b,a=c] : w ;\nv := NP[a=b, c=?x, a=?x] : v ;")
+    assert [str(i) for i in issues] == [
+        "line 1: error: bad category: repeated feature attribute 'a'",
+        "line 2: error: bad category: repeated feature attribute 'a'",
+    ]
+    assert lex.all_entries() == []
+
+
 def test_duplicate_entry_is_warning():
     _, issues = parse_lexicon("John := NP : j ;\nJohn := NP : j ;")
     assert [i.severity for i in issues] == ["warning"]

@@ -83,6 +83,20 @@ def test_divergence_exhausts_the_default_budget():
         lf.beta_normalize(lf.App(omega, omega))
 
 
+def test_a_spine_that_grows_with_each_contraction_exhausts_the_budget():
+    triple = p(r"\x. x x x")
+    with pytest.raises(lf.BudgetExceeded, match="within 10000 steps"):
+        lf.beta_normalize(lf.App(triple, triple))
+
+
+def test_a_long_normal_spine_comes_back_as_the_same_object():
+    args = [lf.Const(f"a{i}") for i in range(3000)]
+    term = lf.app(lf.Const("f"), *args)
+    assert lf.beta_normalize(term) is term
+    args[5] = lf.App(p(r"\x. x"), args[5])
+    assert lf.spine(lf.beta_normalize(lf.app(lf.Const("f"), *args))) == lf.spine(term)  # == itself recurses
+
+
 def test_normal_subterms_are_shared():
     normal = p(r"\x. die_{def bucket} (hit x)")
     assert lf.beta_normalize(normal) is normal

@@ -236,6 +236,12 @@ def test_sentence_length_guard(fragment):
         parse(fragment, tokenize("John persuaded Mary to hit Harry"), settings=settings)
 
 
+def test_settings_reject_an_unknown_override(fragment):
+    assert ParseSettings.from_lexicon(fragment, max_tokens=3, case_fold=None).max_tokens == 3
+    with pytest.raises(TypeError):
+        ParseSettings.from_lexicon(fragment, max_token=3)
+
+
 def test_goal_filters_readings(fragment):
     tokens = tokenize("the bucket that you kicked")
     assert len(parse(fragment, tokens, parse_category("NP"))) == 1
