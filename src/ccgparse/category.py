@@ -46,22 +46,15 @@ class FeatureBundle:
     """Flat attribute-value map.
 
     Values are constant tokens or ``?var`` names.  An absent attribute is
-    underspecified and unifies with anything.  Attributes are unique and
-    kept sorted so equal bundles compare equal.
+    underspecified and unifies with anything.  The constructor expects pairs
+    sorted by attribute, each attribute once, so equal bundles compare equal.
     """
 
     pairs: tuple[tuple[str, str], ...] = ()
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.pairs))
-        attrs = [a for a, _ in ordered]
-        if len(set(attrs)) != len(attrs):
-            raise ValueError(f"duplicate attribute in feature bundle: {attrs}")
-        object.__setattr__(self, "pairs", ordered)
-
     @classmethod
     def of(cls, **attrs: str) -> "FeatureBundle":
-        return cls(tuple(attrs.items()))
+        return cls(tuple(sorted(attrs.items())))
 
     def get(self, attr: str) -> str | None:
         for a, v in self.pairs:
@@ -134,27 +127,21 @@ class Bindings:
     """Substitution built up during unification.
 
     ``feats`` maps ``?var`` names to values (constants or other ``?var``
-    names); ``cats`` maps category-variable names to categories.  Callers
-    should treat instances as immutable; unification works on copies.
+    names); ``cats`` maps category-variable names to categories.  Only an
+    unbound variable is ever bound, so walks end.  ``unify`` extends an
+    instance in place, so each attempt starts a fresh one.
     """
 
     feats: dict[str, str] = field(default_factory=dict)
     cats: dict[str, Category] = field(default_factory=dict)
 
-    def copy(self) -> "Bindings":
-        return Bindings(dict(self.feats), dict(self.cats))
-
     def walk_feature(self, value: str) -> str:
-        seen = set()
-        while is_feature_variable(value) and value in self.feats and value not in seen:
-            seen.add(value)
+        while value in self.feats:
             value = self.feats[value]
         return value
 
     def walk_category(self, c: Category) -> Category:
-        seen = set()
-        while isinstance(c, Var) and c.name in self.cats and c.name not in seen:
-            seen.add(c.name)
+        while isinstance(c, Var) and c.name in self.cats:
             c = self.cats[c.name]
         return c
 
@@ -185,12 +172,9 @@ def _unify_feature_values(va: str, vb: str, bnd: Bindings) -> bool:
 
 
 def _unify_features(fa: FeatureBundle, fb: FeatureBundle, bnd: Bindings) -> bool:
-    for attr in sorted(set(fa.attrs()) | set(fb.attrs())):
-        va = fa.get(attr)
-        vb = fb.get(attr)
-        if va is None or vb is None:
-            continue
-        if not _unify_feature_values(va, vb, bnd):
+    vb = dict(fb.pairs)
+    for attr, va in fa.pairs:
+        if attr in vb and not _unify_feature_values(va, vb[attr], bnd):
             return False
     return True
 
@@ -224,14 +208,14 @@ def _unify(a: Category, b: Category, bnd: Bindings) -> bool:
 
 
 def unify(a: Category, b: Category, bindings: Bindings | None = None) -> Bindings | None:
-    """Unify two categories, returning extended bindings or None.
+    """Unify two categories, extending ``bindings`` in place; return them, or None.
 
     Atoms need equal names and compatible feature bundles (an absent
     attribute matches anything).  Functors need equal direction and
     modality plus recursive unification.  Singletons match token for
     token.  A variable binds to the opposite side, occurs-check applied.
     """
-    bnd = bindings.copy() if bindings is not None else Bindings()
+    bnd = Bindings() if bindings is None else bindings
     return bnd if _unify(a, b, bnd) else None
 
 
@@ -444,7 +428,7 @@ def _features(cur: Cursor) -> FeatureBundle:
             for i, a in enumerate(attrs):
                 if a in attrs[:i]:
                     raise CategorySyntaxError(f"repeated feature attribute {a!r}")
-            return FeatureBundle(tuple(pairs))
+            return FeatureBundle(tuple(sorted(pairs)))
         if separator != ",":
             raise CategorySyntaxError("expected ',' or ']' in feature list")
 

@@ -16,7 +16,7 @@ contributing lexical content to the computed ``lexc`` feature.
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -258,8 +258,9 @@ def parse_lexicon(text: str) -> tuple[Lexicon, list[LexiconIssue]]:
             issues.append(LexiconIssue(line, f"bad logical form: {exc}"))
             continue
         entry = LexEntry(phon, category, term, markers, line)
-        if any(entry == prior for prior in lexicon.entries.get(phon[0], ())):
-            issues.append(LexiconIssue(line, f"duplicate entry for {' '.join(phon)!r}", "warning"))
+        with suppress(RecursionError):  # too deep to compare; validation names the entry
+            if any(entry == prior for prior in lexicon.entries.get(phon[0], ())):
+                issues.append(LexiconIssue(line, f"duplicate entry for {' '.join(phon)!r}", "warning"))
         lexicon.add(entry)
     return lexicon, issues
 

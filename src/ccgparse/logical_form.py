@@ -64,15 +64,16 @@ def absn(variables: list[str] | tuple[str, ...], body: Term) -> Term:
 # pattern matching, which is several times slower.
 
 def free_vars(t: Term) -> frozenset[str]:
+    out: frozenset[str] = frozenset()
+    while type(t) is App:  # along the spine in a loop, so a long spine does not nest
+        out |= free_vars(t.arg)
+        t = t.fun
     cls = type(t)
     if cls is Var:
-        return frozenset((t.name,))
-    if cls is App:
-        return free_vars(t.fun) | free_vars(t.arg)
+        return out | {t.name}
     if cls is Abs:
-        return free_vars(t.body) - {t.var}
+        return out | (free_vars(t.body) - {t.var})
     if cls is Const:
-        out: frozenset[str] = frozenset()
         for c in t.contingencies:
             out |= free_vars(c)
         return out

@@ -82,7 +82,7 @@ class ParseSettings:
 
 @dataclass(frozen=True, eq=False)
 class Edge:
-    """A chart constituent; logical forms are beta-normal on construction."""
+    """A chart constituent; logical forms are closed and beta-normal on construction."""
 
     start: int
     end: int
@@ -128,9 +128,8 @@ class Chart:
 
     def add(self, edge: Edge) -> bool:
         cell = self.cells.setdefault(edge.span, {})
-        key: object = edge.reading_key()
-        if self.all_derivations:
-            key = (key, next(self._counter))
+        # application reads lexc, so edges that differ in it are not packed together
+        key = (edge.reading_key(), next(self._counter) if self.all_derivations else edge.lexc)
         if key in cell:
             return False
         cell[key] = edge
@@ -139,6 +138,14 @@ class Chart:
     def edges(self, start: int, end: int) -> list[Edge]:
         return list(self.cells.get((start, end), {}).values())
 
+    def readings(self, start: int, end: int) -> list[Edge]:
+        """The cell's edges sorted by reading key: the first added for each
+        reading key, or under all_derivations every one, in the order added."""
+        found: dict[object, Edge] = {}
+        for key, e in self.cells.get((start, end), {}).items():
+            found.setdefault(key if self.all_derivations else key[0], e)
+        return [found[k] for k in sorted(found)]
+
     def spanning(self) -> list[Edge]:
         return self.edges(0, len(self.tokens))
 
@@ -146,14 +153,14 @@ class Chart:
         return [e for cell in self.cells.values() for e in cell.values()]
 
     def longest_partials(self) -> list[Edge]:
-        """The longest proper sub-spans holding edges; near misses for NO PARSE."""
+        """The readings of the longest proper sub-spans holding edges; near misses for NO PARSE."""
         n = len(self.tokens)
         for length in range(n - 1, 0, -1):
             found = [
                 e
-                for (i, j), cell in sorted(self.cells.items())
+                for (i, j) in sorted(self.cells)
                 if j - i == length
-                for e in cell.values()
+                for e in self.readings(i, j)
             ]
             if found:
                 return found
@@ -249,13 +256,12 @@ def _category_step(row: RuleRow, f_edge: Edge, g_edge: Edge, weight_threshold: i
 
 
 def _lf_step(shape: str, f: lf.Term, g: lf.Term, max_steps: int) -> lf.Term:
-    """f g, \\x. f (g x) or \\x. f x (g x) by shape, normalized once."""
+    """f g, \\x. f (g x) or \\x. f x (g x) by shape, normalized once; f and g are closed, so x captures nothing."""
     if shape == "A":
         term: lf.Term = lf.App(f, g)
     else:
-        x = lf.fresh_name("x", lf.free_vars(f) | lf.free_vars(g))
-        head = lf.App(f, lf.Var(x)) if shape == "S" else f
-        term = lf.Abs(x, lf.App(head, lf.App(g, lf.Var(x))))
+        head = lf.App(f, lf.Var("x")) if shape == "S" else f
+        term = lf.Abs("x", lf.App(head, lf.App(g, lf.Var("x"))))
     return lf.beta_normalize(term, max_steps=max_steps)
 
 
@@ -339,10 +345,8 @@ def goal_matches(goal: Category | None, edge: Edge) -> bool:
 
 
 def chart_readings(chart: Chart, goal: Category | None = None) -> list[Edge]:
-    """The chart's spanning edges that match the goal, sorted by reading key."""
-    found = [e for e in chart.spanning() if goal_matches(goal, e)]
-    found.sort(key=Edge.reading_key)
-    return found
+    """The chart's spanning readings (see Chart.readings) that match the goal."""
+    return [e for e in chart.readings(0, len(chart.tokens)) if goal_matches(goal, e)]
 
 
 def parse(

@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import settings
 
 import ccgparse
 from ccgparse import lexicon as lx
+
+# a larger budget for the property tests: pytest --hypothesis-profile=ci;
+# a test with its own @settings keeps the budget it names
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ from ccgparse.category import (
     NON_STAR_SINGLETON_SLASH,
     SINGLETON_AS_RESULT,
     Atom,
+    Bindings,
     CategorySyntaxError,
     Direction,
     FeatureBundle,
@@ -18,6 +19,7 @@ from ccgparse.category import (
     Var,
     apply_bindings,
     category_key,
+    category_parts,
     match_argument,
     parse_category,
     render_category,
@@ -89,6 +91,12 @@ def test_occurs_check():
 def test_atom_vs_functor_fails():
     assert unify(cat("NP"), cat("NP/N")) is None
     assert unify(cat("NP"), singleton("the bucket")) is None
+
+
+def test_unify_extends_the_bindings_it_is_given():
+    bnd = Bindings()
+    assert unify(cat("NP[head=?h]"), cat("NP[head=beans]"), bnd) is bnd
+    assert bnd.walk_feature("?h") == "beans"
 
 
 def test_bindings_apply_is_idempotent():
@@ -344,6 +352,64 @@ def test_unify_instances_are_idempotent(a, b):
     if bnd is not None:
         inst = apply_bindings(a, bnd)
         assert apply_bindings(inst, bnd) == inst
+
+
+def assert_pairs_sorted_and_unique(c):
+    for part in category_parts(c):
+        if isinstance(part, Atom):
+            attrs = part.features.attrs()
+            assert list(attrs) == sorted(set(attrs)), render_category(part)
+
+
+# each atom's features written in any order
+_feature_orders = _features.flatmap(lambda f: st.permutations(list(f.items())))
+_atom_texts = st.builds(
+    lambda n, pairs: n + ("[" + ", ".join(f"{a}={v}" for a, v in pairs) + "]" if pairs else ""),
+    st.sampled_from(["S", "NP", "N"]),
+    _feature_orders,
+)
+
+
+@given(st.lists(_atom_texts, min_size=1, max_size=4), _feature_orders, _categories, _categories)
+def test_feature_pairs_come_out_sorted_and_unique(atom_texts, pairs, a, b):
+    # FeatureBundle takes its pairs as given, so every way of making one must sort them
+    c = parse_category("/".join(atom_texts))
+    assert_pairs_sorted_and_unique(c)
+    assert_pairs_sorted_and_unique(rename_variables(c, "7"))
+    assert_pairs_sorted_and_unique(Atom("NP", FeatureBundle.of(**dict(pairs))))
+    bnd = unify(a, b)
+    if bnd is not None:
+        assert_pairs_sorted_and_unique(apply_bindings(a, bnd))
+        assert_pairs_sorted_and_unique(apply_bindings(b, bnd))
+
+
+# few names and one slash, so that unifications succeed and bind in chains
+_linked = st.recursive(
+    st.one_of(
+        st.builds(lambda v: Atom("NP", FeatureBundle.of(agr=v)), st.sampled_from(["?a", "?b", "?c", "?d", "3s"])),
+        st.sampled_from([Var("X"), Var("Y"), Var("Z")]),
+    ),
+    lambda inner: st.builds(Functor, inner, st.just(Slash(Direction.FORWARD)), inner),
+    max_leaves=4,
+)
+
+
+@given(st.lists(st.tuples(_linked, _linked), max_size=6))
+def test_walks_through_shared_bindings_end(pairs):
+    # the walks have no cycle guard: unification never binds a bound variable
+    bnd = Bindings()
+    for a, b in pairs:
+        unify(a, b, bnd)  # a failed attempt may leave some of its bindings
+    for name in bnd.feats:
+        value, steps = name, 0
+        while value in bnd.feats:
+            value, steps = bnd.feats[value], steps + 1
+            assert steps <= len(bnd.feats)
+    for name in bnd.cats:
+        c, steps = Var(name), 0
+        while isinstance(c, Var) and c.name in bnd.cats:
+            c, steps = bnd.cats[c.name], steps + 1
+            assert steps <= len(bnd.cats)
 
 
 @given(_categories)

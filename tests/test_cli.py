@@ -344,6 +344,22 @@ CONTRACT = [
         "{d}/x.ccg: line 1: error: bad category: repeated feature attribute 'a'\n",
     ),
     (
+        "duplicated deep entry under validate",
+        {"x.ccg": LONG_APPLICATION + "\n" + LONG_APPLICATION + "\n"},
+        ["validate", "-l", "{d}/x.ccg"],
+        2,
+        "",
+        "line 1: logical form of w := NP: input nested too deeply\n",
+    ),
+    (
+        "duplicated deep entry under parse",
+        {"x.ccg": LONG_APPLICATION + "\n" + LONG_APPLICATION + "\n"},
+        ["parse", "-l", "{d}/x.ccg", "w"],
+        2,
+        "",
+        "line 1: logical form of w := NP: input nested too deeply\n",
+    ),
+    (
         "unreadable suite",
         {},
         ["test", "-l", FRAGMENT, "{d}/none.tsv"],

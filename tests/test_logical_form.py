@@ -93,6 +93,7 @@ def test_a_long_normal_spine_comes_back_as_the_same_object():
     args = [lf.Const(f"a{i}") for i in range(3000)]
     term = lf.app(lf.Const("f"), *args)
     assert lf.beta_normalize(term) is term
+    assert lf.beta_normalize(lf.App(p(r"\x. x"), term)) is term  # substitution walks the spine in a loop
     args[5] = lf.App(p(r"\x. x"), args[5])
     assert lf.spine(lf.beta_normalize(lf.app(lf.Const("f"), *args))) == lf.spine(term)  # == itself recurses
 

@@ -15,6 +15,7 @@ from ccgparse.parser import (
     SentenceTooLongError,
     UnknownTokenError,
     build_chart,
+    chart_readings,
     combine,
     derived_feature,
     parse,
@@ -333,6 +334,21 @@ def test_lexical_edges_are_beta_normal():
     assert edge.lf == lf.parse_term("f a")
 
 
+COORD_CHAIN = "John kicked and Mary dragged and I cooked and You spilled and John cooked and Mary kicked the bucket"
+MODS = " ".join(("long", "very", "proverbial") * 3 + ("long",))
+MODSTACK = (f"I picked the {MODS} book up", f"I picked up the {MODS} book", f"John kicked the {MODS} bucket")
+
+
+def test_chart_logical_forms_are_closed(fragment, corpus):
+    # composition binds a fixed x, which is safe only because nothing is free
+    charts = list(corpus_charts(fragment, corpus))
+    charts += [build_chart(fragment, tokenize(s)) for s in (COORD_CHAIN,) + MODSTACK]
+    assert len(charts) >= 24 + 4
+    for chart in charts:
+        for edge in chart.all_edges():
+            assert lf.free_vars(edge.lf) == frozenset(), lf.pretty_print(edge.lf)
+
+
 def test_no_composition_or_substitution_over_star(fragment, corpus):
     composing = {
         RuleId.FWD_COMP_HARMONIC,
@@ -385,3 +401,30 @@ def test_cky_matches_bruteforce_on_short_sentences(fragment, corpus):
         cky = {e.reading_key() for e in chart.spanning()}
         assert cky == enumerate_readings(fragment, tokens), sentence
     assert checked >= 10
+
+
+# ---------------------------------------------------------------------------
+# packing
+
+LEXC_ENTRIES = ("a := N : a ;", "a := N : a [lexc+] ;")
+
+
+@pytest.mark.parametrize("entries", [LEXC_ENTRIES, LEXC_ENTRIES[::-1]], ids=["plain first", "lexc first"])
+def test_packing_keeps_edges_that_differ_in_lexc(entries):
+    # application reads lexc, so packing the lexc+ edge into the plain one loses a reading
+    lex = load("\n".join(entries + (r"f := S/N[lexc=+] : \x. f x ;",)) + "\n")
+    chart = build_chart(lex, ["f", "a"])
+    assert {e.reading_key() for e in chart.spanning()} == enumerate_readings(lex, ["f", "a"])
+    (edge,) = chart_readings(chart)
+    assert lf.pretty_print(edge.lf) == "f a"
+
+
+def test_readings_list_one_edge_per_reading_key():
+    lex = load("\n".join(LEXC_ENTRIES + ("b := NP : b ;",)) + "\n")
+    chart = build_chart(lex, ["a"])
+    assert [e.lexc for e in chart.spanning()] == [False, True]
+    assert [e.lexc for e in chart_readings(chart)] == [False]
+    every = build_chart(lex, ["a"], ParseSettings(all_derivations=True))
+    assert [e.lexc for e in chart_readings(every)] == [False, True]
+    # so do the near misses of a NO PARSE
+    assert [e.tokens for e in build_chart(lex, ["a", "b"]).longest_partials()] == [("a",), ("b",)]
