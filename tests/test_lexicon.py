@@ -15,6 +15,7 @@ from ccgparse.lexicon import (
     tokenize,
     validate_lexicon,
 )
+from ccgparse.parser import seed_edges
 
 MINI = r"""
 # a small but derivable grammar
@@ -63,6 +64,29 @@ def test_multi_token_phon():
 def test_markers_parsed():
     lex = load("book := N[head=book] : book [lexc+] ;")
     assert lex.all_entries()[0].markers == {MARKER_LEXC_PLUS}
+
+
+@pytest.mark.parametrize(
+    "group, lexc, issues",
+    [
+        ("[lexc+]", True, []),
+        ("[ lexc+ , lexc+ ]", True, []),
+        ("[]", False, []),
+        ("", False, []),
+        ("[shiny]", False, ["unknown entry marker 'shiny'"]),
+        ("[lexc+, shiny]", True, ["unknown entry marker 'shiny'"]),
+        (
+            "]",
+            None,
+            ["unmatched ']' after logical form", "bad logical form: unexpected character ']' in logical form ' book ] '"],
+        ),
+    ],
+)
+def test_marker_group_sets_lexc_and_reports_issues(group, lexc, issues):
+    """lexc is read off the entry's lexical edge; None when no entry is made."""
+    lex, got = parse_lexicon(f"book := N : book {group} ;")
+    assert [i.message for i in got] == issues
+    assert (seed_edges(lex, ["book"])[0].lexc if lex.all_entries() else None) is lexc
 
 
 def test_unknown_marker_is_error():
@@ -241,6 +265,24 @@ def test_lookup_case_fold(fragment):
 def test_render_parse_round_trip_mini():
     lex = load(MINI)
     again = load(render_lexicon(lex))
+    assert again.all_entries() == lex.all_entries()
+    assert again.config == lex.config
+
+
+MODAL = r"""
+x := (S\NP)/NP : \a\b. f a b ;
+y := (S/*NP)\.NP : \a\b. g a b ;
+z := S/x NP : \a. h a [lexc+] ;
+"""
+
+
+@pytest.mark.parametrize("name", ["star", "diamond", "cross", "dot"])
+def test_render_parse_round_trip_default_modality(name):
+    lex = load(f"set default_modality {name} ;" + MODAL)
+    assert lex.all_entries()[0].category.slash.modality is Modality[name.upper()]
+    text = render_lexicon(lex)
+    assert (f"set default_modality {name} ;" in text) == (name != "diamond")
+    again = load(text)
     assert again.all_entries() == lex.all_entries()
     assert again.config == lex.config
 

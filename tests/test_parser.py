@@ -235,6 +235,9 @@ def test_sentence_length_guard(fragment):
     settings = ParseSettings.from_lexicon(fragment, max_tokens=3)
     with pytest.raises(SentenceTooLongError):
         parse(fragment, tokenize("John persuaded Mary to hit Harry"), settings=settings)
+    with pytest.raises(SentenceTooLongError, match="^34 tokens exceeds the limit of 32$"):
+        parse(fragment, ["John"] * 34)
+    assert parse(fragment, ["John"] * 32) == []
 
 
 def test_settings_reject_an_unknown_override(fragment):
