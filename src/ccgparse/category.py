@@ -383,7 +383,7 @@ _CATEGORY_ERRORS = {
     "bad_var": "bad feature variable at {rest!r}",
     "bad_char": "unexpected character {found!r} in category {text!r}",
 }
-_MODALITY_CHARS = {"*": Modality.STAR, ".": Modality.DOT, "x": Modality.CROSS}
+_MODALITY_CHARS = {m.value: m for m in Modality if m.value}
 CATEGORY_VARIABLES = frozenset({"X", "Y", "Z"})
 
 

@@ -28,7 +28,7 @@ class CommandError(Exception):
 def _load_lexicon(path: str, strict: bool = True):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CommandError(f"cannot read lexicon {path}: {exc}") from None
     lexicon, issues = parse_lexicon(text)
     for issue in issues:
@@ -105,7 +105,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     lexicon, settings = _parse_setup(args)
     try:
         text = Path(args.suite).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CommandError(f"cannot read suite {args.suite}: {exc}") from None
     passed = failed = 0
     for lineno, raw in enumerate(text.splitlines(), 1):

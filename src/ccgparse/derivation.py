@@ -10,7 +10,7 @@ from .category import render_category
 from . import logical_form as lf
 from .parser import Chart, Edge, RuleId
 
-RULE_LABELS = ("LEX",) + tuple(rule.label for rule in RuleId)
+RULE_LABELS = ("LEX",) + tuple(rule.value for rule in RuleId)
 
 
 @dataclass(frozen=True)

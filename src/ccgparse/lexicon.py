@@ -9,8 +9,8 @@ a comment (outside quotes)::
     book := N[head=book] : book [lexc+] ;
 
 The phonological side may span several tokens (words with spaces).  A
-trailing bracket group names entry markers; ``lexc+`` marks the entry as
-contributing lexical content to the computed ``lexc`` feature.
+trailing bracket group names entry markers; ``lexc+``, the only one, marks
+the entry as contributing lexical content to the computed ``lexc`` feature.
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ from .category import (
 )
 from . import logical_form as lf
 
-MARKER_LEXC_PLUS = "LEXC_PLUS"
-_MARKER_NAMES = {"lexc+": MARKER_LEXC_PLUS}
-_MARKER_TEXT = {v: k for k, v in _MARKER_NAMES.items()}
-
 BUILTIN_ATOMS = frozenset({"S", "NP", "N", "VP", "PP", "PredP"})
 
 ARITY_MISMATCH = "ARITY_MISMATCH"
@@ -46,12 +42,8 @@ UNDECLARED_ATOM = "UNDECLARED_ATOM"
 UNDERIVABLE_SINGLETON = "UNDERIVABLE_SINGLETON"
 LEXICAL_WRAP = "LEXICAL_WRAP"
 
-_MODALITY_NAMES = {
-    "star": Modality.STAR,
-    "diamond": Modality.DIAMOND,
-    "cross": Modality.CROSS,
-    "dot": Modality.DOT,
-}
+_MODALITY_NAMES = {m.name.lower(): m for m in Modality}
+DEFAULT_WEIGHT_THRESHOLD = 4
 
 
 @dataclass(frozen=True)
@@ -59,7 +51,7 @@ class LexEntry:
     phon: tuple[str, ...]
     category: Category
     lf: lf.Term
-    markers: frozenset[str] = frozenset()
+    lexc: bool = False  # marked [lexc+]
     source_line: int = field(default=0, compare=False)
 
     def __str__(self) -> str:
@@ -68,7 +60,7 @@ class LexEntry:
 
 @dataclass
 class LexiconConfig:
-    weight_threshold: int = 4
+    weight_threshold: int = DEFAULT_WEIGHT_THRESHOLD
     default_modality: Modality = Modality.DIAMOND
 
 
@@ -171,23 +163,20 @@ def _chunks(text: str) -> Iterator[tuple[int, str, bool]]:
         yield start, "\n".join(parts), False
 
 
-def _parse_markers(text: str, line: int, issues: list[LexiconIssue]) -> tuple[str, frozenset[str]]:
-    """Split a trailing [marker, ...] group off the logical-form text."""
+def _parse_markers(text: str, line: int, issues: list[LexiconIssue]) -> tuple[str, bool]:
+    """Split a trailing [marker, ...] group off the logical-form text; True when it names lexc+."""
     stripped = text.rstrip()
     if not stripped.endswith("]"):
-        return text, frozenset()
+        return text, False
     open_pos = stripped.rfind("[")
     if open_pos < 0:
         issues.append(LexiconIssue(line, "unmatched ']' after logical form"))
-        return text, frozenset()
+        return text, False
     names = [m.strip() for m in stripped[open_pos + 1 : -1].split(",") if m.strip()]
-    markers: set[str] = set()
     for name in names:
-        if name not in _MARKER_NAMES:
+        if name != "lexc+":
             issues.append(LexiconIssue(line, f"unknown entry marker {name!r}"))
-            continue
-        markers.add(_MARKER_NAMES[name])
-    return stripped[:open_pos], frozenset(markers)
+    return stripped[:open_pos], "lexc+" in names
 
 
 def parse_lexicon(text: str) -> tuple[Lexicon, list[LexiconIssue]]:
@@ -199,7 +188,7 @@ def parse_lexicon(text: str) -> tuple[Lexicon, list[LexiconIssue]]:
     issues: list[LexiconIssue] = []
     config = LexiconConfig()
     declared: set[str] = set(BUILTIN_ATOMS)
-    pending: list[tuple[int, str, str, str, frozenset[str]]] = []
+    pending: list[tuple[int, tuple[str, ...], str, str, bool]] = []
 
     for line, chunk, terminated in _chunks(text):
         if not terminated:
@@ -241,12 +230,11 @@ def parse_lexicon(text: str) -> tuple[Lexicon, list[LexiconIssue]]:
         if not colon:
             issues.append(LexiconIssue(line, "entry is missing ': <logical form>'"))
             continue
-        lf_text, markers = _parse_markers(lf_text, line, issues)
-        pending.append((line, phon_text, cat_text, lf_text, markers))
+        lf_text, lexc = _parse_markers(lf_text, line, issues)
+        pending.append((line, phon, cat_text, lf_text, lexc))
 
     lexicon = Lexicon(atom_declarations=frozenset(declared), config=config)
-    for line, phon_text, cat_text, lf_text, markers in pending:
-        phon = tuple(phon_text.split())
+    for line, phon, cat_text, lf_text, lexc in pending:
         try:
             category = parse_category(cat_text, config.default_modality)
         except CategorySyntaxError as exc:
@@ -257,7 +245,7 @@ def parse_lexicon(text: str) -> tuple[Lexicon, list[LexiconIssue]]:
         except lf.LFSyntaxError as exc:
             issues.append(LexiconIssue(line, f"bad logical form: {exc}"))
             continue
-        entry = LexEntry(phon, category, term, markers, line)
+        entry = LexEntry(phon, category, term, lexc, line)
         with suppress(RecursionError):  # too deep to compare; validation names the entry
             if any(entry == prior for prior in lexicon.entries.get(phon[0], ())):
                 issues.append(LexiconIssue(line, f"duplicate entry for {' '.join(phon)!r}", "warning"))
@@ -269,18 +257,14 @@ def render_lexicon(lex: Lexicon) -> str:
     """Regenerate lexicon text; parse_lexicon of the output restores the entries."""
     lines = [f"set weight_threshold {lex.config.weight_threshold} ;"]
     if lex.config.default_modality is not Modality.DIAMOND:
-        name = {v: k for k, v in _MODALITY_NAMES.items()}[lex.config.default_modality]
-        lines.append(f"set default_modality {name} ;")
+        lines.append(f"set default_modality {lex.config.default_modality.name.lower()} ;")
     extra = sorted(lex.atom_declarations - BUILTIN_ATOMS)
     if extra:
         lines.append("atoms " + ", ".join(extra) + " ;")
     for entry in lex.all_entries():
-        marker_text = ""
-        if entry.markers:
-            marker_text = " [" + ", ".join(sorted(_MARKER_TEXT[m] for m in entry.markers)) + "]"
         lines.append(
             f"{' '.join(entry.phon)} := {render_category(entry.category)}"
-            f" : {lf.pretty_print(entry.lf)}{marker_text} ;"
+            f" : {lf.pretty_print(entry.lf)}{' [lexc+]' if entry.lexc else ''} ;"
         )
     return "\n".join(lines) + "\n"
 
@@ -296,12 +280,13 @@ def _spine_arity(c: Category) -> int:
     return n
 
 
-def _leading_lambdas(t: lf.Term) -> list[str]:
+def _leading_lambdas(t: lf.Term) -> tuple[list[str], lf.Term]:
+    """The leading binders' names and the body under them."""
     out: list[str] = []
     while isinstance(t, lf.Abs):
         out.append(t.var)
         t = t.body
-    return out
+    return out, t
 
 
 def _permutes_arguments(entry: LexEntry) -> bool:
@@ -311,13 +296,10 @@ def _permutes_arguments(entry: LexEntry) -> bool:
     application spine are considered; a descending pair means the logical
     form realizes its arguments in surface-reversed order.
     """
-    binders = _leading_lambdas(entry.lf)
+    binders, body = _leading_lambdas(entry.lf)
     if len(binders) < 2:
         return False
     index = {name: i for i, name in enumerate(binders)}
-    body = entry.lf
-    while isinstance(body, lf.Abs):
-        body = body.body
     _, args = lf.spine(body)
     positions = [index[a.name] for a in args if isinstance(a, lf.Var) and a.name in index]
     return any(b < a for a, b in zip(positions, positions[1:]))
@@ -354,7 +336,7 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
             lf.alpha_key(lf.beta_normalize(entry.lf))
         for v in validate_category(entry.category):
             out.append(v.at_line(entry.source_line))
-        lambdas = len(_leading_lambdas(entry.lf))
+        lambdas = len(_leading_lambdas(entry.lf)[0])
         arity = _spine_arity(entry.category)
         if lambdas < arity:
             out.append(

@@ -30,9 +30,9 @@ from .category import (
     unify,
 )
 from . import logical_form as lf
-from .lexicon import MARKER_LEXC_PLUS, LexEntry, Lexicon, lookup
+from .lexicon import DEFAULT_WEIGHT_THRESHOLD, LexEntry, Lexicon, lookup
 
-DEFAULT_MAX_TOKENS = 32
+MAX_TOKENS = 32  # longer sentences are refused
 
 
 class RuleId(Enum):
@@ -46,10 +46,6 @@ class RuleId(Enum):
     BWD_COMP_CROSSING = "<Bx"
     FWD_SUBST = ">S"
     BWD_SUBST = "<S"
-
-    @property
-    def label(self) -> str:
-        return self.value
 
 
 class ParserError(Exception):
@@ -68,9 +64,8 @@ class SentenceTooLongError(ParserError):
 
 @dataclass
 class ParseSettings:
-    weight_threshold: int = 4
+    weight_threshold: int = DEFAULT_WEIGHT_THRESHOLD
     max_steps: int = lf.DEFAULT_STEP_BUDGET
-    max_tokens: int = DEFAULT_MAX_TOKENS
     all_derivations: bool = False
     case_fold: bool = False
 
@@ -100,13 +95,13 @@ class Edge:
 
     @property
     def label(self) -> str:
-        return self.rule.label if self.rule is not None else "LEX"
+        return self.rule.value if self.rule is not None else "LEX"
 
     def reading_key(self) -> tuple[str, str]:
         return (category_key(self.category), lf.alpha_key(self.lf))
 
 
-def derived_feature(edge: Edge, attr: str, weight_threshold: int = 4) -> str:
+def derived_feature(edge: Edge, attr: str, weight_threshold: int = DEFAULT_WEIGHT_THRESHOLD) -> str:
     """Compute a span predicate for an edge, never stored on its category.
 
     ``weight`` is "-" when the span covers at most weight_threshold tokens;
@@ -188,10 +183,12 @@ def _composable(*middles: Category) -> bool:
 
 
 class RuleRow(NamedTuple):
-    """A row of the rule table: f is the primary functor, g the other neighbour."""
+    """A row of the rule table: f is the primary functor, g the other neighbour.
+
+    f's slash points at g, so f is the left neighbour exactly when f_direction is FORWARD.
+    """
 
     rule: RuleId
-    primary_left: bool
     f_direction: Direction
     g_direction: Direction | None
     shape: str
@@ -211,14 +208,14 @@ _CROSSING = (Modality.CROSS, Modality.DOT)
 # Rows are tried in order.  Chart.add keeps the first edge for each
 # reading, so the order decides which derivation a packed reading shows.
 RULES = (
-    RuleRow(RuleId.FWD_APP, True, _FWD, None, "A", _ANY),
-    RuleRow(RuleId.BWD_APP, False, _BWD, None, "A", _ANY),
-    RuleRow(RuleId.FWD_COMP_HARMONIC, True, _FWD, _FWD, "B", _HARMONIC),
-    RuleRow(RuleId.BWD_COMP_HARMONIC, False, _BWD, _BWD, "B", _HARMONIC),
-    RuleRow(RuleId.FWD_COMP_CROSSING, True, _FWD, _BWD, "B", _CROSSING),
-    RuleRow(RuleId.BWD_COMP_CROSSING, False, _BWD, _FWD, "B", _CROSSING),
-    RuleRow(RuleId.FWD_SUBST, True, _FWD, _FWD, "S", _HARMONIC),
-    RuleRow(RuleId.BWD_SUBST, False, _BWD, _BWD, "S", _HARMONIC),
+    RuleRow(RuleId.FWD_APP, _FWD, None, "A", _ANY),
+    RuleRow(RuleId.BWD_APP, _BWD, None, "A", _ANY),
+    RuleRow(RuleId.FWD_COMP_HARMONIC, _FWD, _FWD, "B", _HARMONIC),
+    RuleRow(RuleId.BWD_COMP_HARMONIC, _BWD, _BWD, "B", _HARMONIC),
+    RuleRow(RuleId.FWD_COMP_CROSSING, _FWD, _BWD, "B", _CROSSING),
+    RuleRow(RuleId.BWD_COMP_CROSSING, _BWD, _FWD, "B", _CROSSING),
+    RuleRow(RuleId.FWD_SUBST, _FWD, _FWD, "S", _HARMONIC),
+    RuleRow(RuleId.BWD_SUBST, _BWD, _BWD, "S", _HARMONIC),
 )
 
 
@@ -268,13 +265,13 @@ def _lf_step(shape: str, f: lf.Term, g: lf.Term, max_steps: int) -> lf.Term:
 def combine(
     left: Edge,
     right: Edge,
-    weight_threshold: int = 4,
+    weight_threshold: int = DEFAULT_WEIGHT_THRESHOLD,
     max_steps: int = lf.DEFAULT_STEP_BUDGET,
 ) -> list[Edge]:
     """All edges derivable from two adjacent constituents, one per rule in RULES that fires."""
     out: list[Edge] = []
     for row in RULES:
-        f_edge, g_edge = (left, right) if row.primary_left else (right, left)
+        f_edge, g_edge = (left, right) if row.f_direction is _FWD else (right, left)
         step = _category_step(row, f_edge, g_edge, weight_threshold)
         if step is not None:
             term = _lf_step(row.shape, f_edge.lf, g_edge.lf, max_steps)
@@ -301,8 +298,7 @@ def seed_edges(
         for entry, length in lookup(lex, tokens, start, case_fold):
             category = rename_variables(entry.category, str(next(fresh)))
             term = lf.beta_normalize(entry.lf, max_steps=max_steps)
-            lexc = MARKER_LEXC_PLUS in entry.markers
-            edges.append(Edge(start, start + length, tuple(tokens[start : start + length]), category, term, entry=entry, lexc=lexc))
+            edges.append(Edge(start, start + length, tuple(tokens[start : start + length]), category, term, entry=entry, lexc=entry.lexc))
             for i in range(start, start + length):
                 covered[i] = True
     unknown = sorted({tokens[i] for i, c in enumerate(covered) if not c})
@@ -316,8 +312,8 @@ def build_chart(lex: Lexicon, tokens: list[str] | tuple[str, ...], settings: Par
     if not tokens:
         raise ParserError("cannot parse an empty sentence")
     settings = settings or ParseSettings.from_lexicon(lex)
-    if len(tokens) > settings.max_tokens:
-        raise SentenceTooLongError(f"{len(tokens)} tokens exceeds the limit of {settings.max_tokens}")
+    if len(tokens) > MAX_TOKENS:
+        raise SentenceTooLongError(f"{len(tokens)} tokens exceeds the limit of {MAX_TOKENS}")
     chart = Chart(tokens, settings.all_derivations)
     for edge in seed_edges(lex, tokens, settings.case_fold, settings.max_steps):
         chart.add(edge)
@@ -326,8 +322,9 @@ def build_chart(lex: Lexicon, tokens: list[str] | tuple[str, ...], settings: Par
         for start in range(0, n - length + 1):
             end = start + length
             for split in range(start + 1, end):
+                rights = chart.edges(split, end)
                 for left in chart.edges(start, split):
-                    for right in chart.edges(split, end):
+                    for right in rights:
                         for edge in combine(
                             left,
                             right,

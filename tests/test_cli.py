@@ -306,7 +306,8 @@ def test_depth_error_names_the_singleton_whose_derivation_nests_too_deeply(capsy
 
 # ---------------------------------------------------------------------------
 # exit-code contract: one case per path that no other test runs; "{d}"
-# stands for the test's directory in file names, argv and expected output
+# stands for the test's directory in file names, argv and expected output;
+# a file given as bytes is written as they are
 
 CONTRACT = [
     ("empty sentence", {}, ["parse", "-l", FRAGMENT, ""], 2, "", "empty sentence\n"),
@@ -368,6 +369,30 @@ CONTRACT = [
         "cannot read suite {d}/none.tsv: [Errno 2] No such file or directory: '{d}/none.tsv'\n",
     ),
     (
+        "suite not UTF-8",
+        {"s.tsv": b"John kicked the bucket\t2\t-\n\xff\n"},
+        ["test", "-l", FRAGMENT, "{d}/s.tsv"],
+        2,
+        "",
+        "cannot read suite {d}/s.tsv: 'utf-8' codec can't decode byte 0xff in position 27: invalid start byte\n",
+    ),
+    (
+        "lexicon not UTF-8 under validate",
+        {"x.ccg": b"w := NP : w ;\n\xff\n"},
+        ["validate", "-l", "{d}/x.ccg"],
+        2,
+        "",
+        "cannot read lexicon {d}/x.ccg: 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte\n",
+    ),
+    (
+        "lexicon not UTF-8 under parse",
+        {"x.ccg": b"w := NP : w ;\n\xff\n"},
+        ["parse", "-l", "{d}/x.ccg", "w"],
+        2,
+        "",
+        "cannot read lexicon {d}/x.ccg: 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte\n",
+    ),
+    (
         "bad reading count",
         {"s.tsv": "John kicked the bucket\tx\t-\n"},
         ["test", "-l", FRAGMENT, "{d}/s.tsv"],
@@ -415,7 +440,10 @@ CONTRACT = [
 def test_exit_code_contract(capsys, tmp_path, files, argv, code, out, err):
     d = str(tmp_path)
     for name, text in files.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
+        else:
+            (tmp_path / name).write_text(text, encoding="utf-8")
     got = run(capsys, *(a.replace("{d}", d) for a in argv))
     assert got == (code, out.replace("{d}", d), err.replace("{d}", d))
 

@@ -5,7 +5,6 @@ from ccgparse.category import Modality, Singleton, parse_category
 from ccgparse.lexicon import (
     ARITY_MISMATCH,
     LEXICAL_WRAP,
-    MARKER_LEXC_PLUS,
     UNDECLARED_ATOM,
     UNDERIVABLE_SINGLETON,
     lexicon_notes,
@@ -63,7 +62,7 @@ def test_multi_token_phon():
 
 def test_markers_parsed():
     lex = load("book := N[head=book] : book [lexc+] ;")
-    assert lex.all_entries()[0].markers == {MARKER_LEXC_PLUS}
+    assert lex.all_entries()[0].lexc is True
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from ccgparse.category import (
     parse_category,
     render_category,
 )
-from ccgparse.lexicon import MARKER_LEXC_PLUS, parse_lexicon, tokenize
+from ccgparse.lexicon import parse_lexicon, tokenize
 from ccgparse.parser import (
     RULES,
     Edge,
@@ -232,16 +232,13 @@ def test_unknown_token(fragment):
 
 
 def test_sentence_length_guard(fragment):
-    settings = ParseSettings.from_lexicon(fragment, max_tokens=3)
-    with pytest.raises(SentenceTooLongError):
-        parse(fragment, tokenize("John persuaded Mary to hit Harry"), settings=settings)
     with pytest.raises(SentenceTooLongError, match="^34 tokens exceeds the limit of 32$"):
         parse(fragment, ["John"] * 34)
     assert parse(fragment, ["John"] * 32) == []
 
 
 def test_settings_reject_an_unknown_override(fragment):
-    assert ParseSettings.from_lexicon(fragment, max_tokens=3, case_fold=None).max_tokens == 3
+    assert ParseSettings.from_lexicon(fragment, max_steps=3, case_fold=None).max_steps == 3
     with pytest.raises(TypeError):
         ParseSettings.from_lexicon(fragment, max_token=3)
 
@@ -292,7 +289,7 @@ def test_singleton_span_must_be_a_constituent(fragment):
         for first, group in fragment.entries.items()
     }
     entries["bucket"] = [
-        LexEntry(("bucket",), parse_category("PP"), lf.Const("bucket"), frozenset(), 0)
+        LexEntry(("bucket",), parse_category("PP"), lf.Const("bucket"), False, 0)
     ]
     reshaped = Lexicon(entries, fragment.atom_declarations, fragment.config)
     edges = parse(reshaped, tokenize("John kicked the bucket"))
@@ -379,7 +376,7 @@ def test_edge_lexc_flags_a_lexc_plus_leaf(fragment, corpus):
     flagged = unflagged = 0
     for chart in corpus_charts(fragment, corpus):
         for edge in chart.all_edges():
-            assert edge.lexc == any(MARKER_LEXC_PLUS in e.markers for e in leaf_entries(edge))
+            assert edge.lexc == any(e.lexc for e in leaf_entries(edge))
             flagged += edge.lexc
             unflagged += not edge.lexc
     assert flagged > 0 and unflagged > 0
