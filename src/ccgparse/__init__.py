@@ -43,7 +43,7 @@ from .parser import (
     UnknownTokenError,
     build_chart,
     combine,
-    derived_feature,
+    derived_features,
     parse,
 )
 from .derivation import DerivationDoc, document, read_json, render_ascii, render_json

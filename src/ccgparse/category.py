@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterator, Protocol
+from typing import Callable, Iterator, Mapping, Protocol
 
 from .cursor import Cursor
 
@@ -62,12 +62,6 @@ class FeatureBundle:
                 return v
         return None
 
-    def attrs(self) -> tuple[str, ...]:
-        return tuple(a for a, _ in self.pairs)
-
-    def without(self, *drop: str) -> "FeatureBundle":
-        return FeatureBundle(tuple((a, v) for a, v in self.pairs if a not in drop))
-
     def __bool__(self) -> bool:
         return bool(self.pairs)
 
@@ -109,10 +103,6 @@ class Var:
 
 
 Category = Atom | Functor | Singleton | Var
-
-#: Atom attributes whose values are computed from the substituting span
-#: rather than stored on derived categories.
-COMPUTED_ATTRS = ("lexc", "weight")
 
 
 def singleton(text: str) -> Singleton:
@@ -266,34 +256,27 @@ class EdgeLike(Protocol):
     def category(self) -> Category: ...
 
 
-def match_argument(
-    spec: Category,
-    edge: EdgeLike,
-    derived: Callable[[str], str] | None = None,
-) -> Bindings | None:
+def match_argument(spec: Category, edge: EdgeLike, computed: Mapping[str, str]) -> Bindings | None:
     """Match a functor's argument specification against a derived edge.
 
     A Singleton spec matches exactly when the edge's surface tokens equal
     its own; the edge's category is never inspected.  A polyvalent spec
-    unifies with the edge's category, except that the computed attributes
-    (weight, lexc) are checked against values supplied by the ``derived``
-    callback instead of being unified structurally.
+    unifies with the edge's category, except that an attribute named in
+    ``computed`` is checked against the value given there for the edge
+    instead of being unified structurally.
     """
     if isinstance(spec, Singleton):
         return Bindings() if tuple(edge.tokens) == spec.tokens else None
     bnd = Bindings()
     if isinstance(spec, Atom):
-        computed = [(a, v) for a, v in spec.features.pairs if a in COMPUTED_ATTRS]
-        if computed:
-            if derived is None:
-                raise ValueError(
-                    f"argument spec {render_category(spec)} needs computed features "
-                    "but no derived-feature oracle was supplied"
-                )
-            for attr, want in computed:
-                if not _unify_feature_values(want, derived(attr), bnd):
-                    return None
-            spec = Atom(spec.name, spec.features.without(*COMPUTED_ATTRS))
+        kept = []
+        for attr, want in spec.features.pairs:
+            if attr not in computed:
+                kept.append((attr, want))
+            elif not _unify_feature_values(want, computed[attr], bnd):
+                return None
+        if len(kept) < len(spec.features.pairs):
+            spec = Atom(spec.name, FeatureBundle(tuple(kept)))
     return unify(spec, edge.category, bnd)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .category import CategorySyntaxError, parse_category
 from . import logical_form as lf
-from .lexicon import Lexicon, lexicon_notes, parse_lexicon, tokenize, validate_lexicon
+from .lexicon import Lexicon, case_folded, lexicon_notes, parse_lexicon, tokenize, validate_lexicon
 from .parser import ParseSettings, ParserError, build_chart, chart_readings, parse
 from .derivation import document, render_ascii, render_json
 
@@ -25,12 +25,16 @@ class CommandError(Exception):
     """An operational error: main prints the message, if any, and exits 2."""
 
 
-def _load_lexicon(path: str, strict: bool = True):
+def _read(what: str, path: str) -> str:
+    """The text of a UTF-8 file, without a leading byte-order mark."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
-        raise CommandError(f"cannot read lexicon {path}: {exc}") from None
-    lexicon, issues = parse_lexicon(text)
+        raise CommandError(f"cannot read {what} {path}: {exc}") from None
+
+
+def _load_lexicon(path: str, strict: bool = True):
+    lexicon, issues = parse_lexicon(_read("lexicon", path))
     for issue in issues:
         print(f"{path}: {issue}", file=sys.stderr)
     if strict and any(i.severity == "error" for i in issues):
@@ -39,7 +43,7 @@ def _load_lexicon(path: str, strict: bool = True):
 
 
 def _parse_setup(args: argparse.Namespace) -> tuple[Lexicon, ParseSettings]:
-    """Load and validate the lexicon; settings come from it and the flags."""
+    """The lexicon, validated as written and case-folded under --case-fold, and settings from it and the flags."""
     lexicon, _ = _load_lexicon(args.lexicon)
     violations = validate_lexicon(lexicon)
     if violations:
@@ -49,9 +53,8 @@ def _parse_setup(args: argparse.Namespace) -> tuple[Lexicon, ParseSettings]:
         weight_threshold=args.weight_threshold,
         max_steps=args.max_steps,
         all_derivations=getattr(args, "all_derivations", None),
-        case_fold=args.case_fold,
     )
-    return lexicon, settings
+    return (case_folded(lexicon) if args.case_fold else lexicon), settings
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
@@ -86,10 +89,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return OK
 
 
-def _check_line(lexicon: Lexicon, settings: ParseSettings, sentence: str, count: int, lf_specs: list[lf.Term]) -> str | None:
+def _check_line(lexicon: Lexicon, settings: ParseSettings, tokens: list[str], count: int, lf_specs: list[lf.Term]) -> str | None:
     """Run one suite line; None on pass, else a failure description."""
     try:
-        edges = parse(lexicon, tokenize(sentence, settings.case_fold), settings=settings)
+        edges = parse(lexicon, tokens, settings=settings)
     except (ParserError, lf.BudgetExceeded) as exc:
         return str(exc)
     if len(edges) != count:
@@ -103,10 +106,7 @@ def _check_line(lexicon: Lexicon, settings: ParseSettings, sentence: str, count:
 
 def cmd_test(args: argparse.Namespace) -> int:
     lexicon, settings = _parse_setup(args)
-    try:
-        text = Path(args.suite).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CommandError(f"cannot read suite {args.suite}: {exc}") from None
+    text = _read("suite", args.suite)
     passed = failed = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -126,7 +126,7 @@ def cmd_test(args: argparse.Namespace) -> int:
                 lf_specs = [lf.parse_term(p.strip()) for p in lf_text.split("|")]
             except lf.LFSyntaxError as exc:
                 raise CommandError(f"{args.suite}:{lineno}: bad expected logical form: {exc}") from None
-        problem = _check_line(lexicon, settings, sentence, count, lf_specs)
+        problem = _check_line(lexicon, settings, tokenize(sentence, args.case_fold), count, lf_specs)
         if problem is None:
             passed += 1
             print(f"PASS  {sentence}")
@@ -147,7 +147,7 @@ def make_arg_parser() -> argparse.ArgumentParser:
             return
         p.add_argument("--weight-threshold", type=int, default=None, metavar="N")
         p.add_argument("--max-steps", type=int, default=None, metavar="N", help="beta reduction budget")
-        p.add_argument("--case-fold", action="store_true", help="lower-case sentence tokens and entry lookups")
+        p.add_argument("--case-fold", action="store_true", help="lower-case the sentence and the lexicon's token strings")
 
     p = sub.add_parser("parse", help="parse a sentence and print its derivations")
     common(p)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
 from .category import (
@@ -96,38 +96,41 @@ class LexiconIssue:
 
 def tokenize(sentence: str, case_fold: bool = False) -> list[str]:
     """Whitespace tokenization; multi-token entries are matched at lookup."""
-    tokens = sentence.split()
-    if case_fold:
-        tokens = [t.lower() for t in tokens]
-    return tokens
+    return [t.lower() for t in sentence.split()] if case_fold else sentence.split()
 
 
-def lookup(
-    lex: Lexicon, tokens: list[str] | tuple[str, ...], start: int, case_fold: bool = False
-) -> list[tuple[LexEntry, int]]:
+def lookup(lex: Lexicon, tokens: list[str] | tuple[str, ...], start: int) -> list[tuple[LexEntry, int]]:
     """All entries whose phon matches the tokens beginning at start.
 
     Multi-token entries yield span lengths greater than one; every match
     length is reported, not just the longest.
     """
-    def fold(t: str) -> str:
-        return t.lower() if case_fold else t
-
-    key = fold(tokens[start])
-    if case_fold:
-        candidates = [e for group in lex.entries.values() for e in group if fold(e.phon[0]) == key]
-    else:
-        candidates = list(lex.entries.get(key, ()))
-    out: list[tuple[LexEntry, int]] = []
-    for entry in candidates:
-        length = len(entry.phon)
-        if start + length > len(tokens):
-            continue
-        window = tuple(fold(t) for t in tokens[start : start + length])
-        if window == tuple(fold(p) for p in entry.phon):
-            out.append((entry, length))
+    out = [
+        (entry, len(entry.phon))
+        for entry in lex.entries.get(tokens[start], ())
+        if tuple(tokens[start : start + len(entry.phon)]) == entry.phon
+    ]
     out.sort(key=lambda pair: (pair[1], pair[0].source_line))
     return out
+
+
+def _fold_strings(c: Category) -> Category:
+    match c:
+        case Singleton(tokens):
+            return Singleton(tuple(t.lower() for t in tokens))
+        case Functor(result, slash, argument):
+            return Functor(_fold_strings(result), slash, _fold_strings(argument))
+        case _:
+            return c
+
+
+def case_folded(lex: Lexicon) -> Lexicon:
+    """The lexicon as a lower-cased sentence reads it: each entry's phon and every
+    string category in its category lower-cased; atoms and settings shared."""
+    folded = Lexicon(atom_declarations=lex.atom_declarations, config=lex.config)
+    for entry in lex.all_entries():
+        folded.add(replace(entry, phon=tuple(t.lower() for t in entry.phon), category=_fold_strings(entry.category)))
+    return folded
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from enum import Enum
 from typing import NamedTuple
 
 from .category import (
-    COMPUTED_ATTRS,
     Atom,
     Bindings,
     Category,
@@ -33,6 +32,10 @@ from . import logical_form as lf
 from .lexicon import DEFAULT_WEIGHT_THRESHOLD, LexEntry, Lexicon, lookup
 
 MAX_TOKENS = 32  # longer sentences are refused
+
+#: Atom attributes whose values are computed from the substituting span
+#: rather than stored on derived categories.
+COMPUTED_ATTRS = ("lexc", "weight")
 
 
 class RuleId(Enum):
@@ -67,7 +70,6 @@ class ParseSettings:
     weight_threshold: int = DEFAULT_WEIGHT_THRESHOLD
     max_steps: int = lf.DEFAULT_STEP_BUDGET
     all_derivations: bool = False
-    case_fold: bool = False
 
     @classmethod
     def from_lexicon(cls, lex: Lexicon, **overrides) -> "ParseSettings":
@@ -101,17 +103,13 @@ class Edge:
         return (category_key(self.category), lf.alpha_key(self.lf))
 
 
-def derived_feature(edge: Edge, attr: str, weight_threshold: int = DEFAULT_WEIGHT_THRESHOLD) -> str:
-    """Compute a span predicate for an edge, never stored on its category.
+def derived_features(edge: Edge, weight_threshold: int = DEFAULT_WEIGHT_THRESHOLD) -> dict[str, str]:
+    """The values of COMPUTED_ATTRS for an edge, never stored on its category.
 
-    ``weight`` is "-" when the span covers at most weight_threshold tokens;
-    ``lexc`` is "+" when the edge's lexc flag is set.
+    ``lexc`` is "+" when the edge's lexc flag is set; ``weight`` is "-" when
+    the span covers at most weight_threshold tokens.
     """
-    if attr == "weight":
-        return "-" if edge.end - edge.start <= weight_threshold else "+"
-    if attr == "lexc":
-        return "+" if edge.lexc else "-"
-    raise ValueError(f"not a computed feature: {attr!r}")
+    return {"lexc": "+" if edge.lexc else "-", "weight": "-" if edge.end - edge.start <= weight_threshold else "+"}
 
 
 class Chart:
@@ -179,7 +177,7 @@ def _composable(*middles: Category) -> bool:
     is filled by application; composing them away would silently drop the
     constraint, so such slots are application-only.
     """
-    return not any(isinstance(c, Atom) and any(a in COMPUTED_ATTRS for a in c.features.attrs()) for c in middles)
+    return not any(isinstance(c, Atom) and any(a in COMPUTED_ATTRS for a, _ in c.features.pairs) for c in middles)
 
 
 class RuleRow(NamedTuple):
@@ -230,7 +228,7 @@ def _category_step(row: RuleRow, f_edge: Edge, g_edge: Edge, weight_threshold: i
     if f is None or f.slash.modality not in row.admits:
         return None
     if row.shape == "A":
-        bnd = match_argument(f.argument, g_edge, derived=lambda attr: derived_feature(g_edge, attr, weight_threshold))
+        bnd = match_argument(f.argument, g_edge, derived_features(g_edge, weight_threshold))
         return None if bnd is None else (f.result, bnd)
     g = _functor(g_edge, row.g_direction)
     if g is None or g.slash.modality not in row.admits:
@@ -287,7 +285,6 @@ def combine(
 def seed_edges(
     lex: Lexicon,
     tokens: list[str] | tuple[str, ...],
-    case_fold: bool = False,
     max_steps: int = lf.DEFAULT_STEP_BUDGET,
 ) -> list[Edge]:
     """Lexical edges for every entry match; raises when a token is uncovered."""
@@ -295,7 +292,7 @@ def seed_edges(
     covered = [False] * len(tokens)
     fresh = itertools.count()
     for start in range(len(tokens)):
-        for entry, length in lookup(lex, tokens, start, case_fold):
+        for entry, length in lookup(lex, tokens, start):
             category = rename_variables(entry.category, str(next(fresh)))
             term = lf.beta_normalize(entry.lf, max_steps=max_steps)
             edges.append(Edge(start, start + length, tuple(tokens[start : start + length]), category, term, entry=entry, lexc=entry.lexc))
@@ -315,7 +312,7 @@ def build_chart(lex: Lexicon, tokens: list[str] | tuple[str, ...], settings: Par
     if len(tokens) > MAX_TOKENS:
         raise SentenceTooLongError(f"{len(tokens)} tokens exceeds the limit of {MAX_TOKENS}")
     chart = Chart(tokens, settings.all_derivations)
-    for edge in seed_edges(lex, tokens, settings.case_fold, settings.max_steps):
+    for edge in seed_edges(lex, tokens, settings.max_steps):
         chart.add(edge)
     n = len(tokens)
     for length in range(2, n + 1):

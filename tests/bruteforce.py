@@ -15,7 +15,7 @@ def enumerate_readings(lex: Lexicon, tokens: list[str], settings: ParseSettings 
     """All (category key, lf alpha key) pairs derivable over the full span."""
     settings = settings or ParseSettings.from_lexicon(lex)
     lexical: dict[tuple[int, int], list[Edge]] = {}
-    for edge in seed_edges(lex, tokens, settings.case_fold):
+    for edge in seed_edges(lex, tokens):
         lexical.setdefault(edge.span, []).append(edge)
 
     def derive(start: int, end: int) -> list[Edge]:

@@ -116,37 +116,49 @@ PARTICLE = r"((S\NP)\(S\NP))/NP"
 
 def test_singleton_match_ignores_category():
     spec = singleton("up")
-    assert match_argument(spec, StubEdge(("up",), cat(PARTICLE))) is not None
-    assert match_argument(spec, StubEdge(("up",), cat("NP"))) is not None
+    assert match_argument(spec, StubEdge(("up",), cat(PARTICLE)), {}) is not None
+    assert match_argument(spec, StubEdge(("up",), cat("NP")), {}) is not None
 
 
 def test_singleton_match_requires_exact_tokens():
     spec = singleton("the bucket")
-    assert match_argument(spec, StubEdge(("the", "blue", "bucket"), cat("NP"))) is None
-    assert match_argument(spec, StubEdge(("the", "bucket"), cat("NP"))) is not None
+    assert match_argument(spec, StubEdge(("the", "blue", "bucket"), cat("NP")), {}) is None
+    assert match_argument(spec, StubEdge(("the", "bucket"), cat("NP")), {}) is not None
 
 
 def test_head_marked_polyvalent_match():
     spec = cat("NP[head=beans]")
     edge = StubEdge(("the", "beans", "no", "one", "cares", "about"), cat("NP[head=beans]"))
-    assert match_argument(spec, edge) is not None
+    assert match_argument(spec, edge, {}) is not None
 
 
 def test_computed_features_checked_via_oracle():
     spec = cat("NP[weight=-]")
     edge = StubEdge(("the", "book"), cat("NP[head=book]"))
-    assert match_argument(spec, edge, derived=lambda attr: "-") is not None
-    assert match_argument(spec, edge, derived=lambda attr: "+") is None
-    with pytest.raises(ValueError):
-        match_argument(spec, edge)
+    assert match_argument(spec, edge, {"weight": "-"}) is not None
+    assert match_argument(spec, edge, {"weight": "+"}) is None
+
+
+# (spec, edge category, computed values, whether they match)
+COMPUTED_ROWS = [
+    # the edge category does not carry lexc; only the computed value counts
+    ("NP[lexc=+, head=book]", "NP[head=book]", {"lexc": "+"}, True),
+    ("NP[lexc=+, head=book]", "NP[head=book]", {"lexc": "-"}, False),
+    # an attribute not named in computed unifies structurally
+    ("NP[weight=-]", "NP[weight=+]", {}, False),
+    ("NP[weight=-]", "NP[weight=-]", {}, True),
+    # a named attribute is checked against computed alone, never the edge's value
+    ("NP[weight=-]", "NP[weight=+]", {"weight": "-"}, True),
+    ("NP[weight=-]", "NP[weight=-]", {"weight": "+"}, False),
+    ("NP[weight=?w, head=?w]", "NP[head=+]", {"weight": "-"}, False),
+    ("NP[weight=?w, head=?w]", "NP[head=-]", {"weight": "-"}, True),
+]
 
 
 def test_computed_feature_never_unified_structurally():
-    # the edge category does not carry weight; only the oracle value counts
-    spec = cat("NP[lexc=+, head=book]")
-    edge = StubEdge(("the", "book"), cat("NP[head=book]"))
-    assert match_argument(spec, edge, derived=lambda attr: "+") is not None
-    assert match_argument(spec, edge, derived=lambda attr: "-") is None
+    for spec, edge_cat, computed, matches in COMPUTED_ROWS:
+        edge = StubEdge(("the", "book"), cat(edge_cat))
+        assert (match_argument(cat(spec), edge, computed) is not None) is matches, (spec, edge_cat, computed)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +369,7 @@ def test_unify_instances_are_idempotent(a, b):
 def assert_pairs_sorted_and_unique(c):
     for part in category_parts(c):
         if isinstance(part, Atom):
-            attrs = part.features.attrs()
+            attrs = [a for a, _ in part.features.pairs]
             assert list(attrs) == sorted(set(attrs)), render_category(part)
 
 
@@ -432,4 +444,4 @@ def test_wellformed_means_star_singleton_arguments(c):
 def test_singleton_match_is_category_blind(edge_cat):
     spec = singleton("every which way")
     edge = StubEdge(("every", "which", "way"), edge_cat)
-    assert match_argument(spec, edge) is not None
+    assert match_argument(spec, edge, {}) is not None

@@ -57,6 +57,29 @@ def test_parse_case_fold(capsys):
     assert code == 0
 
 
+CAPITALIZED_IDIOM = r"""
+the := NP/N : \x. def x ;
+Bucket := N : bucket ;
+John := NP : j ;
+kicked := (S\NP)/*"the Bucket" : \x\y. die_{x} y ;
+"""
+
+
+def test_case_fold_reaches_string_categories(capsys, tmp_path):
+    path = write(tmp_path, CAPITALIZED_IDIOM)
+    for flags in ([], ["--case-fold"]):
+        code, out, _ = run(capsys, "parse", "-l", path, *flags, "John kicked the Bucket")
+        assert code == 0
+        assert out.startswith("reading 1: S : die_{def bucket} j\n")
+
+
+def test_case_fold_ignores_the_sentence_case(capsys, corpus):
+    for sentence, _, _ in corpus:
+        folded = run(capsys, "parse", "-l", FRAGMENT, "--case-fold", sentence)
+        upper = run(capsys, "parse", "-l", FRAGMENT, "--case-fold", sentence.upper())
+        assert upper[:2] == folded[:2], sentence
+
+
 def test_parse_all_derivations(capsys):
     code, out, _ = run(capsys, "parse", "-l", FRAGMENT, "--goal", "S", "--all-derivations", "John persuaded Mary to hit Harry")
     assert code == 0
@@ -391,6 +414,30 @@ CONTRACT = [
         2,
         "",
         "cannot read lexicon {d}/x.ccg: 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte\n",
+    ),
+    (
+        "lexicon with a byte-order mark under validate",
+        {"x.ccg": b'\xef\xbb\xbfw := NP : w ;\nv := S/*"w" : \\x. x ;\n'},
+        ["validate", "-l", "{d}/x.ccg"],
+        0,
+        "{d}/x.ccg: ok (2 entries)\n",
+        "",
+    ),
+    (
+        "lexicon with a byte-order mark under parse",
+        {"x.ccg": b"\xef\xbb\xbfw := NP : w ;\n"},
+        ["parse", "-l", "{d}/x.ccg", "w"],
+        0,
+        "reading 1: NP : w\nw\n---\nNP\n: w\n",
+        "",
+    ),
+    (
+        "suite with a byte-order mark",
+        {"s.tsv": b"\xef\xbb\xbfJohn kicked the bucket\t2\t-\n"},
+        ["test", "-l", FRAGMENT, "{d}/s.tsv"],
+        0,
+        "PASS  John kicked the bucket\n1 passed, 0 failed\n",
+        "",
     ),
     (
         "bad reading count",

@@ -7,6 +7,7 @@ from ccgparse.lexicon import (
     LEXICAL_WRAP,
     UNDECLARED_ATOM,
     UNDERIVABLE_SINGLETON,
+    case_folded,
     lexicon_notes,
     lookup,
     parse_lexicon,
@@ -255,7 +256,7 @@ def test_lookup_returns_all_matches(fragment):
 
 def test_lookup_case_fold(fragment):
     assert lookup(fragment, ["john"], 0) == []
-    assert len(lookup(fragment, ["john"], 0, case_fold=True)) == 2
+    assert len(lookup(case_folded(fragment), ["john"], 0)) == 2
 
 
 # ---------------------------------------------------------------------------

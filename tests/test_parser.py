@@ -8,6 +8,7 @@ from ccgparse.category import (
 )
 from ccgparse.lexicon import parse_lexicon, tokenize
 from ccgparse.parser import (
+    COMPUTED_ATTRS,
     RULES,
     Edge,
     ParseSettings,
@@ -17,7 +18,7 @@ from ccgparse.parser import (
     build_chart,
     chart_readings,
     combine,
-    derived_feature,
+    derived_features,
     parse,
     seed_edges,
 )
@@ -32,7 +33,7 @@ def load(text):
 
 
 def lex_edge(lex, token_seq, start=0):
-    edges = seed_edges(lex, token_seq, False)
+    edges = seed_edges(lex, token_seq)
     spans = [e for e in edges if e.start == start]
     assert spans, f"no lexical edge at {start}"
     return spans[0]
@@ -207,19 +208,18 @@ def stub_chart_edge(fragment, text):
 
 def test_weight_from_span_length(fragment):
     edge = stub_chart_edge(fragment, "the book")
-    assert derived_feature(edge, "weight", 4) == "-"
+    assert derived_features(edge, 4)["weight"] == "-"
     seven = Edge(0, 7, tuple("a b c d e f g".split()), parse_category("NP"), lf.Const("x"))
-    assert derived_feature(seven, "weight", 4) == "+"
+    assert derived_features(seven, 4)["weight"] == "+"
 
 
 def test_lexc_from_markers(fragment):
-    assert derived_feature(stub_chart_edge(fragment, "my"), "lexc", 4) == "-"
-    assert derived_feature(stub_chart_edge(fragment, "the book"), "lexc", 4) == "+"
+    assert derived_features(stub_chart_edge(fragment, "my"), 4)["lexc"] == "-"
+    assert derived_features(stub_chart_edge(fragment, "the book"), 4)["lexc"] == "+"
 
 
-def test_derived_feature_rejects_other_attrs(fragment):
-    with pytest.raises(ValueError):
-        derived_feature(stub_chart_edge(fragment, "my"), "agr", 4)
+def test_derived_features_are_the_computed_attrs(fragment):
+    assert tuple(derived_features(stub_chart_edge(fragment, "my"), 4)) == COMPUTED_ATTRS
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +238,7 @@ def test_sentence_length_guard(fragment):
 
 
 def test_settings_reject_an_unknown_override(fragment):
-    assert ParseSettings.from_lexicon(fragment, max_steps=3, case_fold=None).max_steps == 3
+    assert ParseSettings.from_lexicon(fragment, max_steps=3, all_derivations=None).max_steps == 3
     with pytest.raises(TypeError):
         ParseSettings.from_lexicon(fragment, max_token=3)
 
@@ -260,7 +260,7 @@ def test_packing_collapses_equivalent_derivations(fragment):
 
 
 def test_multi_token_entries_seed_longer_spans(fragment):
-    edges = seed_edges(fragment, tokenize("my team scored every which way"), False)
+    edges = seed_edges(fragment, tokenize("my team scored every which way"))
     spans = {(e.start, e.end) for e in edges}
     assert (3, 6) in spans
 
