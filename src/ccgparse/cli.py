@@ -15,7 +15,7 @@ from pathlib import Path
 from .category import CategorySyntaxError, parse_category
 from . import logical_form as lf
 from .lexicon import Lexicon, case_folded, lexicon_notes, parse_lexicon, tokenize, validate_lexicon
-from .parser import ParseSettings, ParserError, build_chart, chart_readings, parse
+from .parser import ParseSettings, ParserError, build_chart, parse
 from .derivation import document, render_ascii, render_json
 
 OK, NEGATIVE, ERROR = 0, 1, 2
@@ -68,11 +68,9 @@ def cmd_parse(args: argparse.Namespace) -> int:
     tokens = tokenize(args.sentence, args.case_fold)
     if not tokens:
         raise CommandError("empty sentence")
-    chart = build_chart(lexicon, tokens, settings)
-    edges = chart_readings(chart, goal)
-    doc = document(tokens, edges, chart)
+    doc = document(build_chart(lexicon, tokens, settings), goal)
     sys.stdout.write(render_json(doc) if args.json else render_ascii(doc))
-    return OK if edges else NEGATIVE
+    return OK if doc.readings else NEGATIVE
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -151,7 +149,7 @@ def make_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="parse a sentence and print its derivations")
     common(p)
-    p.add_argument("--goal", default=None, help="accept only spanning categories unifying with this")
+    p.add_argument("--goal", default=None, help="accept only spanning readings that fill this category as an argument slot")
     p.add_argument("--json", action="store_true", help="emit the JSON document instead of ASCII")
     p.add_argument("--all-derivations", action="store_true", help="do not pack equal readings")
     p.add_argument("sentence")

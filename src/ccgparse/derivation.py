@@ -6,9 +6,9 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Iterable
 
-from .category import render_category
+from .category import Category, render_category
 from . import logical_form as lf
-from .parser import Chart, Edge, RuleId
+from .parser import Chart, Edge, RuleId, chart_readings
 
 RULE_LABELS = ("LEX",) + tuple(rule.value for rule in RuleId)
 
@@ -43,12 +43,13 @@ class DerivationDoc:
     near_misses: tuple[NearMiss, ...] = ()
 
 
-def document(tokens: list[str] | tuple[str, ...], edges: list[Edge], chart: Chart | None = None) -> DerivationDoc:
-    """Build a document; readings are sorted by (category, logical form).
+def document(chart: Chart, goal: Category | None = None) -> DerivationDoc:
+    """The chart's answer: its spanning readings that fill the goal (see
+    parser.chart_readings), sorted by (category, logical form).
 
     Each chart edge becomes one TreeNode, so readings that share a
-    sub-derivation share its node. With no readings and a chart available,
-    the longest derived sub-spans are recorded as near misses.
+    sub-derivation share its node. With no readings, the longest derived
+    sub-spans are recorded as near misses, sorted by (span, category, logical form).
     """
     nodes: dict[Edge, TreeNode] = {}  # Edge hashes by identity
 
@@ -60,17 +61,17 @@ def document(tokens: list[str] | tuple[str, ...], edges: list[Edge], chart: Char
             )
         return nodes[edge]
 
-    roots = (node(e) for e in edges)
+    roots = (node(e) for e in chart_readings(chart, goal))
     readings = tuple(sorted((Reading(t.category, t.lf, t) for t in roots), key=lambda r: (r.category, r.lf)))
     near: tuple[NearMiss, ...] = ()
-    if not readings and chart is not None:
+    if not readings:
         near = tuple(
             sorted(
                 (NearMiss(e.span, render_category(e.category), lf.pretty_print(e.lf)) for e in chart.longest_partials()),
                 key=lambda m: (m.span, m.category, m.lf),
             )
         )
-    return DerivationDoc(tuple(tokens), readings, near)
+    return DerivationDoc(chart.tokens, readings, near)
 
 
 # ---------------------------------------------------------------------------

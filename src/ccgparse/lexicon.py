@@ -40,6 +40,7 @@ BUILTIN_ATOMS = frozenset({"S", "NP", "N", "VP", "PP", "PredP"})
 ARITY_MISMATCH = "ARITY_MISMATCH"
 UNDECLARED_ATOM = "UNDECLARED_ATOM"
 UNDERIVABLE_SINGLETON = "UNDERIVABLE_SINGLETON"
+MISPLACED_COMPUTED_FEATURE = "MISPLACED_COMPUTED_FEATURE"
 LEXICAL_WRAP = "LEXICAL_WRAP"
 
 _MODALITY_NAMES = {m.name.lower(): m for m in Modality}
@@ -275,12 +276,12 @@ def render_lexicon(lex: Lexicon) -> str:
 # ---------------------------------------------------------------------------
 # whole-lexicon validation
 
-def _spine_arity(c: Category) -> int:
-    n = 0
+def _spine_arguments(c: Category) -> list[Category]:
+    out = []
     while isinstance(c, Functor):
-        n += 1
+        out.append(c.argument)
         c = c.result
-    return n
+    return out
 
 
 def _leading_lambdas(t: lf.Term) -> tuple[list[str], lf.Term]:
@@ -326,13 +327,16 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
 
     Beyond per-category checks this verifies that each entry's logical
     form carries one abstraction per argument slot, that every atom name
-    is declared or built in, and that every singleton's token string is
+    is declared or built in, that computed features stand only on the
+    entry's own arguments, and that every singleton's token string is
     itself derivable from the lexicon, without which singleton application
     could never fire.  Every logical form is normalized and keyed as in a
     parse, under the lexicon's own settings.  A step budget or nesting depth
     exhausted there raises BudgetExceeded naming the entry's line and, when
     a singleton's derivation is at fault, the singleton.
     """
+    from .parser import COMPUTED_ATTRS, ParserError, parse  # deferred: parser imports this module
+
     out: list[Violation] = []
     for entry in lex.all_entries():
         with _naming_source(lambda: f"line {entry.source_line}: logical form of {entry}"):
@@ -340,7 +344,8 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
         for v in validate_category(entry.category):
             out.append(v.at_line(entry.source_line))
         lambdas = len(_leading_lambdas(entry.lf)[0])
-        arity = _spine_arity(entry.category)
+        arguments = _spine_arguments(entry.category)
+        arity = len(arguments)
         if lambdas < arity:
             out.append(
                 Violation(
@@ -354,8 +359,11 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
             out.append(
                 Violation(UNDECLARED_ATOM, f"{entry}: category symbol {name!r} is not declared", entry.source_line)
             )
-
-    from .parser import ParserError, parse  # deferred: parser imports this module
+        for part in category_parts(entry.category):
+            computed = [a for a, _ in part.features.pairs if a in COMPUTED_ATTRS] if isinstance(part, Atom) else []
+            if computed and not any(part is a for a in arguments):
+                detail = f"{entry}: computed {', '.join(computed)} on {render_category(part)}, not one of the entry's arguments"
+                out.append(Violation(MISPLACED_COMPUTED_FEATURE, detail, entry.source_line))
 
     checked: set[tuple[str, ...]] = set()
     for entry in lex.all_entries():

@@ -113,16 +113,16 @@ def derived_features(edge: Edge, weight_threshold: int = DEFAULT_WEIGHT_THRESHOL
 
 
 class Chart:
-    def __init__(self, tokens: list[str] | tuple[str, ...], all_derivations: bool = False):
+    def __init__(self, tokens: list[str] | tuple[str, ...], settings: ParseSettings):
         self.tokens = tuple(tokens)
-        self.all_derivations = all_derivations
+        self.settings = settings
         self.cells: dict[tuple[int, int], dict[object, Edge]] = {}
-        self._counter = itertools.count()
 
     def add(self, edge: Edge) -> bool:
         cell = self.cells.setdefault(edge.span, {})
-        # application reads lexc, so edges that differ in it are not packed together
-        key = (edge.reading_key(), next(self._counter) if self.all_derivations else edge.lexc)
+        # application reads lexc, so edges that differ in it are not packed together;
+        # under all_derivations len(cell) numbers the edge: cells only grow
+        key = (edge.reading_key(), len(cell) if self.settings.all_derivations else edge.lexc)
         if key in cell:
             return False
         cell[key] = edge
@@ -132,12 +132,12 @@ class Chart:
         return list(self.cells.get((start, end), {}).values())
 
     def readings(self, start: int, end: int) -> list[Edge]:
-        """The cell's edges sorted by reading key: the first added for each
-        reading key, or under all_derivations every one, in the order added."""
+        """The first edge added for each reading key, or under all_derivations
+        every edge, in the order added."""
         found: dict[object, Edge] = {}
         for key, e in self.cells.get((start, end), {}).items():
-            found.setdefault(key if self.all_derivations else key[0], e)
-        return [found[k] for k in sorted(found)]
+            found.setdefault(key if self.settings.all_derivations else key[0], e)
+        return list(found.values())
 
     def spanning(self) -> list[Edge]:
         return self.edges(0, len(self.tokens))
@@ -149,12 +149,7 @@ class Chart:
         """The readings of the longest proper sub-spans holding edges; near misses for NO PARSE."""
         n = len(self.tokens)
         for length in range(n - 1, 0, -1):
-            found = [
-                e
-                for (i, j) in sorted(self.cells)
-                if j - i == length
-                for e in self.readings(i, j)
-            ]
+            found = [e for (i, j) in self.cells if j - i == length for e in self.readings(i, j)]
             if found:
                 return found
         return []
@@ -170,14 +165,14 @@ def _functor(edge: Edge, direction: Direction) -> Functor | None:
     return None
 
 
-def _composable(*middles: Category) -> bool:
-    """Whether the consumed middle categories may be discharged without an edge.
+def _composable(*slots: Category) -> bool:
+    """Whether these slots may be filled by unification instead of by an edge.
 
     Computed span predicates (weight, lexc) are only checkable when a slot
-    is filled by application; composing them away would silently drop the
-    constraint, so such slots are application-only.
+    is filled by application; composing or substituting them away would
+    silently drop the constraint, so such slots are application-only.
     """
-    return not any(isinstance(c, Atom) and any(a in COMPUTED_ATTRS for a, _ in c.features.pairs) for c in middles)
+    return not any(isinstance(c, Atom) and any(a in COMPUTED_ATTRS for a, _ in c.features.pairs) for c in slots)
 
 
 class RuleRow(NamedTuple):
@@ -244,7 +239,7 @@ def _category_step(row: RuleRow, f_edge: Edge, g_edge: Edge, weight_threshold: i
         ):
             return None
         head, slot, bnd = inner.result, inner.argument, unify(f.argument, g.argument)
-    if bnd is None or not _composable(slot, g.result):
+    if bnd is None or not _composable(f.argument, slot, g.result):
         return None
     bnd = unify(slot, g.result, bnd)
     return None if bnd is None else (Functor(head, g.slash, g.argument), bnd)
@@ -311,7 +306,7 @@ def build_chart(lex: Lexicon, tokens: list[str] | tuple[str, ...], settings: Par
     settings = settings or ParseSettings.from_lexicon(lex)
     if len(tokens) > MAX_TOKENS:
         raise SentenceTooLongError(f"{len(tokens)} tokens exceeds the limit of {MAX_TOKENS}")
-    chart = Chart(tokens, settings.all_derivations)
+    chart = Chart(tokens, settings)
     for edge in seed_edges(lex, tokens, settings.max_steps):
         chart.add(edge)
     n = len(tokens)
@@ -332,15 +327,15 @@ def build_chart(lex: Lexicon, tokens: list[str] | tuple[str, ...], settings: Par
     return chart
 
 
-def goal_matches(goal: Category | None, edge: Edge) -> bool:
-    if goal is None:
-        return True
-    return unify(goal, edge.category) is not None
-
-
 def chart_readings(chart: Chart, goal: Category | None = None) -> list[Edge]:
-    """The chart's spanning readings (see Chart.readings) that match the goal."""
-    return [e for e in chart.readings(0, len(chart.tokens)) if goal_matches(goal, e)]
+    """The chart's spanning readings (see Chart.readings) that fill the goal
+    as an argument slot, computed features included; None accepts any."""
+    threshold = chart.settings.weight_threshold
+    return [
+        e
+        for e in chart.readings(0, len(chart.tokens))
+        if goal is None or match_argument(goal, e, derived_features(e, threshold)) is not None
+    ]
 
 
 def parse(
@@ -349,7 +344,7 @@ def parse(
     goal: Category | None = None,
     settings: ParseSettings | None = None,
 ) -> list[Edge]:
-    """All spanning edges matching the goal (None accepts any category).
+    """The chart's readings that fill the goal (see chart_readings), in the order added.
 
     An empty result is a normal NO PARSE outcome; unknown tokens and
     over-long sentences raise ParserError subclasses.

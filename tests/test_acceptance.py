@@ -16,7 +16,7 @@ from ccgparse.category import Atom, parse_category
 from ccgparse.cli import main
 from ccgparse.derivation import document, read_json, render_ascii, render_json
 from ccgparse.lexicon import Lexicon, parse_lexicon, render_lexicon, tokenize
-from ccgparse.parser import ParserError, build_chart, goal_matches, parse
+from ccgparse.parser import ParserError, build_chart, parse
 
 import lfhelpers as lfh
 from bruteforce import enumerate_readings
@@ -292,10 +292,7 @@ def test_c7_lexicon_round_trip(fragment):
 
 def test_c7_json_round_trip_all_golden(fragment, corpus):
     for sentence, _, _ in corpus:
-        tokens = tokenize(sentence)
-        chart = build_chart(fragment, tokens)
-        edges = sorted(chart.spanning(), key=lambda e: e.reading_key())
-        doc = document(tokens, edges, chart)
+        doc = document(build_chart(fragment, tokenize(sentence)))
         assert read_json(render_json(doc)) == doc
     report("7b derivation JSON round trip")
 
@@ -310,13 +307,7 @@ def test_c7_golden_files_byte_exact(fragment):
         ("John kicked and Mary dragged and I cooked the bucket", "S", "kicked_chain.json.expected", render_json),
     ]
     for sentence, goal, name, renderer in cases:
-        tokens = tokenize(sentence)
-        chart = build_chart(fragment, tokens)
-        goal_cat = parse_category(goal) if goal else None
-        edges = sorted(
-            (e for e in chart.spanning() if goal_matches(goal_cat, e)), key=lambda e: e.reading_key()
-        )
-        doc = document(tokens, edges, chart)
+        doc = document(build_chart(fragment, tokenize(sentence)), parse_category(goal) if goal else None)
         assert renderer(doc) == (GOLDEN / name).read_text(encoding="utf-8"), name
     report("7c golden files byte-exact")
 

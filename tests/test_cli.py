@@ -33,6 +33,22 @@ def test_parse_goal_filters_idiom_reading(capsys):
     assert "kick" in out
 
 
+@pytest.mark.parametrize(
+    "goal, code",
+    [
+        ("NP[weight=+]", 1),
+        ("NP[weight=-]", 0),
+        ("NP[lexc=-]", 1),
+        ("NP[lexc=+]", 0),
+        ('"the book"', 0),
+        ('"the pail"', 1),
+    ],
+)
+def test_parse_goal_fills_like_an_argument_slot(capsys, goal, code):
+    # "the book" is two tokens (weight -) and book is marked [lexc+]
+    assert run(capsys, "parse", "-l", FRAGMENT, "--goal", goal, "the book")[0] == code
+
+
 def test_parse_unknown_token(capsys):
     code, _, err = run(capsys, "parse", "-l", FRAGMENT, "xyzzy")
     assert code == 2
@@ -255,6 +271,15 @@ def test_budget_error_names_the_singleton_whose_derivation_diverges(capsys, tmp_
 
 
 LONG_APPLICATION = "w := NP : f " + " ".join(f"a{i}" for i in range(3000)) + " ;"
+# weight stands on an atom that is not an argument of its entry: once as the
+# entry's whole category, once inside a functor argument
+MISPLACED_WEIGHT = "big := NP[weight=+] : big ;\nf := S/(S\\NP[weight=+]) : \\p. p big ;\nwalks := S\\NP : \\x. walk x ;\n"
+MISPLACED_WEIGHT_REPORT = (
+    "{d}/x.ccg: MISPLACED_COMPUTED_FEATURE: big := NP[weight=+]: computed weight on NP[weight=+], "
+    "not one of the entry's arguments (line 1)\n"
+    "{d}/x.ccg: MISPLACED_COMPUTED_FEATURE: f := S/(S\\NP[weight=+]): computed weight on NP[weight=+], "
+    "not one of the entry's arguments (line 2)\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -470,6 +495,22 @@ CONTRACT = [
         2,
         "",
         '{d}/x.ccg: SINGLETON_AS_RESULT: "up"/NP puts a string category in result position (line 1)\n',
+    ),
+    (
+        "computed feature off the argument spine under validate",
+        {"x.ccg": MISPLACED_WEIGHT},
+        ["validate", "-l", "{d}/x.ccg"],
+        1,
+        MISPLACED_WEIGHT_REPORT,
+        "",
+    ),
+    (
+        "computed feature off the argument spine under parse",
+        {"x.ccg": MISPLACED_WEIGHT},
+        ["parse", "-l", "{d}/x.ccg", "f walks"],
+        2,
+        "",
+        MISPLACED_WEIGHT_REPORT,
     ),
     (
         "suite failure",

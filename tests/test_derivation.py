@@ -9,20 +9,11 @@ from ccgparse.derivation import (
     render_json,
 )
 from ccgparse.lexicon import tokenize
-from ccgparse.parser import build_chart
+from ccgparse.parser import build_chart, chart_readings
 
 
 def doc_for(fragment, sentence, goal=None):
-    tokens = tokenize(sentence)
-    chart = build_chart(fragment, tokens)
-    goal_cat = parse_category(goal) if goal else None
-    edges = chart.spanning()
-    if goal_cat is not None:
-        from ccgparse.parser import goal_matches
-
-        edges = [e for e in edges if goal_matches(goal_cat, e)]
-    edges.sort(key=lambda e: e.reading_key())
-    return document(tokens, edges, chart)
+    return document(build_chart(fragment, tokenize(sentence)), parse_category(goal) if goal else None)
 
 
 def all_nodes(node):
@@ -48,9 +39,9 @@ def reachable(roots):
 
 
 def test_one_tree_node_per_chart_edge(fragment):
-    tokens = tokenize(SIX_CLAUSES)
-    edges = sorted(build_chart(fragment, tokens).spanning(), key=lambda e: e.reading_key())
-    doc = document(tokens, edges)
+    chart = build_chart(fragment, tokenize(SIX_CLAUSES))
+    edges = chart_readings(chart)
+    doc = document(chart)
     assert len(doc.readings) == 42  # the fifth Catalan number
     assert len(reachable(r.tree for r in doc.readings)) == len(reachable(edges)) == 205
     # walked reading by reading the trees have 1554 nodes: readings share sub-derivations

@@ -130,7 +130,7 @@ def test_alpha_eq_distinct_constants():
     assert not lf.alpha_eq(p(r"\x. p x"), p(r"\x. q x"))
 
 
-# strings produced before the single-pass alpha_key; chart_readings sorts by them
+# strings produced before the single-pass alpha_key; Chart.add packs readings by them
 ALPHA_KEYS = [
     (p(r"\x. \x. x"), "(\\(\\b0))"),
     (lf.Abs("x", lf.App(lf.Abs("x", lf.Var("x")), lf.Var("x"))), "(\\((\\b0) b0))"),

@@ -182,6 +182,8 @@ FIRING = {
         ("computed slot", RuleId.BWD_COMP_HARMONIC, r"VP\NP", r"S\VP[lexc=+]"),
         ("computed slot", RuleId.FWD_SUBST, "(S/PP[weight=-])/NP", "PP/NP"),
         ("computed slot", RuleId.BWD_SUBST, r"PP\NP", r"(S\PP[lexc=+])\NP"),
+        ("computed slot", RuleId.FWD_SUBST, "(S/PP)/NP[weight=-]", "PP/NP"),
+        ("computed slot", RuleId.BWD_SUBST, r"PP\NP", r"(S\PP)\NP[lexc=+]"),
         ("argument unification", RuleId.FWD_SUBST, "(S/PP)/NP", "PP/N"),
         ("argument unification", RuleId.BWD_SUBST, r"PP\N", r"(S\PP)\NP"),
     ],
@@ -247,6 +249,7 @@ def test_goal_filters_readings(fragment):
     tokens = tokenize("the bucket that you kicked")
     assert len(parse(fragment, tokens, parse_category("NP"))) == 1
     assert parse(fragment, tokens, parse_category("S")) == []
+    assert parse(fragment, tokenize("the book"), parse_category("NP[weight=+]")) == []
 
 
 def test_packing_collapses_equivalent_derivations(fragment):
