@@ -12,10 +12,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .category import CategorySyntaxError, parse_category
+from .category import CategorySyntaxError, parse_category, render_category
 from . import logical_form as lf
-from .lexicon import Lexicon, case_folded, lexicon_notes, parse_lexicon, tokenize, validate_lexicon
-from .parser import ParseSettings, ParserError, build_chart, parse
+from .lexicon import Lexicon, case_folded, fold_strings, lexicon_notes, parse_lexicon, tokenize, validate_lexicon
+from .parser import ParseSettings, ParserError, build_chart, misplaced_computed, parse
 from .derivation import document, render_ascii, render_json
 
 OK, NEGATIVE, ERROR = 0, 1, 2
@@ -65,6 +65,12 @@ def cmd_parse(args: argparse.Namespace) -> int:
             goal = parse_category(args.goal, lexicon.config.default_modality)
         except CategorySyntaxError as exc:
             raise CommandError(f"bad goal category: {exc}") from None
+        misplaced = misplaced_computed(goal, [goal])  # the sentence fills the goal as one slot
+        if misplaced:
+            part, computed = misplaced[0]
+            raise CommandError(f"bad goal category: computed {', '.join(computed)} on {render_category(part)}, not the goal itself")
+        if args.case_fold:
+            goal = fold_strings(goal)
     tokens = tokenize(args.sentence, args.case_fold)
     if not tokens:
         raise CommandError("empty sentence")

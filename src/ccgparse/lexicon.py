@@ -115,12 +115,12 @@ def lookup(lex: Lexicon, tokens: list[str] | tuple[str, ...], start: int) -> lis
     return out
 
 
-def _fold_strings(c: Category) -> Category:
+def fold_strings(c: Category) -> Category:
     match c:
         case Singleton(tokens):
             return Singleton(tuple(t.lower() for t in tokens))
         case Functor(result, slash, argument):
-            return Functor(_fold_strings(result), slash, _fold_strings(argument))
+            return Functor(fold_strings(result), slash, fold_strings(argument))
         case _:
             return c
 
@@ -130,7 +130,7 @@ def case_folded(lex: Lexicon) -> Lexicon:
     string category in its category lower-cased; atoms and settings shared."""
     folded = Lexicon(atom_declarations=lex.atom_declarations, config=lex.config)
     for entry in lex.all_entries():
-        folded.add(replace(entry, phon=tuple(t.lower() for t in entry.phon), category=_fold_strings(entry.category)))
+        folded.add(replace(entry, phon=tuple(t.lower() for t in entry.phon), category=fold_strings(entry.category)))
     return folded
 
 
@@ -335,7 +335,7 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
     exhausted there raises BudgetExceeded naming the entry's line and, when
     a singleton's derivation is at fault, the singleton.
     """
-    from .parser import COMPUTED_ATTRS, ParserError, parse  # deferred: parser imports this module
+    from .parser import ParserError, misplaced_computed, parse  # deferred: parser imports this module
 
     out: list[Violation] = []
     for entry in lex.all_entries():
@@ -359,11 +359,9 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
             out.append(
                 Violation(UNDECLARED_ATOM, f"{entry}: category symbol {name!r} is not declared", entry.source_line)
             )
-        for part in category_parts(entry.category):
-            computed = [a for a, _ in part.features.pairs if a in COMPUTED_ATTRS] if isinstance(part, Atom) else []
-            if computed and not any(part is a for a in arguments):
-                detail = f"{entry}: computed {', '.join(computed)} on {render_category(part)}, not one of the entry's arguments"
-                out.append(Violation(MISPLACED_COMPUTED_FEATURE, detail, entry.source_line))
+        for part, computed in misplaced_computed(entry.category, arguments):
+            detail = f"{entry}: computed {', '.join(computed)} on {render_category(part)}, not one of the entry's arguments"
+            out.append(Violation(MISPLACED_COMPUTED_FEATURE, detail, entry.source_line))
 
     checked: set[tuple[str, ...]] = set()
     for entry in lex.all_entries():

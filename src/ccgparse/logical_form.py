@@ -8,7 +8,6 @@ binder feeds the predicate's contingency, not its argument structure).
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 
@@ -87,10 +86,46 @@ def fresh_name(base: str, avoid: frozenset[str]) -> str:
     return name
 
 
-def _map_subscripts(t: Const, fn) -> Const:
-    cs = t.contingencies
-    cs2 = tuple([fn(c) for c in cs])
-    return t if all(map(operator.is_, cs, cs2)) else Const(t.name, cs2)
+def _subscripts(t: Const, new: list[Term]) -> Const:
+    """t with the subscripts new, or t itself when every one is unchanged."""
+    for c, c2 in zip(t.contingencies, new):
+        if c is not c2:
+            return Const(t.name, tuple(new))
+    return t
+
+
+# The walks below are module-level functions that take their state as
+# parameters.  A nested function that calls itself holds a reference to
+# itself, so each call would leave a cycle that only the cyclic garbage
+# collector frees, and with it every term the walk touched.  Subscripts are
+# walked in a plain loop: before Python 3.12 a comprehension is one more
+# frame per term level, which would lower the nesting a term may have.
+
+def _substitute(t: Term, v: str, s: Term, s_free: frozenset[str]) -> Term:
+    cls = type(t)
+    if cls is Var:
+        return s if t.name == v else t
+    if cls is App:
+        f, a = t.fun, t.arg
+        f2, a2 = _substitute(f, v, s, s_free), _substitute(a, v, s, s_free)
+        return t if f2 is f and a2 is a else App(f2, a2)
+    if cls is Abs:
+        x, body = t.var, t.body
+        if x == v:
+            return t
+        if x in s_free and v in free_vars(body):
+            x2 = fresh_name(x, s_free | free_vars(body))
+            return Abs(x2, _substitute(substitute(body, x, Var(x2)), v, s, s_free))
+        body2 = _substitute(body, v, s, s_free)
+        return t if body2 is body else Abs(x, body2)
+    if cls is Const:
+        if not t.contingencies:
+            return t
+        new = []
+        for c in t.contingencies:
+            new.append(_substitute(c, v, s, s_free))
+        return _subscripts(t, new)
+    raise TypeError(f"not a term: {t!r}")
 
 
 def substitute(t: Term, v: str, s: Term) -> Term:
@@ -98,30 +133,40 @@ def substitute(t: Term, v: str, s: Term) -> Term:
 
     Subterms without a free v come back as the same objects.
     """
-    s_free = free_vars(s)
+    return _substitute(t, v, s, free_vars(s))
 
-    def go(t: Term) -> Term:
-        cls = type(t)
-        if cls is Var:
-            return s if t.name == v else t
-        if cls is App:
-            f, a = t.fun, t.arg
-            f2, a2 = go(f), go(a)
-            return t if f2 is f and a2 is a else App(f2, a2)
-        if cls is Abs:
-            x, body = t.var, t.body
-            if x == v:
-                return t
-            if x in s_free and v in free_vars(body):
-                x2 = fresh_name(x, s_free | free_vars(body))
-                return Abs(x2, go(substitute(body, x, Var(x2))))
-            body2 = go(body)
-            return t if body2 is body else Abs(x, body2)
-        if cls is Const:
-            return _map_subscripts(t, go) if t.contingencies else t
-        raise TypeError(f"not a term: {t!r}")
 
-    return go(t)
+def _normal_form(t: Term, budget: list[int]) -> Term:
+    """beta_normalize's walk; budget is [steps taken, max_steps]."""
+    cls = type(t)
+    if cls is Abs:
+        body = _normal_form(t.body, budget)
+        return t if body is t.body else Abs(t.var, body)
+    if cls is not App:
+        if cls is not Const or not t.contingencies:
+            return t
+        new = []
+        for c in t.contingencies:
+            new.append(_normal_form(c, budget))
+        return _subscripts(t, new)
+    pending, t = [t], t.fun  # the spine's applications, innermost last
+    while True:
+        while type(t) is App:
+            pending.append(t)
+            t = t.fun
+        if type(t) is not Abs or not pending:
+            break
+        if budget[0] >= budget[1]:
+            raise BudgetExceeded(f"no normal form within {budget[1]} steps")
+        budget[0] += 1
+        t = substitute(t.body, t.var, pending.pop().arg)
+    if type(t) is not Const or t.contingencies:  # a plain constant head is normal
+        t = _normal_form(t, budget)
+    while pending:
+        node = pending.pop()
+        a = _normal_form(node.arg, budget)
+        t = node if t is node.fun and a is node.arg else App(t, a)
+    return t
 
 
 def beta_normalize(t: Term, max_steps: int = DEFAULT_STEP_BUDGET) -> Term:
@@ -137,36 +182,7 @@ def beta_normalize(t: Term, max_steps: int = DEFAULT_STEP_BUDGET) -> Term:
     subterms come back as the same objects.  Raises BudgetExceeded when a
     reduction beyond max_steps is due.
     """
-    steps = 0
-
-    def nf(t: Term) -> Term:
-        nonlocal steps
-        cls = type(t)
-        if cls is Abs:
-            body = nf(t.body)
-            return t if body is t.body else Abs(t.var, body)
-        if cls is not App:
-            return _map_subscripts(t, nf) if cls is Const and t.contingencies else t
-        pending, t = [t], t.fun  # the spine's applications, innermost last
-        while True:
-            while type(t) is App:
-                pending.append(t)
-                t = t.fun
-            if type(t) is not Abs or not pending:
-                break
-            if steps >= max_steps:
-                raise BudgetExceeded(f"no normal form within {max_steps} steps")
-            steps += 1
-            t = substitute(t.body, t.var, pending.pop().arg)
-        if type(t) is not Const or t.contingencies:  # a plain constant head is normal
-            t = nf(t)
-        while pending:
-            node = pending.pop()
-            a = nf(node.arg)
-            t = node if t is node.fun and a is node.arg else App(t, a)
-        return t
-
-    return nf(t)
+    return _normal_form(t, [0, max_steps])
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
@@ -174,42 +190,42 @@ def alpha_eq(a: Term, b: Term) -> bool:
     return alpha_key(a) == alpha_key(b)
 
 
+def _key(t: Term, depth: int, binders: dict[str, list[int]], out: list[str]) -> None:
+    """alpha_key's walk; binders maps a name to the depths of its binders in scope."""
+    cls = type(t)
+    if cls is Var:
+        ds = binders.get(t.name)
+        out.append(f"b{depth - 1 - ds[-1]}" if ds else "f:" + t.name)
+    elif cls is App:
+        out.append("(")
+        _key(t.fun, depth, binders, out)
+        out.append(" ")
+        _key(t.arg, depth, binders, out)
+        out.append(")")
+    elif cls is Abs:
+        out.append("(\\")
+        ds = binders.setdefault(t.var, [])
+        ds.append(depth)
+        _key(t.body, depth + 1, binders, out)
+        ds.pop()
+        out.append(")")
+    elif cls is Const:
+        out.append("c:" + t.name)
+        if t.contingencies:
+            sep = "{"
+            for c in t.contingencies:
+                out.append(sep)
+                _key(c, depth, binders, out)
+                sep = ","
+            out.append("}")
+    else:
+        raise TypeError(f"not a term: {t!r}")
+
+
 def alpha_key(t: Term) -> str:
     """Canonical string shared by alpha-equivalent terms: bound variables by binder depth, free ones by name."""
     out: list[str] = []
-    binders: dict[str, list[int]] = {}  # name -> depths of the binders in scope
-
-    def go(t: Term, depth: int) -> None:
-        cls = type(t)
-        if cls is Var:
-            ds = binders.get(t.name)
-            out.append(f"b{depth - 1 - ds[-1]}" if ds else "f:" + t.name)
-        elif cls is App:
-            out.append("(")
-            go(t.fun, depth)
-            out.append(" ")
-            go(t.arg, depth)
-            out.append(")")
-        elif cls is Abs:
-            out.append("(\\")
-            ds = binders.setdefault(t.var, [])
-            ds.append(depth)
-            go(t.body, depth + 1)
-            ds.pop()
-            out.append(")")
-        elif cls is Const:
-            out.append("c:" + t.name)
-            if t.contingencies:
-                sep = "{"
-                for c in t.contingencies:
-                    out.append(sep)
-                    go(c, depth)
-                    sep = ","
-                out.append("}")
-        else:
-            raise TypeError(f"not a term: {t!r}")
-
-    go(t, 0)
+    _key(t, 0, {}, out)
     return "".join(out)
 
 

@@ -24,6 +24,7 @@ from .category import (
     Modality,
     apply_bindings,
     category_key,
+    category_parts,
     match_argument,
     rename_variables,
     unify,
@@ -36,6 +37,19 @@ MAX_TOKENS = 32  # longer sentences are refused
 #: Atom attributes whose values are computed from the substituting span
 #: rather than stored on derived categories.
 COMPUTED_ATTRS = ("lexc", "weight")
+
+
+def misplaced_computed(c: Category, slots: list[Category]) -> list[tuple[Atom, list[str]]]:
+    """The atoms of c that carry COMPUTED_ATTRS but are none of slots, each
+    with those attributes: only a slot that an edge fills has a span to
+    compute them from."""
+    out = []
+    for part in category_parts(c):
+        if isinstance(part, Atom):
+            computed = [a for a, _ in part.features.pairs if a in COMPUTED_ATTRS]
+            if computed and not any(part is slot for slot in slots):
+                out.append((part, computed))
+    return out
 
 
 class RuleId(Enum):

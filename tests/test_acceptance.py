@@ -305,6 +305,7 @@ def test_c7_golden_files_byte_exact(fragment):
         ("I picked the very very very long book up", None, "no_parse.ascii.expected", render_ascii),
         ("You spilled and John cooked the beans", "S", "spilled_cooked.ascii.expected", render_ascii),
         ("John kicked and Mary dragged and I cooked the bucket", "S", "kicked_chain.json.expected", render_json),
+        ("John kicked and Mary dragged and I cooked the bucket", "S", "kicked_chain.ascii.expected", render_ascii),
     ]
     for sentence, goal, name, renderer in cases:
         doc = document(build_chart(fragment, tokenize(sentence)), parse_category(goal) if goal else None)

@@ -89,6 +89,13 @@ def test_case_fold_reaches_string_categories(capsys, tmp_path):
         assert out.startswith("reading 1: S : die_{def bucket} j\n")
 
 
+def test_case_fold_reaches_a_string_goal(capsys):
+    folded = run(capsys, "parse", "-l", FRAGMENT, "--case-fold", "--goal", '"The book"', "The book")
+    assert folded == run(capsys, "parse", "-l", FRAGMENT, "--goal", '"the book"', "the book")
+    assert folded[0] == 0
+    assert folded[1].startswith("reading 1: NP[head=book] : def book\n")
+
+
 def test_case_fold_ignores_the_sentence_case(capsys, corpus):
     for sentence, _, _ in corpus:
         folded = run(capsys, "parse", "-l", FRAGMENT, "--case-fold", sentence)
@@ -375,6 +382,22 @@ CONTRACT = [
         2,
         "",
         "bad goal category: unexpected '/' in category\n",
+    ),
+    (
+        "computed feature on a goal's argument",
+        {},
+        ["parse", "-l", FRAGMENT, "--goal", "S\\NP[weight=+]", "picked up the book"],
+        2,
+        "",
+        "bad goal category: computed weight on NP[weight=+], not the goal itself\n",
+    ),
+    (
+        "computed feature on a goal's result",
+        {},
+        ["parse", "-l", FRAGMENT, "--goal", "S[weight=+]\\NP", "picked up the book"],
+        2,
+        "",
+        "bad goal category: computed weight on S[weight=+], not the goal itself\n",
     ),
     (
         "repeated goal attribute",

@@ -1,15 +1,23 @@
+import dataclasses
+import gc
 import json
+
+from hypothesis import given, strategies as st
 
 from ccgparse.category import parse_category
 from ccgparse.derivation import (
     RULE_LABELS,
+    DerivationDoc,
+    NearMiss,
+    Reading,
+    TreeNode,
     document,
     read_json,
     render_ascii,
     render_json,
 )
 from ccgparse.lexicon import tokenize
-from ccgparse.parser import build_chart, chart_readings
+from ccgparse.parser import ParseSettings, build_chart, chart_readings
 
 
 def doc_for(fragment, sentence, goal=None):
@@ -123,3 +131,78 @@ def test_ascii_deterministic_and_tidy(fragment):
     lines = first.splitlines()
     assert lines[1].split() == ["I", "picked", "the", "book", "up"]
     assert all(line == line.rstrip() for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# render_json writes what the standard encoder writes
+
+def standard_json(doc):
+    return json.dumps(dataclasses.asdict(doc), indent=2) + "\n"
+
+
+def chain(k):
+    """A k-clause coordination chain ending in "the bucket"."""
+    clauses = SIX_CLAUSES.removesuffix(" the bucket").split(" and ")
+    return " and ".join(clauses[:k]) + " the bucket"
+
+
+TEXTS = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\u2028\U0001f600') | st.characters(), max_size=6)
+SPANS = st.tuples(st.integers(), st.integers())
+
+
+def trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.builds(TreeNode, SPANS, TEXTS, TEXTS, TEXTS, st.lists(kids, max_size=3).map(tuple)),
+        max_leaves=8,
+    )
+
+
+@st.composite
+def derivation_docs(draw):
+    shared = draw(trees(st.builds(TreeNode, SPANS, TEXTS, TEXTS, TEXTS)))
+    node = trees(st.builds(TreeNode, SPANS, TEXTS, TEXTS, TEXTS) | st.just(shared))
+    readings = draw(st.lists(st.builds(Reading, TEXTS, TEXTS, node), max_size=3))
+    # one node object at two depths of one tree and at the top of another
+    deeper = TreeNode((0, 1), "", "", "", (shared,))
+    readings += [Reading("", "", TreeNode((0, 2), "", "", "", (deeper, shared))), Reading("", "", shared)]
+    near = draw(st.lists(st.builds(NearMiss, SPANS, TEXTS, TEXTS), max_size=3))
+    return DerivationDoc(tuple(draw(st.lists(TEXTS, max_size=4))), tuple(draw(st.permutations(readings))), tuple(near))
+
+
+@given(derivation_docs())
+def test_json_layout_equals_the_standard_encoder(doc):
+    assert render_json(doc) == standard_json(doc)
+
+
+def test_json_layout_equals_the_standard_encoder_on_parses(fragment, corpus):
+    for all_derivations in (False, True):
+        settings = ParseSettings.from_lexicon(fragment, all_derivations=all_derivations)
+        for sentence, _, _ in corpus:
+            doc = document(build_chart(fragment, tokenize(sentence), settings))
+            assert render_json(doc) == standard_json(doc), (sentence, all_derivations)
+    for k in range(2, 6):
+        doc = document(build_chart(fragment, tokenize(chain(k))), parse_category("S"))
+        assert render_json(doc) == standard_json(doc), k
+
+
+# ---------------------------------------------------------------------------
+# every chart and document is freed by reference count
+
+def parse_and_render(fragment, sentence):
+    doc = document(build_chart(fragment, tokenize(sentence)))
+    render_json(doc)
+    render_ascii(doc)
+
+
+def test_parsing_and_rendering_leave_no_cyclic_garbage(fragment):
+    # a chain with readings, and a modifier stack in the weight frame (a NO PARSE)
+    sentences = [chain(4), "I picked the " + "long " * 10 + "book up"]
+    gc.disable()
+    try:
+        gc.collect()
+        for sentence in sentences:
+            parse_and_render(fragment, sentence)
+            assert gc.collect() == 0, sentence
+    finally:
+        gc.enable()
