@@ -190,6 +190,7 @@ def test_json_layout_equals_the_standard_encoder_on_parses(fragment, corpus):
 # every chart and document is freed by reference count
 
 def parse_and_render(fragment, sentence):
+    """Everything made here is unreachable once this returns."""
     doc = document(build_chart(fragment, tokenize(sentence)))
     render_json(doc)
     render_ascii(doc)
