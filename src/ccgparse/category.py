@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterator, Mapping, Protocol
+from typing import Callable, Iterator, Mapping
 
 from .cursor import Cursor
 
@@ -246,27 +246,18 @@ def rename_variables(c: Category, suffix: str) -> Category:
 # ---------------------------------------------------------------------------
 # argument matching
 
-class EdgeLike(Protocol):
-    """What match_argument needs from a chart constituent."""
+def match_argument(spec: Category, category: Category, tokens: tuple[str, ...], computed: Mapping[str, str]) -> Bindings | None:
+    """Match a functor's argument specification against a span of the
+    sentence: its words and the category derived over it.
 
-    @property
-    def tokens(self) -> tuple[str, ...]: ...
-
-    @property
-    def category(self) -> Category: ...
-
-
-def match_argument(spec: Category, edge: EdgeLike, computed: Mapping[str, str]) -> Bindings | None:
-    """Match a functor's argument specification against a derived edge.
-
-    A Singleton spec matches exactly when the edge's surface tokens equal
-    its own; the edge's category is never inspected.  A polyvalent spec
-    unifies with the edge's category, except that an attribute named in
-    ``computed`` is checked against the value given there for the edge
-    instead of being unified structurally.
+    A Singleton spec matches exactly when the span's tokens equal its own;
+    the category is never inspected.  A polyvalent spec unifies with the
+    category, except that an attribute named in ``computed`` is checked
+    against the value given there for the span instead of being unified
+    structurally.
     """
     if isinstance(spec, Singleton):
-        return Bindings() if tuple(edge.tokens) == spec.tokens else None
+        return Bindings() if tokens == spec.tokens else None
     bnd = Bindings()
     if isinstance(spec, Atom):
         kept = []
@@ -277,7 +268,7 @@ def match_argument(spec: Category, edge: EdgeLike, computed: Mapping[str, str]) 
                 return None
         if len(kept) < len(spec.features.pairs):
             spec = Atom(spec.name, FeatureBundle(tuple(kept)))
-    return unify(spec, edge.category, bnd)
+    return unify(spec, category, bnd)
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ def make_arg_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--goal", default=None, help="accept only spanning readings that fill this category as an argument slot")
     p.add_argument("--json", action="store_true", help="emit the JSON document instead of ASCII")
-    p.add_argument("--all-derivations", action="store_true", help="do not pack equal readings")
+    p.add_argument("--all-derivations", action="store_true", help="do not pack equal readings (near misses are listed once)")
     p.add_argument("sentence")
     p.set_defaults(func=cmd_parse)
 

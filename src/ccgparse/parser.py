@@ -93,11 +93,11 @@ class ParseSettings:
 
 @dataclass(frozen=True, eq=False)
 class Edge:
-    """A chart constituent; logical forms are closed and beta-normal on construction."""
+    """A chart constituent over tokens [start, end) of its chart's sentence;
+    logical forms are closed and beta-normal on construction."""
 
     start: int
     end: int
-    tokens: tuple[str, ...]
     category: Category
     lf: lf.Term
     rule: RuleId | None = None
@@ -117,7 +117,7 @@ class Edge:
         return (category_key(self.category), lf.alpha_key(self.lf))
 
 
-def derived_features(edge: Edge, weight_threshold: int = DEFAULT_WEIGHT_THRESHOLD) -> dict[str, str]:
+def derived_features(edge: Edge, weight_threshold: int) -> dict[str, str]:
     """The values of COMPUTED_ATTRS for an edge, never stored on its category.
 
     ``lexc`` is "+" when the edge's lexc flag is set; ``weight`` is "-" when
@@ -127,6 +127,8 @@ def derived_features(edge: Edge, weight_threshold: int = DEFAULT_WEIGHT_THRESHOL
 
 
 class Chart:
+    """The cells of one parse, with the sentence and the settings they are built under."""
+
     def __init__(self, tokens: list[str] | tuple[str, ...], settings: ParseSettings):
         self.tokens = tuple(tokens)
         self.settings = settings
@@ -148,10 +150,8 @@ class Chart:
     def readings(self, start: int, end: int) -> list[Edge]:
         """The first edge added for each reading key, or under all_derivations
         every edge, in the order added."""
-        found: dict[object, Edge] = {}
-        for key, e in self.cells.get((start, end), {}).items():
-            found.setdefault(key if self.settings.all_derivations else key[0], e)
-        return list(found.values())
+        cell = self.cells.get((start, end), {})
+        return list(cell.values()) if self.settings.all_derivations else _first_per_reading(cell)
 
     def spanning(self) -> list[Edge]:
         return self.edges(0, len(self.tokens))
@@ -160,13 +160,28 @@ class Chart:
         return [e for cell in self.cells.values() for e in cell.values()]
 
     def longest_partials(self) -> list[Edge]:
-        """The readings of the longest proper sub-spans holding edges; near misses for NO PARSE."""
+        """The first edge for each reading key over the longest proper sub-spans
+        holding edges: the near misses of a NO PARSE, which show no derivation,
+        so all_derivations lists them once too."""
         n = len(self.tokens)
         for length in range(n - 1, 0, -1):
-            found = [e for (i, j) in self.cells if j - i == length for e in self.readings(i, j)]
+            found = [e for (i, j), cell in self.cells.items() if j - i == length for e in _first_per_reading(cell)]
             if found:
                 return found
         return []
+
+    def fills(self, spec: Category, edge: Edge) -> Bindings | None:
+        """Match an argument slot against the edge's span of the sentence, computed features included."""
+        computed = derived_features(edge, self.settings.weight_threshold)
+        return match_argument(spec, edge.category, self.tokens[edge.start : edge.end], computed)
+
+
+def _first_per_reading(cell: dict[object, Edge]) -> list[Edge]:
+    """The first edge added to a cell for each reading key, in the order added."""
+    found: dict[tuple[str, str], Edge] = {}
+    for (reading, _), e in cell.items():
+        found.setdefault(reading, e)
+    return list(found.values())
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +241,7 @@ RULES = (
 )
 
 
-def _category_step(row: RuleRow, f_edge: Edge, g_edge: Edge, weight_threshold: int) -> tuple[Category, Bindings] | None:
+def _category_step(row: RuleRow, f_edge: Edge, g_edge: Edge, chart: Chart) -> tuple[Category, Bindings] | None:
     """The result category of one rule with its bindings, or None if a gate blocks it.
 
     Every slash the rule consumes must admit it.  Application matches f's
@@ -237,7 +252,7 @@ def _category_step(row: RuleRow, f_edge: Edge, g_edge: Edge, weight_threshold: i
     if f is None or f.slash.modality not in row.admits:
         return None
     if row.shape == "A":
-        bnd = match_argument(f.argument, g_edge, derived_features(g_edge, weight_threshold))
+        bnd = chart.fills(f.argument, g_edge)
         return None if bnd is None else (f.result, bnd)
     g = _functor(g_edge, row.g_direction)
     if g is None or g.slash.modality not in row.admits:
@@ -269,34 +284,26 @@ def _lf_step(shape: str, f: lf.Term, g: lf.Term, max_steps: int) -> lf.Term:
     return lf.beta_normalize(term, max_steps=max_steps)
 
 
-def combine(
-    left: Edge,
-    right: Edge,
-    weight_threshold: int = DEFAULT_WEIGHT_THRESHOLD,
-    max_steps: int = lf.DEFAULT_STEP_BUDGET,
-) -> list[Edge]:
-    """All edges derivable from two adjacent constituents, one per rule in RULES that fires."""
+def combine(left: Edge, right: Edge, chart: Chart) -> list[Edge]:
+    """All edges derivable from two adjacent constituents of the chart's
+    sentence, one per rule in RULES that fires."""
     out: list[Edge] = []
     for row in RULES:
         f_edge, g_edge = (left, right) if row.f_direction is _FWD else (right, left)
-        step = _category_step(row, f_edge, g_edge, weight_threshold)
+        step = _category_step(row, f_edge, g_edge, chart)
         if step is not None:
-            term = _lf_step(row.shape, f_edge.lf, g_edge.lf, max_steps)
+            term = _lf_step(row.shape, f_edge.lf, g_edge.lf, chart.settings.max_steps)
             category = apply_bindings(*step)
-            tokens = left.tokens + right.tokens
-            out.append(Edge(left.start, right.end, tokens, category, term, row.rule, (left, right), lexc=left.lexc or right.lexc))
+            out.append(Edge(left.start, right.end, category, term, row.rule, (left, right), lexc=left.lexc or right.lexc))
     return out
 
 
 # ---------------------------------------------------------------------------
 # the chart loop
 
-def seed_edges(
-    lex: Lexicon,
-    tokens: list[str] | tuple[str, ...],
-    max_steps: int = lf.DEFAULT_STEP_BUDGET,
-) -> list[Edge]:
-    """Lexical edges for every entry match; raises when a token is uncovered."""
+def seed_edges(lex: Lexicon, chart: Chart) -> list[Edge]:
+    """Lexical edges for every entry match in the chart's sentence; raises when a token is uncovered."""
+    tokens, max_steps = chart.tokens, chart.settings.max_steps
     edges: list[Edge] = []
     covered = [False] * len(tokens)
     fresh = itertools.count()
@@ -304,7 +311,7 @@ def seed_edges(
         for entry, length in lookup(lex, tokens, start):
             category = rename_variables(entry.category, str(next(fresh)))
             term = lf.beta_normalize(entry.lf, max_steps=max_steps)
-            edges.append(Edge(start, start + length, tuple(tokens[start : start + length]), category, term, entry=entry, lexc=entry.lexc))
+            edges.append(Edge(start, start + length, category, term, entry=entry, lexc=entry.lexc))
             for i in range(start, start + length):
                 covered[i] = True
     unknown = sorted({tokens[i] for i, c in enumerate(covered) if not c})
@@ -321,7 +328,7 @@ def build_chart(lex: Lexicon, tokens: list[str] | tuple[str, ...], settings: Par
     if len(tokens) > MAX_TOKENS:
         raise SentenceTooLongError(f"{len(tokens)} tokens exceeds the limit of {MAX_TOKENS}")
     chart = Chart(tokens, settings)
-    for edge in seed_edges(lex, tokens, settings.max_steps):
+    for edge in seed_edges(lex, chart):
         chart.add(edge)
     n = len(tokens)
     for length in range(2, n + 1):
@@ -331,12 +338,7 @@ def build_chart(lex: Lexicon, tokens: list[str] | tuple[str, ...], settings: Par
                 rights = chart.edges(split, end)
                 for left in chart.edges(start, split):
                     for right in rights:
-                        for edge in combine(
-                            left,
-                            right,
-                            weight_threshold=settings.weight_threshold,
-                            max_steps=settings.max_steps,
-                        ):
+                        for edge in combine(left, right, chart):
                             chart.add(edge)
     return chart
 
@@ -344,12 +346,7 @@ def build_chart(lex: Lexicon, tokens: list[str] | tuple[str, ...], settings: Par
 def chart_readings(chart: Chart, goal: Category | None = None) -> list[Edge]:
     """The chart's spanning readings (see Chart.readings) that fill the goal
     as an argument slot, computed features included; None accepts any."""
-    threshold = chart.settings.weight_threshold
-    return [
-        e
-        for e in chart.readings(0, len(chart.tokens))
-        if goal is None or match_argument(goal, e, derived_features(e, threshold)) is not None
-    ]
+    return [e for e in chart.readings(0, len(chart.tokens)) if goal is None or chart.fills(goal, e) is not None]
 
 
 def parse(

@@ -1,21 +1,22 @@
 """Brute-force derivation oracle: enumerate every binary bracketing.
 
-Shares the combine function with the chart parser but none of its control
-structure, memoization, or packing.  Intended for short sentences only;
-the recursion deliberately recomputes sub-spans.
+Shares seed_edges and combine with the chart parser, and its Chart only as
+the holder of the sentence and the settings, but none of its control
+structure, memoization, or packing: no cell is ever filled.  Intended for
+short sentences only; the recursion deliberately recomputes sub-spans.
 """
 
 from ccgparse import logical_form as lf
 from ccgparse.category import category_key
 from ccgparse.lexicon import Lexicon
-from ccgparse.parser import Edge, ParseSettings, combine, seed_edges
+from ccgparse.parser import Chart, Edge, ParseSettings, combine, seed_edges
 
 
 def enumerate_readings(lex: Lexicon, tokens: list[str], settings: ParseSettings | None = None) -> set[tuple[str, str]]:
     """All (category key, lf alpha key) pairs derivable over the full span."""
-    settings = settings or ParseSettings.from_lexicon(lex)
+    chart = Chart(tokens, settings or ParseSettings.from_lexicon(lex))
     lexical: dict[tuple[int, int], list[Edge]] = {}
-    for edge in seed_edges(lex, tokens):
+    for edge in seed_edges(lex, chart):
         lexical.setdefault(edge.span, []).append(edge)
 
     def derive(start: int, end: int) -> list[Edge]:
@@ -23,14 +24,7 @@ def enumerate_readings(lex: Lexicon, tokens: list[str], settings: ParseSettings 
         for split in range(start + 1, end):
             for left in derive(start, split):
                 for right in derive(split, end):
-                    found.extend(
-                        combine(
-                            left,
-                            right,
-                            weight_threshold=settings.weight_threshold,
-                            max_steps=settings.max_steps,
-                        )
-                    )
+                    found.extend(combine(left, right, chart))
         return found
 
     return {

@@ -1,5 +1,3 @@
-from dataclasses import dataclass
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,12 +27,6 @@ from ccgparse.category import (
     validate_category,
 )
 from ccgparse.parser import RULES, RuleId
-
-
-@dataclass(frozen=True)
-class StubEdge:
-    tokens: tuple[str, ...]
-    category: object
 
 
 def cat(text):
@@ -116,27 +108,27 @@ PARTICLE = r"((S\NP)\(S\NP))/NP"
 
 def test_singleton_match_ignores_category():
     spec = singleton("up")
-    assert match_argument(spec, StubEdge(("up",), cat(PARTICLE)), {}) is not None
-    assert match_argument(spec, StubEdge(("up",), cat("NP")), {}) is not None
+    assert match_argument(spec, cat(PARTICLE), ("up",), {}) is not None
+    assert match_argument(spec, cat("NP"), ("up",), {}) is not None
 
 
 def test_singleton_match_requires_exact_tokens():
     spec = singleton("the bucket")
-    assert match_argument(spec, StubEdge(("the", "blue", "bucket"), cat("NP")), {}) is None
-    assert match_argument(spec, StubEdge(("the", "bucket"), cat("NP")), {}) is not None
+    assert match_argument(spec, cat("NP"), ("the", "blue", "bucket"), {}) is None
+    assert match_argument(spec, cat("NP"), ("the", "bucket"), {}) is not None
 
 
 def test_head_marked_polyvalent_match():
     spec = cat("NP[head=beans]")
-    edge = StubEdge(("the", "beans", "no", "one", "cares", "about"), cat("NP[head=beans]"))
-    assert match_argument(spec, edge, {}) is not None
+    words = ("the", "beans", "no", "one", "cares", "about")
+    assert match_argument(spec, cat("NP[head=beans]"), words, {}) is not None
 
 
 def test_computed_features_checked_via_oracle():
     spec = cat("NP[weight=-]")
-    edge = StubEdge(("the", "book"), cat("NP[head=book]"))
-    assert match_argument(spec, edge, {"weight": "-"}) is not None
-    assert match_argument(spec, edge, {"weight": "+"}) is None
+    edge_cat = cat("NP[head=book]")
+    assert match_argument(spec, edge_cat, ("the", "book"), {"weight": "-"}) is not None
+    assert match_argument(spec, edge_cat, ("the", "book"), {"weight": "+"}) is None
 
 
 # (spec, edge category, computed values, whether they match)
@@ -157,8 +149,8 @@ COMPUTED_ROWS = [
 
 def test_computed_feature_never_unified_structurally():
     for spec, edge_cat, computed, matches in COMPUTED_ROWS:
-        edge = StubEdge(("the", "book"), cat(edge_cat))
-        assert (match_argument(cat(spec), edge, computed) is not None) is matches, (spec, edge_cat, computed)
+        matched = match_argument(cat(spec), cat(edge_cat), ("the", "book"), computed)
+        assert (matched is not None) is matches, (spec, edge_cat, computed)
 
 
 # ---------------------------------------------------------------------------
@@ -443,5 +435,4 @@ def test_wellformed_means_star_singleton_arguments(c):
 @given(st.sampled_from([cat(PARTICLE), cat("NP"), cat("S/NP"), Var("X")]))
 def test_singleton_match_is_category_blind(edge_cat):
     spec = singleton("every which way")
-    edge = StubEdge(("every", "which", "way"), edge_cat)
-    assert match_argument(spec, edge, {}) is not None
+    assert match_argument(spec, edge_cat, ("every", "which", "way"), {}) is not None

@@ -109,6 +109,14 @@ def test_parse_all_derivations(capsys):
     assert out.count("persuade (hit h m) m j") > 2  # several derivations, one reading
 
 
+def test_all_derivations_lists_each_near_miss_once(capsys):
+    # a near miss shows no derivation, so listing one per derivation only repeats it
+    sentence = "I picked the long long long long book up"
+    packed = run(capsys, "parse", "-l", FRAGMENT, sentence)
+    assert packed[0] == 1 and packed[1].count("\n") == 3
+    assert run(capsys, "parse", "-l", FRAGMENT, "--all-derivations", sentence) == packed
+
+
 def test_parse_missing_file(capsys):
     code, _, err = run(capsys, "parse", "-l", "no-such-file.ccg", "John")
     assert code == 2 and "cannot read" in err

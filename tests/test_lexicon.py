@@ -15,7 +15,7 @@ from ccgparse.lexicon import (
     tokenize,
     validate_lexicon,
 )
-from ccgparse.parser import seed_edges
+from ccgparse.parser import Chart, ParseSettings, seed_edges
 
 MINI = r"""
 # a small but derivable grammar
@@ -86,7 +86,8 @@ def test_marker_group_sets_lexc_and_reports_issues(group, lexc, issues):
     """lexc is read off the entry's lexical edge; None when no entry is made."""
     lex, got = parse_lexicon(f"book := N : book {group} ;")
     assert [i.message for i in got] == issues
-    assert (seed_edges(lex, ["book"])[0].lexc if lex.all_entries() else None) is lexc
+    chart = Chart(["book"], ParseSettings.from_lexicon(lex))
+    assert (seed_edges(lex, chart)[0].lexc if lex.all_entries() else None) is lexc
 
 
 def test_unknown_marker_is_error():

@@ -10,6 +10,7 @@ from ccgparse.lexicon import parse_lexicon, tokenize
 from ccgparse.parser import (
     COMPUTED_ATTRS,
     RULES,
+    Chart,
     Edge,
     ParseSettings,
     RuleId,
@@ -32,16 +33,13 @@ def load(text):
     return lex
 
 
-def lex_edge(lex, token_seq, start=0):
-    edges = seed_edges(lex, token_seq)
-    spans = [e for e in edges if e.start == start]
-    assert spans, f"no lexical edge at {start}"
-    return spans[0]
+def chart_over(text):
+    """An empty chart over the words of text, under the default settings."""
+    return Chart(text.split(), ParseSettings())
 
 
 def edge_for(text, category, term_text, start=0):
-    tokens = tuple(text.split())
-    return Edge(start, start + len(tokens), tokens, parse_category(category), lf.parse_term(term_text))
+    return Edge(start, start + len(text.split()), parse_category(category), lf.parse_term(term_text))
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +48,7 @@ def edge_for(text, category, term_text, start=0):
 def test_forward_application_persuaded_mary():
     left = edge_for("persuaded", r"((S\NP)/VP[form=toinf])/NP", r"\x\p\y. persuade (p x) x y")
     right = edge_for("Mary", "NP", "m", start=1)
-    (result,) = combine(left, right)
+    (result,) = combine(left, right, chart_over("persuaded Mary"))
     assert result.rule is RuleId.FWD_APP
     assert result.category == parse_category(r"(S\NP)/VP[form=toinf]")
     assert lf.alpha_eq(result.lf, lf.parse_term(r"\p\y. persuade (p m) m y"))
@@ -60,7 +58,7 @@ def test_forward_application_persuaded_mary():
 def test_singleton_application_through_ordinary_rule():
     kicked = edge_for("kicked", r'(S\NP)/*"the bucket"', r"\x\y. die_{x} y")
     bucket_np = edge_for("the bucket", "NP[head=bucket]", "def bucket", start=1)
-    (result,) = combine(kicked, bucket_np)
+    (result,) = combine(kicked, bucket_np, chart_over("kicked the bucket"))
     assert result.rule is RuleId.FWD_APP
     assert result.category == parse_category(r"S\NP")
     assert lf.alpha_eq(result.lf, lf.parse_term(r"\y. die_{def bucket} y"))
@@ -69,7 +67,7 @@ def test_singleton_application_through_ordinary_rule():
 def test_backward_singleton_application():
     alpha = edge_for("held", r'(S\NP)\*"it"', r"\x\y. grasp_{x} y", start=1)
     it = edge_for("it", "NP", "it")
-    (result,) = combine(it, alpha)
+    (result,) = combine(it, alpha, chart_over("it held"))
     assert result.rule is RuleId.BWD_APP
     assert lf.alpha_eq(result.lf, lf.parse_term(r"\y. grasp_{it} y"))
 
@@ -77,7 +75,7 @@ def test_backward_singleton_application():
 def test_star_blocks_composition_into_idiom():
     you = edge_for("you", r"S/(S\NP[agr=2s])", r"\p. p you")
     kicked = edge_for("kicked", r'(S\NP)/*"the bucket"', r"\x\y. die_{x} y", start=1)
-    assert combine(you, kicked) == []
+    assert combine(you, kicked, chart_over("you kicked")) == []
 
 
 def test_unlike_coordinands_do_not_conjoin():
@@ -85,14 +83,15 @@ def test_unlike_coordinands_do_not_conjoin():
     partial = edge_for("and Mary cooked", r"(S/NP[special=-])\*(S/NP[special=-])", r"\q\z. and (q z) (cook z m)", start=1)
     idiomatic = edge_for("You spilled", "S/NP[head=beans, special=+]", r"\x. divulge_{x} secret you")
     literal = edge_for("You spilled", "S/NP[special=-]", r"\x. spill x you")
-    assert combine(idiomatic, partial) == []
-    assert [e.rule for e in combine(literal, partial)] == [RuleId.BWD_APP]
+    chart = chart_over("You spilled and Mary cooked")
+    assert combine(idiomatic, partial, chart) == []
+    assert [e.rule for e in combine(literal, partial, chart)] == [RuleId.BWD_APP]
 
 
 def test_harmonic_composition():
     you = edge_for("you", r"S/(S\NP[agr=2s])", r"\p. p you")
     spilled = edge_for("spilled", r"(S\NP)/NP[head=beans, special=+]", r"\x\y. divulge_{x} secret y", start=1)
-    (result,) = combine(you, spilled)
+    (result,) = combine(you, spilled, chart_over("you spilled"))
     assert result.rule is RuleId.FWD_COMP_HARMONIC
     assert result.category == parse_category("S/NP[head=beans, special=+]")
     assert lf.alpha_eq(result.lf, lf.parse_term(r"\x. divulge_{x} secret you"))
@@ -101,7 +100,7 @@ def test_harmonic_composition():
 def test_backward_harmonic_composition():
     f = edge_for("b", r"S\VP", r"\v. done v", start=1)
     g = edge_for("a", r"VP\NP", r"\x\y. eat x y")
-    results = [e for e in combine(g, f) if e.rule is RuleId.BWD_COMP_HARMONIC]
+    results = [e for e in combine(g, f, chart_over("a b")) if e.rule is RuleId.BWD_COMP_HARMONIC]
     (result,) = results
     assert result.category == parse_category(r"S\NP")
     assert lf.alpha_eq(result.lf, lf.parse_term(r"\x. done (\y. eat x y)"))
@@ -110,18 +109,19 @@ def test_backward_harmonic_composition():
 def test_crossing_composition_needs_cross_modality():
     f = edge_for("f", "S/x VP", r"\v. soon v")
     g = edge_for("g", r"VP\x NP", r"\x\y. eat x y", start=1)
-    (result,) = combine(f, g)
+    chart = chart_over("f g")
+    (result,) = combine(f, g, chart)
     assert result.rule is RuleId.FWD_COMP_CROSSING
     assert result.category == parse_category(r"S\x NP")
     f_harmonic = edge_for("f", "S/VP", r"\v. soon v")
     g_harmonic = edge_for("g", r"VP\NP", r"\x\y. eat x y", start=1)
-    assert combine(f_harmonic, g_harmonic) == []
+    assert combine(f_harmonic, g_harmonic, chart) == []
 
 
 def test_backward_crossing_composition():
     g = edge_for("g", "VP/.NP", r"\x\y. eat x y")
     f = edge_for("f", r"S\.VP", r"\v. soon v", start=1)
-    results = [e for e in combine(g, f) if e.rule is RuleId.BWD_COMP_CROSSING]
+    results = [e for e in combine(g, f, chart_over("g f")) if e.rule is RuleId.BWD_COMP_CROSSING]
     (result,) = results
     assert result.category == parse_category("S/.NP")
     assert lf.alpha_eq(result.lf, lf.parse_term(r"\x. soon (\y. eat x y)"))
@@ -130,7 +130,7 @@ def test_backward_crossing_composition():
 def test_forward_substitution():
     f = edge_for("f", "(S/PP)/NP", r"\z\y. claim z y")
     g = edge_for("g", "PP/NP", r"\x. near x", start=1)
-    results = [e for e in combine(f, g) if e.rule is RuleId.FWD_SUBST]
+    results = [e for e in combine(f, g, chart_over("f g")) if e.rule is RuleId.FWD_SUBST]
     (result,) = results
     assert result.category == parse_category("S/NP")
     assert lf.alpha_eq(result.lf, lf.parse_term(r"\x. claim x (near x)"))
@@ -139,7 +139,7 @@ def test_forward_substitution():
 def test_backward_substitution():
     g = edge_for("g", r"PP\NP", r"\x. near x")
     f = edge_for("f", r"(S\PP)\NP", r"\z\y. claim z y", start=1)
-    results = [e for e in combine(g, f) if e.rule is RuleId.BWD_SUBST]
+    results = [e for e in combine(g, f, chart_over("g f")) if e.rule is RuleId.BWD_SUBST]
     (result,) = results
     assert result.category == parse_category(r"S\NP")
     assert lf.alpha_eq(result.lf, lf.parse_term(r"\x. claim x (near x)"))
@@ -148,13 +148,13 @@ def test_backward_substitution():
 def test_substitution_blocked_on_star():
     f = edge_for("f", "(S/*PP)/NP", r"\z\y. claim z y")
     g = edge_for("g", "PP/NP", r"\x. near x", start=1)
-    assert [e for e in combine(f, g) if e.rule is RuleId.FWD_SUBST] == []
+    assert [e for e in combine(f, g, chart_over("f g")) if e.rule is RuleId.FWD_SUBST] == []
 
 
 def test_composition_cannot_discharge_computed_feature_slot():
     picked = edge_for("picked", r'(S\NP)/*"up"/NP[weight=-]', r"\y\x\z. cause (init (hold_{x} y z)) z")
     the = edge_for("the", "NP[head=?h]/N[head=?h]", r"\x. def x", start=1)
-    assert combine(picked, the) == []
+    assert combine(picked, the, chart_over("picked the")) == []
 
 
 # One firing pair per rule; each gate case below changes one slash, slot or
@@ -190,7 +190,7 @@ FIRING = {
 )
 def test_rule_gate_blocks(gate, rule, left, right):
     def fired(left_cat, right_cat):
-        edges = combine(edge_for("a", left_cat, "f"), edge_for("b", right_cat, "g", start=1))
+        edges = combine(edge_for("a", left_cat, "f"), edge_for("b", right_cat, "g", start=1), chart_over("a b"))
         return rule in [e.rule for e in edges]
 
     assert fired(*FIRING[rule])
@@ -211,7 +211,7 @@ def stub_chart_edge(fragment, text):
 def test_weight_from_span_length(fragment):
     edge = stub_chart_edge(fragment, "the book")
     assert derived_features(edge, 4)["weight"] == "-"
-    seven = Edge(0, 7, tuple("a b c d e f g".split()), parse_category("NP"), lf.Const("x"))
+    seven = Edge(0, 7, parse_category("NP"), lf.Const("x"))
     assert derived_features(seven, 4)["weight"] == "+"
 
 
@@ -263,7 +263,8 @@ def test_packing_collapses_equivalent_derivations(fragment):
 
 
 def test_multi_token_entries_seed_longer_spans(fragment):
-    edges = seed_edges(fragment, tokenize("my team scored every which way"))
+    chart = Chart(tokenize("my team scored every which way"), ParseSettings.from_lexicon(fragment))
+    edges = seed_edges(fragment, chart)
     spans = {(e.start, e.end) for e in edges}
     assert (3, 6) in spans
 
@@ -328,6 +329,7 @@ def test_edges_are_beta_normal(fragment, corpus):
     for chart in corpus_charts(fragment, corpus):
         for edge in chart.all_edges():
             assert lf.alpha_eq(lf.beta_normalize(edge.lf), edge.lf)
+            assert not lf.free_vars(edge.lf)
 
 
 def test_lexical_edges_are_beta_normal():
@@ -393,17 +395,22 @@ def test_no_edge_category_has_singleton_result(fragment, corpus):
             assert not [v for v in validate_category(edge.category) if v.code == "SINGLETON_AS_RESULT"]
 
 
-def test_cky_matches_bruteforce_on_short_sentences(fragment, corpus):
-    checked = 0
+@pytest.mark.parametrize("weight_threshold", [4, 1])
+def test_cky_matches_bruteforce_on_short_sentences(fragment, corpus, weight_threshold):
+    assert fragment.config.weight_threshold == 4
+    settings = ParseSettings.from_lexicon(fragment, weight_threshold=weight_threshold)
+    checked = differ = 0
     for sentence, _, _ in corpus:
         tokens = tokenize(sentence)
         if len(tokens) > 7:
             continue
         checked += 1
-        chart = build_chart(fragment, tokens)
-        cky = {e.reading_key() for e in chart.spanning()}
-        assert cky == enumerate_readings(fragment, tokens), sentence
+        cky = {e.reading_key() for e in build_chart(fragment, tokens, settings).spanning()}
+        assert cky == enumerate_readings(fragment, tokens, settings), sentence
+        differ += cky != {e.reading_key() for e in build_chart(fragment, tokens).spanning()}
     assert checked >= 10
+    # a non-default threshold must change some readings, or it checks nothing new
+    assert (differ > 0) is (weight_threshold != 4)
 
 
 # ---------------------------------------------------------------------------
@@ -430,4 +437,4 @@ def test_readings_list_one_edge_per_reading_key():
     every = build_chart(lex, ["a"], ParseSettings(all_derivations=True))
     assert [e.lexc for e in chart_readings(every)] == [False, True]
     # so do the near misses of a NO PARSE
-    assert [e.tokens for e in build_chart(lex, ["a", "b"]).longest_partials()] == [("a",), ("b",)]
+    assert [e.span for e in build_chart(lex, ["a", "b"]).longest_partials()] == [(0, 1), (1, 2)]
