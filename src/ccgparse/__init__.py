@@ -9,7 +9,6 @@ from .category import (
     Bindings,
     Category,
     Direction,
-    FeatureBundle,
     Functor,
     Modality,
     Singleton,

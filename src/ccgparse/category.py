@@ -1,18 +1,23 @@
 """Category algebra: atoms with flat features, directional modal slashes,
 quoted token-string categories, and schema variables.
 
-Everything here is an immutable value.  Unification threads an explicit
-Bindings value and reports failure by returning None, never by raising.
+Every category is an immutable value; an atom's features are a plain tuple
+of sorted (attribute, value) pairs.  Unification threads one substitution
+dict (Bindings) and reports failure by returning None, never by raising.
+category_parts is the one walk that reads a category, rebuild the one that
+builds one.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, TypeVar
 
 from .cursor import Cursor
+
+_D = TypeVar("_D")
 
 
 class Modality(Enum):
@@ -30,7 +35,7 @@ class Direction(Enum):
 
 
 # ---------------------------------------------------------------------------
-# feature bundles
+# categories
 
 def is_feature_variable(value: str) -> bool:
     return value.startswith("?")
@@ -41,38 +46,16 @@ def variable_display_name(name: str) -> str:
     return name.split("#", 1)[0]
 
 
-@dataclass(frozen=True)
-class FeatureBundle:
-    """Flat attribute-value map.
+#: An atom's features: (attribute, value) pairs sorted by attribute, each
+#: attribute once, so equal atoms compare equal.  Values are constant tokens
+#: or ``?var`` names; an absent attribute is underspecified and unifies with anything.
+Features = tuple[tuple[str, str], ...]
 
-    Values are constant tokens or ``?var`` names.  An absent attribute is
-    underspecified and unifies with anything.  The constructor expects pairs
-    sorted by attribute, each attribute once, so equal bundles compare equal.
-    """
-
-    pairs: tuple[tuple[str, str], ...] = ()
-
-    @classmethod
-    def of(cls, **attrs: str) -> "FeatureBundle":
-        return cls(tuple(sorted(attrs.items())))
-
-    def get(self, attr: str) -> str | None:
-        for a, v in self.pairs:
-            if a == attr:
-                return v
-        return None
-
-    def __bool__(self) -> bool:
-        return bool(self.pairs)
-
-
-# ---------------------------------------------------------------------------
-# categories
 
 @dataclass(frozen=True)
 class Atom:
     name: str
-    features: FeatureBundle = FeatureBundle()
+    features: Features = ()
 
 
 @dataclass(frozen=True)
@@ -109,80 +92,77 @@ def singleton(text: str) -> Singleton:
     return Singleton(tuple(text.split()))
 
 
+def rebuild(c: Category, leaf: Callable[[Category, _D], Category], data: _D) -> Category:
+    """c with every functor rebuilt from its rebuilt parts and every other
+    part replaced by leaf(part, data).  This is the one walk that builds a
+    category, as category_parts is the one that reads one."""
+    if isinstance(c, Functor):
+        return Functor(rebuild(c.result, leaf, data), c.slash, rebuild(c.argument, leaf, data))
+    return leaf(c, data)
+
+
 # ---------------------------------------------------------------------------
 # bindings and unification
 
-@dataclass
-class Bindings:
-    """Substitution built up during unification.
-
-    ``feats`` maps ``?var`` names to values (constants or other ``?var``
-    names); ``cats`` maps category-variable names to categories.  Only an
-    unbound variable is ever bound, so walks end.  ``unify`` extends an
-    instance in place, so each attempt starts a fresh one.
-    """
-
-    feats: dict[str, str] = field(default_factory=dict)
-    cats: dict[str, Category] = field(default_factory=dict)
-
-    def walk_feature(self, value: str) -> str:
-        while value in self.feats:
-            value = self.feats[value]
-        return value
-
-    def walk_category(self, c: Category) -> Category:
-        while isinstance(c, Var) and c.name in self.cats:
-            c = self.cats[c.name]
-        return c
+#: A substitution: a ``?name`` string maps to a feature value (a constant or
+#: another ``?name``) and a Var to a category, so a feature constant spelled
+#: like a category variable is never taken for one.  Only an unbound variable
+#: is ever bound, so walks end.  ``unify`` extends one in place.
+Bindings = dict[str | Var, str | Category]
 
 
-def _occurs(name: str, c: Category, bnd: Bindings) -> bool:
-    c = bnd.walk_category(c)
-    match c:
-        case Var(n):
-            return n == name
-        case Functor(result, _, argument):
-            return _occurs(name, result, bnd) or _occurs(name, argument, bnd)
-        case _:
-            return False
+def _walk_feature(value: str, bnd: Bindings) -> str:
+    while value in bnd:
+        value = bnd[value]
+    return value
+
+
+def _walk_category(c: Category, bnd: Bindings) -> Category:
+    while isinstance(c, Var) and c in bnd:
+        c = bnd[c]
+    return c
+
+
+def _occurs(var: Var, c: Category, bnd: Bindings) -> bool:
+    c = _walk_category(c, bnd)
+    if isinstance(c, Functor):
+        return _occurs(var, c.result, bnd) or _occurs(var, c.argument, bnd)
+    return c == var
 
 
 def _unify_feature_values(va: str, vb: str, bnd: Bindings) -> bool:
-    va = bnd.walk_feature(va)
-    vb = bnd.walk_feature(vb)
+    va = _walk_feature(va, bnd)
+    vb = _walk_feature(vb, bnd)
     if va == vb:
         return True
     if is_feature_variable(va):
-        bnd.feats[va] = vb
+        bnd[va] = vb
         return True
     if is_feature_variable(vb):
-        bnd.feats[vb] = va
+        bnd[vb] = va
         return True
     return False
 
 
-def _unify_features(fa: FeatureBundle, fb: FeatureBundle, bnd: Bindings) -> bool:
-    vb = dict(fb.pairs)
-    for attr, va in fa.pairs:
+def _unify_features(fa: Features, fb: Features, bnd: Bindings) -> bool:
+    vb = dict(fb)
+    for attr, va in fa:
         if attr in vb and not _unify_feature_values(va, vb[attr], bnd):
             return False
     return True
 
 
 def _unify(a: Category, b: Category, bnd: Bindings) -> bool:
-    a = bnd.walk_category(a)
-    b = bnd.walk_category(b)
+    a = _walk_category(a, bnd)
+    b = _walk_category(b, bnd)
+    if isinstance(b, Var) and not isinstance(a, Var):
+        a, b = b, a
     if isinstance(a, Var):
-        if isinstance(b, Var) and a.name == b.name:
+        if a == b:
             return True
-        if _occurs(a.name, b, bnd):
+        if _occurs(a, b, bnd):
             return False
-        bnd.cats[a.name] = b
-        return True
-    if isinstance(b, Var):
-        if _occurs(b.name, a, bnd):
-            return False
-        bnd.cats[b.name] = a
+        bnd[a] = b
         return True
     match a, b:
         case Atom(na, fa), Atom(nb, fb):
@@ -200,26 +180,26 @@ def _unify(a: Category, b: Category, bnd: Bindings) -> bool:
 def unify(a: Category, b: Category, bindings: Bindings | None = None) -> Bindings | None:
     """Unify two categories, extending ``bindings`` in place; return them, or None.
 
-    Atoms need equal names and compatible feature bundles (an absent
-    attribute matches anything).  Functors need equal direction and
-    modality plus recursive unification.  Singletons match token for
-    token.  A variable binds to the opposite side, occurs-check applied.
+    Atoms need equal names and compatible features (an absent attribute
+    matches anything).  Functors need equal direction and modality plus
+    recursive unification.  Singletons match token for token.  A variable
+    binds to the opposite side, occurs-check applied.
     """
-    bnd = Bindings() if bindings is None else bindings
+    bnd = {} if bindings is None else bindings
     return bnd if _unify(a, b, bnd) else None
 
 
 def apply_bindings(c: Category, bnd: Bindings) -> Category:
     """Substitute bound variables throughout. Idempotent: chains are walked."""
-    c = bnd.walk_category(c)
-    match c:
-        case Atom(name, feats):
-            pairs = tuple((a, bnd.walk_feature(v)) for a, v in feats.pairs)
-            return Atom(name, FeatureBundle(pairs))
-        case Functor(result, slash, argument):
-            return Functor(apply_bindings(result, bnd), slash, apply_bindings(argument, bnd))
-        case _:
-            return c
+    return rebuild(c, _bound, bnd)
+
+
+def _bound(c: Category, bnd: Bindings) -> Category:
+    # a bound Var is walked first, so that what it is bound to is substituted in too
+    c = _walk_category(c, bnd)
+    if isinstance(c, Atom):
+        return Atom(c.name, tuple((a, _walk_feature(v, bnd)) for a, v in c.features))
+    return rebuild(c, _bound, bnd) if isinstance(c, Functor) else c
 
 
 def rename_variables(c: Category, suffix: str) -> Category:
@@ -228,19 +208,14 @@ def rename_variables(c: Category, suffix: str) -> Category:
     Co-referring occurrences inside one category stay co-referring; the
     suffix only prevents capture across separately instantiated entries.
     """
-    match c:
-        case Atom(name, feats):
-            pairs = tuple(
-                (a, f"{variable_display_name(v)}#{suffix}" if is_feature_variable(v) else v)
-                for a, v in feats.pairs
-            )
-            return Atom(name, FeatureBundle(pairs))
-        case Functor(result, slash, argument):
-            return Functor(rename_variables(result, suffix), slash, rename_variables(argument, suffix))
-        case Var(name):
-            return Var(f"{variable_display_name(name)}#{suffix}")
-        case _:
-            return c
+    return rebuild(c, _renamed, suffix)
+
+
+def _renamed(c: Category, suffix: str) -> Category:
+    if isinstance(c, Atom):
+        fresh = tuple((a, f"{variable_display_name(v)}#{suffix}" if is_feature_variable(v) else v) for a, v in c.features)
+        return Atom(c.name, fresh)
+    return Var(f"{variable_display_name(c.name)}#{suffix}") if isinstance(c, Var) else c
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +232,17 @@ def match_argument(spec: Category, category: Category, tokens: tuple[str, ...], 
     structurally.
     """
     if isinstance(spec, Singleton):
-        return Bindings() if tokens == spec.tokens else None
-    bnd = Bindings()
+        return {} if tokens == spec.tokens else None
+    bnd: Bindings = {}
     if isinstance(spec, Atom):
         kept = []
-        for attr, want in spec.features.pairs:
+        for attr, want in spec.features:
             if attr not in computed:
                 kept.append((attr, want))
             elif not _unify_feature_values(want, computed[attr], bnd):
                 return None
-        if len(kept) < len(spec.features.pairs):
-            spec = Atom(spec.name, FeatureBundle(tuple(kept)))
+        if len(kept) < len(spec.features):
+            spec = Atom(spec.name, tuple(kept))
     return unify(spec, category, bnd)
 
 
@@ -382,10 +357,10 @@ def _part(cur: Cursor, default_modality: Modality) -> Category:
         raise cur.unexpected(text)
     if text in CATEGORY_VARIABLES:
         return Var(text)
-    return Atom(text, _features(cur) if cur.peek()[1] == "[" else FeatureBundle())
+    return Atom(text, _features(cur) if cur.peek()[1] == "[" else ())
 
 
-def _features(cur: Cursor) -> FeatureBundle:
+def _features(cur: Cursor) -> Features:
     """A bracketed feature list; only a value may be a ``?name`` variable."""
     cur.take("[")
     pairs: list[tuple[str, str]] = []
@@ -402,7 +377,7 @@ def _features(cur: Cursor) -> FeatureBundle:
             for i, a in enumerate(attrs):
                 if a in attrs[:i]:
                     raise CategorySyntaxError(f"repeated feature attribute {a!r}")
-            return FeatureBundle(tuple(sorted(pairs)))
+            return tuple(sorted(pairs))
         if separator != ",":
             raise CategorySyntaxError("expected ',' or ']' in feature list")
 
@@ -430,15 +405,10 @@ def _slash_text(slash: Slash) -> str:
     return text
 
 
-def _feature_text(feats: FeatureBundle, name: Callable[[str], str]) -> str:
+def _feature_text(feats: Features, name: Callable[[str], str]) -> str:
     if not feats:
         return ""
-    rendered = []
-    for a, v in feats.pairs:
-        if is_feature_variable(v):
-            v = name(v)
-        rendered.append(f"{a}={v}")
-    return "[" + ", ".join(rendered) + "]"
+    return "[" + ", ".join([f"{a}={name(v) if is_feature_variable(v) else v}" for a, v in feats]) + "]"
 
 
 def render_category(c: Category, name: Callable[[str], str] = variable_display_name) -> str:

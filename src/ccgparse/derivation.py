@@ -49,8 +49,10 @@ def document(chart: Chart, goal: Category | None = None) -> DerivationDoc:
     parser.chart_readings), sorted by (category, logical form).
 
     Each chart edge becomes one TreeNode, so readings that share a
-    sub-derivation share its node. With no readings, the longest derived
-    sub-spans are recorded as near misses, sorted by (span, category, logical form).
+    sub-derivation share its node. With no readings, the edges over the
+    longest derived spans (see Chart.longest_partials) are recorded as near
+    misses, sorted by (span, category, logical form): under a goal these are
+    the spanning readings that missed it.
     """
     nodes: dict[Edge, TreeNode] = {}  # Edge hashes by identity
     roots = (_tree_node(e, nodes) for e in chart_readings(chart, goal))

@@ -30,6 +30,7 @@ from .category import (
     Violation,
     category_parts,
     parse_category,
+    rebuild,
     render_category,
     validate_category,
 )
@@ -116,13 +117,11 @@ def lookup(lex: Lexicon, tokens: list[str] | tuple[str, ...], start: int) -> lis
 
 
 def fold_strings(c: Category) -> Category:
-    match c:
-        case Singleton(tokens):
-            return Singleton(tuple(t.lower() for t in tokens))
-        case Functor(result, slash, argument):
-            return Functor(fold_strings(result), slash, fold_strings(argument))
-        case _:
-            return c
+    return rebuild(c, _folded, None)
+
+
+def _folded(c: Category, _: None) -> Category:
+    return Singleton(tuple(t.lower() for t in c.tokens)) if isinstance(c, Singleton) else c
 
 
 def case_folded(lex: Lexicon) -> Lexicon:

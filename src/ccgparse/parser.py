@@ -46,7 +46,7 @@ def misplaced_computed(c: Category, slots: list[Category]) -> list[tuple[Atom, l
     out = []
     for part in category_parts(c):
         if isinstance(part, Atom):
-            computed = [a for a, _ in part.features.pairs if a in COMPUTED_ATTRS]
+            computed = [a for a, _ in part.features if a in COMPUTED_ATTRS]
             if computed and not any(part is slot for slot in slots):
                 out.append((part, computed))
     return out
@@ -160,11 +160,12 @@ class Chart:
         return [e for cell in self.cells.values() for e in cell.values()]
 
     def longest_partials(self) -> list[Edge]:
-        """The first edge for each reading key over the longest proper sub-spans
-        holding edges: the near misses of a NO PARSE, which show no derivation,
-        so all_derivations lists them once too."""
+        """The first edge for each reading key over the longest spans holding
+        edges, the whole sentence included: the near misses of a NO PARSE,
+        which under a goal are the spanning readings that missed it.  A near
+        miss shows no derivation, so all_derivations lists each once too."""
         n = len(self.tokens)
-        for length in range(n - 1, 0, -1):
+        for length in range(n, 0, -1):
             found = [e for (i, j), cell in self.cells.items() if j - i == length for e in _first_per_reading(cell)]
             if found:
                 return found
@@ -201,7 +202,7 @@ def _composable(*slots: Category) -> bool:
     is filled by application; composing or substituting them away would
     silently drop the constraint, so such slots are application-only.
     """
-    return not any(isinstance(c, Atom) and any(a in COMPUTED_ATTRS for a, _ in c.features.pairs) for c in slots)
+    return not any(isinstance(c, Atom) and any(a in COMPUTED_ATTRS for a, _ in c.features) for c in slots)
 
 
 class RuleRow(NamedTuple):
@@ -258,7 +259,7 @@ def _category_step(row: RuleRow, f_edge: Edge, g_edge: Edge, chart: Chart) -> tu
     if g is None or g.slash.modality not in row.admits:
         return None
     if row.shape == "B":
-        head, slot, bnd = f.result, f.argument, Bindings()
+        head, slot, bnd = f.result, f.argument, {}
     else:  # f is (X/Y)/Z: its inner slash shares f's direction and is gated too
         inner = f.result
         if not (

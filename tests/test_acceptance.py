@@ -107,7 +107,7 @@ def test_c1_beans_relativization(fragment):
     assert idiomatic
     category = idiomatic[0].category
     assert isinstance(category, Atom) and category.name == "NP"
-    assert category.features.get("head") == "beans"
+    assert dict(category.features).get("head") == "beans"
     report("1d the beans that you spilled")
 
 
@@ -240,7 +240,7 @@ def idiom_entry(entry):
             case Singleton(_):
                 return True
             case Atom(_, feats):
-                return feats.get("special") == "+"
+                return dict(feats).get("special") == "+"
             case Functor(result, _, argument):
                 return has_idiom_mark(result) or has_idiom_mark(argument)
             case _:

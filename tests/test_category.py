@@ -9,7 +9,6 @@ from ccgparse.category import (
     Bindings,
     CategorySyntaxError,
     Direction,
-    FeatureBundle,
     Functor,
     Modality,
     Singleton,
@@ -26,6 +25,7 @@ from ccgparse.category import (
     unify,
     validate_category,
 )
+from ccgparse.lexicon import fold_strings
 from ccgparse.parser import RULES, RuleId
 
 
@@ -39,7 +39,7 @@ def cat(text):
 def test_underspecified_feature_unifies():
     bnd = unify(cat("NP[agr=3s]"), cat("NP"))
     assert bnd is not None
-    assert bnd.feats == {} and bnd.cats == {}
+    assert bnd == {}
 
 
 def test_special_clash_fails():
@@ -49,7 +49,7 @@ def test_special_clash_fails():
 def test_variable_binds_category():
     bnd = unify(Var("X"), cat(r"S\NP"))
     assert bnd is not None
-    assert bnd.cats["X"] == cat(r"S\NP")
+    assert bnd[Var("X")] == cat(r"S\NP")
 
 
 def test_singleton_token_equality():
@@ -65,7 +65,7 @@ def test_functor_needs_equal_modality_and_direction():
 def test_feature_variable_binds_constant():
     bnd = unify(cat("NP[head=?h]"), cat("NP[head=beans]"))
     assert bnd is not None
-    assert bnd.walk_feature("?h") == "beans"
+    assert bnd["?h"] == "beans"
 
 
 def test_feature_variables_alias():
@@ -88,7 +88,7 @@ def test_atom_vs_functor_fails():
 def test_unify_extends_the_bindings_it_is_given():
     bnd = Bindings()
     assert unify(cat("NP[head=?h]"), cat("NP[head=beans]"), bnd) is bnd
-    assert bnd.walk_feature("?h") == "beans"
+    assert bnd["?h"] == "beans"
 
 
 def test_bindings_apply_is_idempotent():
@@ -98,6 +98,21 @@ def test_bindings_apply_is_idempotent():
     once = apply_bindings(cat("NP[head=?a]"), bnd)
     assert apply_bindings(once, bnd) == once
     assert once == cat("NP[head=beans]")
+
+
+def test_apply_bindings_walks_a_bound_variable_before_substituting_inside_it():
+    bnd = unify(Var("X"), cat("NP[head=?h]"))
+    bnd = unify(cat("NP[head=?h]"), cat("NP[head=beans]"), bnd)
+    assert apply_bindings(cat("S/X"), bnd) == cat("S/NP[head=beans]")
+
+
+def test_feature_constant_and_category_variable_of_one_name_stay_apart():
+    # the feature constant X is a string, the category variable X a Var
+    bnd = unify(cat("S[f=?v]/X"), cat("S[f=X]/NP"))
+    assert bnd is not None
+    assert apply_bindings(cat("S[f=?v]/X"), bnd) == cat("S[f=X]/NP")
+    assert unify(cat("X/S[f=X]"), cat("NP/S[f=X]")) is not None
+    assert unify(cat("X/S[f=X]"), cat("NP/S[f=Y]")) is None
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +281,7 @@ def test_feature_variable_only_as_feature_value(text, message):
     with pytest.raises(CategorySyntaxError) as exc:
         parse_category(text)
     assert str(exc.value) == message
-    assert cat("NP[a=?b]") == Atom("NP", FeatureBundle.of(a="?b"))
+    assert cat("NP[a=?b]") == Atom("NP", (("a", "?b"),))
 
 
 @pytest.mark.parametrize(
@@ -301,8 +316,8 @@ def test_rename_variables_keeps_entry_internal_coreference():
     c = cat("NP[head=?h]/N[head=?h]")
     renamed = rename_variables(c, "7")
     assert isinstance(renamed, Functor)
-    assert renamed.result.features.get("head") == renamed.argument.features.get("head")
-    assert renamed.result.features.get("head") != "?h"
+    assert dict(renamed.result.features)["head"] == dict(renamed.argument.features)["head"]
+    assert dict(renamed.result.features)["head"] != "?h"
     assert category_key(renamed) == category_key(c)
 
 
@@ -327,7 +342,7 @@ _features = st.fixed_dictionaries(
     },
 )
 
-_atoms = st.builds(lambda n, f: Atom(n, FeatureBundle.of(**f)), st.sampled_from(["S", "NP", "N", "VP"]), _features)
+_atoms = st.builds(lambda n, f: Atom(n, tuple(sorted(f.items()))), st.sampled_from(["S", "NP", "N", "VP"]), _features)
 _slash = st.builds(Slash, st.sampled_from(list(Direction)), st.sampled_from(list(Modality)))
 _leaves = st.one_of(
     _atoms,
@@ -361,7 +376,7 @@ def test_unify_instances_are_idempotent(a, b):
 def assert_pairs_sorted_and_unique(c):
     for part in category_parts(c):
         if isinstance(part, Atom):
-            attrs = [a for a, _ in part.features.pairs]
+            attrs = [a for a, _ in part.features]
             assert list(attrs) == sorted(set(attrs)), render_category(part)
 
 
@@ -376,11 +391,11 @@ _atom_texts = st.builds(
 
 @given(st.lists(_atom_texts, min_size=1, max_size=4), _feature_orders, _categories, _categories)
 def test_feature_pairs_come_out_sorted_and_unique(atom_texts, pairs, a, b):
-    # FeatureBundle takes its pairs as given, so every way of making one must sort them
+    # an Atom takes its pairs as given, so every way of making one must sort them
     c = parse_category("/".join(atom_texts))
     assert_pairs_sorted_and_unique(c)
     assert_pairs_sorted_and_unique(rename_variables(c, "7"))
-    assert_pairs_sorted_and_unique(Atom("NP", FeatureBundle.of(**dict(pairs))))
+    assert_pairs_sorted_and_unique(cat(render_category(Atom("NP", tuple(pairs)))))
     bnd = unify(a, b)
     if bnd is not None:
         assert_pairs_sorted_and_unique(apply_bindings(a, bnd))
@@ -390,7 +405,7 @@ def test_feature_pairs_come_out_sorted_and_unique(atom_texts, pairs, a, b):
 # few names and one slash, so that unifications succeed and bind in chains
 _linked = st.recursive(
     st.one_of(
-        st.builds(lambda v: Atom("NP", FeatureBundle.of(agr=v)), st.sampled_from(["?a", "?b", "?c", "?d", "3s"])),
+        st.builds(lambda v: Atom("NP", (("agr", v),)), st.sampled_from(["?a", "?b", "?c", "?d", "3s"])),
         st.sampled_from([Var("X"), Var("Y"), Var("Z")]),
     ),
     lambda inner: st.builds(Functor, inner, st.just(Slash(Direction.FORWARD)), inner),
@@ -404,16 +419,31 @@ def test_walks_through_shared_bindings_end(pairs):
     bnd = Bindings()
     for a, b in pairs:
         unify(a, b, bnd)  # a failed attempt may leave some of its bindings
-    for name in bnd.feats:
-        value, steps = name, 0
-        while value in bnd.feats:
-            value, steps = bnd.feats[value], steps + 1
-            assert steps <= len(bnd.feats)
-    for name in bnd.cats:
-        c, steps = Var(name), 0
-        while isinstance(c, Var) and c.name in bnd.cats:
-            c, steps = bnd.cats[c.name], steps + 1
-            assert steps <= len(bnd.cats)
+    for key in bnd:
+        value, steps = key, 0
+        while isinstance(value, (str, Var)) and value in bnd:
+            value, steps = bnd[value], steps + 1
+            assert steps <= len(bnd)
+
+
+_cased = st.recursive(
+    st.one_of(_leaves, st.builds(Singleton, st.lists(st.sampled_from(["The", "BUCKET", "up"]), min_size=1).map(tuple))),
+    lambda inner: st.builds(Functor, inner, _slash, inner),
+    max_leaves=6,
+)
+
+
+@given(_cased)
+def test_fold_strings_is_idempotent_and_folds_only_strings(c):
+    folded = fold_strings(c)
+    assert fold_strings(folded) == folded
+    for before, after in zip(category_parts(c), category_parts(folded), strict=True):
+        if isinstance(before, Singleton):
+            assert after == Singleton(tuple(t.lower() for t in before.tokens))
+        elif isinstance(before, Functor):
+            assert isinstance(after, Functor) and after.slash == before.slash
+        else:
+            assert after == before
 
 
 @given(_categories)

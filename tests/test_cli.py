@@ -49,6 +49,22 @@ def test_parse_goal_fills_like_an_argument_slot(capsys, goal, code):
     assert run(capsys, "parse", "-l", FRAGMENT, "--goal", goal, "the book")[0] == code
 
 
+@pytest.mark.parametrize(
+    "sentence, near_misses",
+    [
+        ("the book", ["[0:2] the book := NP[head=book] : def book"]),
+        ("John", ["[0:1] John := NP[agr=3s] : j", r"[0:1] John := S/(S\NP[agr=3s]) : \p. p j"]),
+    ],
+)
+def test_a_goal_no_parse_lists_the_readings_that_missed_the_goal(capsys, sentence, near_misses):
+    code, out, _ = run(capsys, "parse", "-l", FRAGMENT, "--goal", "S", sentence)
+    assert code == 1
+    assert out.splitlines() == [f"NO PARSE: {sentence}", "longest constituents found:"] + ["  " + m for m in near_misses]
+    code, out, _ = run(capsys, "parse", "-l", FRAGMENT, "--json", "--goal", "S", sentence)
+    assert code == 1
+    assert [f"[{m['span'][0]}:{m['span'][1]}] {sentence} := {m['category']} : {m['lf']}" for m in json.loads(out)["near_misses"]] == near_misses
+
+
 def test_parse_unknown_token(capsys):
     code, _, err = run(capsys, "parse", "-l", FRAGMENT, "xyzzy")
     assert code == 2

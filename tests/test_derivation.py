@@ -16,7 +16,7 @@ from ccgparse.derivation import (
     render_ascii,
     render_json,
 )
-from ccgparse.lexicon import tokenize
+from ccgparse.lexicon import case_folded, tokenize
 from ccgparse.parser import ParseSettings, build_chart, chart_readings
 
 
@@ -189,21 +189,28 @@ def test_json_layout_equals_the_standard_encoder_on_parses(fragment, corpus):
 # ---------------------------------------------------------------------------
 # every chart and document is freed by reference count
 
-def parse_and_render(fragment, sentence):
+def parse_and_render(fragment, sentence, goal=None, case_fold=False):
     """Everything made here is unreachable once this returns."""
-    doc = document(build_chart(fragment, tokenize(sentence)))
+    lex = case_folded(fragment) if case_fold else fragment
+    doc = document(build_chart(lex, tokenize(sentence, case_fold)), parse_category(goal) if goal else None)
     render_json(doc)
     render_ascii(doc)
 
 
 def test_parsing_and_rendering_leave_no_cyclic_garbage(fragment):
-    # a chain with readings, and a modifier stack in the weight frame (a NO PARSE)
-    sentences = [chain(4), "I picked the " + "long " * 10 + "book up"]
+    # a chain with readings, a modifier stack in the weight frame (a NO PARSE),
+    # the chain through a case-folded lexicon, and a NO PARSE under a goal
+    runs = [
+        (chain(4), {}),
+        ("I picked the " + "long " * 10 + "book up", {}),
+        (chain(4), {"case_fold": True}),
+        ("the book", {"goal": "S"}),
+    ]
     gc.disable()
     try:
         gc.collect()
-        for sentence in sentences:
-            parse_and_render(fragment, sentence)
-            assert gc.collect() == 0, sentence
+        for sentence, options in runs:
+            parse_and_render(fragment, sentence, **options)
+            assert gc.collect() == 0, (sentence, options)
     finally:
         gc.enable()
