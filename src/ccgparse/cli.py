@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .category import CategorySyntaxError, parse_category, render_category
+from .category import CategorySyntaxError, parse_category, render_category, validate_category
 from . import logical_form as lf
 from .lexicon import Lexicon, case_folded, fold_strings, lexicon_notes, parse_lexicon, tokenize, validate_lexicon
 from .parser import ParseSettings, ParserError, build_chart, misplaced_computed, parse
@@ -43,18 +44,16 @@ def _load_lexicon(path: str, strict: bool = True):
 
 
 def _parse_setup(args: argparse.Namespace) -> tuple[Lexicon, ParseSettings]:
-    """The lexicon, validated as written and case-folded under --case-fold, and settings from it and the flags."""
+    """The lexicon, validated as written, then viewed under --weight-threshold and --case-fold; settings from the rest."""
     lexicon, _ = _load_lexicon(args.lexicon)
     violations = validate_lexicon(lexicon)
     if violations:
         raise CommandError("\n".join(f"{args.lexicon}: {v}" for v in violations))
-    settings = ParseSettings.from_lexicon(
-        lexicon,
-        weight_threshold=args.weight_threshold,
-        max_steps=args.max_steps,
-        all_derivations=getattr(args, "all_derivations", None),
-    )
-    return (case_folded(lexicon) if args.case_fold else lexicon), settings
+    if args.weight_threshold is not None:
+        lexicon = replace(lexicon, weight_threshold=args.weight_threshold)
+    if args.case_fold:
+        lexicon = case_folded(lexicon)
+    return lexicon, ParseSettings(args.max_steps, getattr(args, "all_derivations", False))
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
@@ -62,9 +61,12 @@ def cmd_parse(args: argparse.Namespace) -> int:
     goal = None
     if args.goal is not None:
         try:
-            goal = parse_category(args.goal, lexicon.config.default_modality)
+            goal = parse_category(args.goal, lexicon.default_modality)
         except CategorySyntaxError as exc:
             raise CommandError(f"bad goal category: {exc}") from None
+        violations = validate_category(goal)
+        if violations:
+            raise CommandError(f"bad goal category: {violations[0]}")
         misplaced = misplaced_computed(goal, [goal])  # the sentence fills the goal as one slot
         if misplaced:
             part, computed = misplaced[0]
@@ -150,7 +152,7 @@ def make_arg_parser() -> argparse.ArgumentParser:
         if not settings:
             return
         p.add_argument("--weight-threshold", type=int, default=None, metavar="N")
-        p.add_argument("--max-steps", type=int, default=None, metavar="N", help="beta reduction budget")
+        p.add_argument("--max-steps", type=int, default=lf.DEFAULT_STEP_BUDGET, metavar="N", help="beta reduction budget")
         p.add_argument("--case-fold", action="store_true", help="lower-case the sentence and the lexicon's token strings")
 
     p = sub.add_parser("parse", help="parse a sentence and print its derivations")

@@ -61,18 +61,13 @@ class LexEntry:
 
 
 @dataclass
-class LexiconConfig:
-    weight_threshold: int = DEFAULT_WEIGHT_THRESHOLD
-    default_modality: Modality = Modality.DIAMOND
-
-
-@dataclass
 class Lexicon:
-    """Immutable after load; concurrent lookups are safe."""
+    """Immutable after load; concurrent lookups are safe.  Owns the settings of its ``set`` lines."""
 
     entries: dict[str, list[LexEntry]] = field(default_factory=dict)
     atom_declarations: frozenset[str] = BUILTIN_ATOMS
-    config: LexiconConfig = field(default_factory=LexiconConfig)
+    weight_threshold: int = DEFAULT_WEIGHT_THRESHOLD
+    default_modality: Modality = Modality.DIAMOND
 
     def add(self, entry: LexEntry) -> None:
         self.entries.setdefault(entry.phon[0], []).append(entry)
@@ -127,7 +122,7 @@ def _folded(c: Category, _: None) -> Category:
 def case_folded(lex: Lexicon) -> Lexicon:
     """The lexicon as a lower-cased sentence reads it: each entry's phon and every
     string category in its category lower-cased; atoms and settings shared."""
-    folded = Lexicon(atom_declarations=lex.atom_declarations, config=lex.config)
+    folded = replace(lex, entries={})
     for entry in lex.all_entries():
         folded.add(replace(entry, phon=tuple(t.lower() for t in entry.phon), category=fold_strings(entry.category)))
     return folded
@@ -189,7 +184,7 @@ def parse_lexicon(text: str) -> tuple[Lexicon, list[LexiconIssue]]:
     the issue list; duplicate identical entries are reported as warnings.
     """
     issues: list[LexiconIssue] = []
-    config = LexiconConfig()
+    lexicon = Lexicon()
     declared: set[str] = set(BUILTIN_ATOMS)
     pending: list[tuple[int, tuple[str, ...], str, str, bool]] = []
 
@@ -208,12 +203,12 @@ def parse_lexicon(text: str) -> tuple[Lexicon, list[LexiconIssue]]:
                     if n < 1:
                         issues.append(LexiconIssue(line, f"bad weight_threshold {value!r}"))
                     else:
-                        config.weight_threshold = n
+                        lexicon.weight_threshold = n
                 elif key == "default_modality":
                     if value not in _MODALITY_NAMES:
                         issues.append(LexiconIssue(line, f"unknown modality {value!r}"))
                     else:
-                        config.default_modality = _MODALITY_NAMES[value]
+                        lexicon.default_modality = _MODALITY_NAMES[value]
                 else:
                     issues.append(LexiconIssue(line, f"unknown setting {key!r}"))
             elif words and words[0] == "atoms":
@@ -236,10 +231,10 @@ def parse_lexicon(text: str) -> tuple[Lexicon, list[LexiconIssue]]:
         lf_text, lexc = _parse_markers(lf_text, line, issues)
         pending.append((line, phon, cat_text, lf_text, lexc))
 
-    lexicon = Lexicon(atom_declarations=frozenset(declared), config=config)
+    lexicon.atom_declarations = frozenset(declared)
     for line, phon, cat_text, lf_text, lexc in pending:
         try:
-            category = parse_category(cat_text, config.default_modality)
+            category = parse_category(cat_text, lexicon.default_modality)
         except CategorySyntaxError as exc:
             issues.append(LexiconIssue(line, f"bad category: {exc}"))
             continue
@@ -258,9 +253,9 @@ def parse_lexicon(text: str) -> tuple[Lexicon, list[LexiconIssue]]:
 
 def render_lexicon(lex: Lexicon) -> str:
     """Regenerate lexicon text; parse_lexicon of the output restores the entries."""
-    lines = [f"set weight_threshold {lex.config.weight_threshold} ;"]
-    if lex.config.default_modality is not Modality.DIAMOND:
-        lines.append(f"set default_modality {lex.config.default_modality.name.lower()} ;")
+    lines = [f"set weight_threshold {lex.weight_threshold} ;"]
+    if lex.default_modality is not Modality.DIAMOND:
+        lines.append(f"set default_modality {lex.default_modality.name.lower()} ;")
     extra = sorted(lex.atom_declarations - BUILTIN_ATOMS)
     if extra:
         lines.append("atoms " + ", ".join(extra) + " ;")

@@ -11,7 +11,7 @@ ambiguity with identical results is not duplicated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -30,7 +30,7 @@ from .category import (
     unify,
 )
 from . import logical_form as lf
-from .lexicon import DEFAULT_WEIGHT_THRESHOLD, LexEntry, Lexicon, lookup
+from .lexicon import LexEntry, Lexicon, lookup
 
 MAX_TOKENS = 32  # longer sentences are refused
 
@@ -79,16 +79,10 @@ class SentenceTooLongError(ParserError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParseSettings:
-    weight_threshold: int = DEFAULT_WEIGHT_THRESHOLD
     max_steps: int = lf.DEFAULT_STEP_BUDGET
     all_derivations: bool = False
-
-    @classmethod
-    def from_lexicon(cls, lex: Lexicon, **overrides) -> "ParseSettings":
-        settings = cls(weight_threshold=lex.config.weight_threshold)
-        return replace(settings, **{name: value for name, value in overrides.items() if value is not None})
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,9 +121,10 @@ def derived_features(edge: Edge, weight_threshold: int) -> dict[str, str]:
 
 
 class Chart:
-    """The cells of one parse, with the sentence and the settings they are built under."""
+    """The cells of one parse, with the lexicon, the sentence and the settings they are built under."""
 
-    def __init__(self, tokens: list[str] | tuple[str, ...], settings: ParseSettings):
+    def __init__(self, lexicon: Lexicon, tokens: list[str] | tuple[str, ...], settings: ParseSettings):
+        self.lexicon = lexicon
         self.tokens = tuple(tokens)
         self.settings = settings
         self.cells: dict[tuple[int, int], dict[object, Edge]] = {}
@@ -173,7 +168,7 @@ class Chart:
 
     def fills(self, spec: Category, edge: Edge) -> Bindings | None:
         """Match an argument slot against the edge's span of the sentence, computed features included."""
-        computed = derived_features(edge, self.settings.weight_threshold)
+        computed = derived_features(edge, self.lexicon.weight_threshold)
         return match_argument(spec, edge.category, self.tokens[edge.start : edge.end], computed)
 
 
@@ -302,9 +297,9 @@ def combine(left: Edge, right: Edge, chart: Chart) -> list[Edge]:
 # ---------------------------------------------------------------------------
 # the chart loop
 
-def seed_edges(lex: Lexicon, chart: Chart) -> list[Edge]:
-    """Lexical edges for every entry match in the chart's sentence; raises when a token is uncovered."""
-    tokens, max_steps = chart.tokens, chart.settings.max_steps
+def seed_edges(chart: Chart) -> list[Edge]:
+    """Lexical edges for each match of the chart's lexicon in its sentence; raises when a token is uncovered."""
+    lex, tokens, max_steps = chart.lexicon, chart.tokens, chart.settings.max_steps
     edges: list[Edge] = []
     covered = [False] * len(tokens)
     fresh = itertools.count()
@@ -321,15 +316,14 @@ def seed_edges(lex: Lexicon, chart: Chart) -> list[Edge]:
     return edges
 
 
-def build_chart(lex: Lexicon, tokens: list[str] | tuple[str, ...], settings: ParseSettings | None = None) -> Chart:
+def build_chart(lex: Lexicon, tokens: list[str] | tuple[str, ...], settings: ParseSettings = ParseSettings()) -> Chart:
     """Run exhaustive CKY and return the filled chart."""
     if not tokens:
         raise ParserError("cannot parse an empty sentence")
-    settings = settings or ParseSettings.from_lexicon(lex)
     if len(tokens) > MAX_TOKENS:
         raise SentenceTooLongError(f"{len(tokens)} tokens exceeds the limit of {MAX_TOKENS}")
-    chart = Chart(tokens, settings)
-    for edge in seed_edges(lex, chart):
+    chart = Chart(lex, tokens, settings)
+    for edge in seed_edges(chart):
         chart.add(edge)
     n = len(tokens)
     for length in range(2, n + 1):
@@ -354,7 +348,7 @@ def parse(
     lex: Lexicon,
     tokens: list[str] | tuple[str, ...],
     goal: Category | None = None,
-    settings: ParseSettings | None = None,
+    settings: ParseSettings = ParseSettings(),
 ) -> list[Edge]:
     """The chart's readings that fill the goal (see chart_readings), in the order added.
 

@@ -1,7 +1,7 @@
 """Brute-force derivation oracle: enumerate every binary bracketing.
 
 Shares seed_edges and combine with the chart parser, and its Chart only as
-the holder of the sentence and the settings, but none of its control
+the holder of the lexicon, the sentence and the settings, but none of its control
 structure, memoization, or packing: no cell is ever filled.  Intended for
 short sentences only; the recursion deliberately recomputes sub-spans.
 """
@@ -12,11 +12,11 @@ from ccgparse.lexicon import Lexicon
 from ccgparse.parser import Chart, Edge, ParseSettings, combine, seed_edges
 
 
-def enumerate_readings(lex: Lexicon, tokens: list[str], settings: ParseSettings | None = None) -> set[tuple[str, str]]:
+def enumerate_readings(lex: Lexicon, tokens: list[str], settings: ParseSettings = ParseSettings()) -> set[tuple[str, str]]:
     """All (category key, lf alpha key) pairs derivable over the full span."""
-    chart = Chart(tokens, settings or ParseSettings.from_lexicon(lex))
+    chart = Chart(lex, tokens, settings)
     lexical: dict[tuple[int, int], list[Edge]] = {}
-    for edge in seed_edges(lex, chart):
+    for edge in seed_edges(chart):
         lexical.setdefault(edge.span, []).append(edge)
 
     def derive(start: int, end: int) -> list[Edge]:

@@ -152,6 +152,10 @@ def test_max_steps_budget_surfaces_as_operational_error(capsys):
 def test_weight_threshold_override(capsys):
     code, _, _ = run(capsys, "parse", "-l", FRAGMENT, "--weight-threshold", "6", "I picked the very very very long book up")
     assert code == 0
+    # both flags are views of the checked lexicon, so --case-fold keeps the threshold
+    sentence = "I PICKED the very very very long book UP"
+    assert run(capsys, "parse", "-l", FRAGMENT, "--case-fold", sentence)[0] == 1
+    assert run(capsys, "parse", "-l", FRAGMENT, "--weight-threshold", "6", "--case-fold", sentence)[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +426,30 @@ CONTRACT = [
         2,
         "",
         "bad goal category: computed weight on S[weight=+], not the goal itself\n",
+    ),
+    (
+        "empty string goal",
+        {},
+        ["parse", "-l", FRAGMENT, "--goal", '""', "the book"],
+        2,
+        "",
+        "bad goal category: EMPTY_SINGLETON: a string category cannot be empty\n",
+    ),
+    (
+        "string goal result",
+        {},
+        ["parse", "-l", FRAGMENT, "--goal", '"up"/*NP', "up the book"],
+        2,
+        "",
+        'bad goal category: SINGLETON_AS_RESULT: "up"/*NP puts a string category in result position\n',
+    ),
+    (
+        "string goal argument under a non-star slash",
+        {},
+        ["parse", "-l", FRAGMENT, "--goal", 'S\\NP/"up"', "picked up"],
+        2,
+        "",
+        'bad goal category: NON_STAR_SINGLETON_SLASH: (S\\NP)/"up" must use an application-only slash on its string argument\n',
     ),
     (
         "repeated goal attribute",

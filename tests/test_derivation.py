@@ -177,7 +177,7 @@ def test_json_layout_equals_the_standard_encoder(doc):
 
 def test_json_layout_equals_the_standard_encoder_on_parses(fragment, corpus):
     for all_derivations in (False, True):
-        settings = ParseSettings.from_lexicon(fragment, all_derivations=all_derivations)
+        settings = ParseSettings(all_derivations=all_derivations)
         for sentence, _, _ in corpus:
             doc = document(build_chart(fragment, tokenize(sentence), settings))
             assert render_json(doc) == standard_json(doc), (sentence, all_derivations)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from ccgparse import logical_form as lf
@@ -86,8 +88,8 @@ def test_marker_group_sets_lexc_and_reports_issues(group, lexc, issues):
     """lexc is read off the entry's lexical edge; None when no entry is made."""
     lex, got = parse_lexicon(f"book := N : book {group} ;")
     assert [i.message for i in got] == issues
-    chart = Chart(["book"], ParseSettings.from_lexicon(lex))
-    assert (seed_edges(lex, chart)[0].lexc if lex.all_entries() else None) is lexc
+    chart = Chart(lex, ["book"], ParseSettings())
+    assert (seed_edges(chart)[0].lexc if lex.all_entries() else None) is lexc
 
 
 def test_unknown_marker_is_error():
@@ -167,8 +169,8 @@ def test_crlf_input():
 
 def test_directives():
     lex = load("set weight_threshold 6 ;\nset default_modality star ;\natoms Deg, Foo ;\nx := S/NP : \\a. f a ;")
-    assert lex.config.weight_threshold == 6
-    assert lex.config.default_modality is Modality.STAR
+    assert lex.weight_threshold == 6
+    assert lex.default_modality is Modality.STAR
     assert {"Deg", "Foo"} <= set(lex.atom_declarations)
     entry = lex.all_entries()[0]
     assert entry.category.slash.modality is Modality.STAR
@@ -260,6 +262,13 @@ def test_lookup_case_fold(fragment):
     assert len(lookup(case_folded(fragment), ["john"], 0)) == 2
 
 
+def test_case_folded_keeps_the_settings(fragment):
+    # --weight-threshold and --case-fold are both views of one lexicon, so they compose
+    assert case_folded(replace(fragment, weight_threshold=1)).weight_threshold == 1
+    starred = load("set default_modality star ;\nJohn := NP : j ;")
+    assert case_folded(starred).default_modality is Modality.STAR
+
+
 # ---------------------------------------------------------------------------
 # round trip
 
@@ -267,7 +276,7 @@ def test_render_parse_round_trip_mini():
     lex = load(MINI)
     again = load(render_lexicon(lex))
     assert again.all_entries() == lex.all_entries()
-    assert again.config == lex.config
+    assert (again.weight_threshold, again.default_modality) == (lex.weight_threshold, lex.default_modality)
 
 
 MODAL = r"""
@@ -285,12 +294,12 @@ def test_render_parse_round_trip_default_modality(name):
     assert (f"set default_modality {name} ;" in text) == (name != "diamond")
     again = load(text)
     assert again.all_entries() == lex.all_entries()
-    assert again.config == lex.config
+    assert (again.weight_threshold, again.default_modality) == (lex.weight_threshold, lex.default_modality)
 
 
 def test_render_parse_round_trip_fragment(fragment):
     again, issues = parse_lexicon(render_lexicon(fragment))
     assert not [i for i in issues if i.severity == "error"]
     assert again.all_entries() == fragment.all_entries()
-    assert again.config == fragment.config
+    assert (again.weight_threshold, again.default_modality) == (fragment.weight_threshold, fragment.default_modality)
     assert again.atom_declarations == fragment.atom_declarations

@@ -1,4 +1,8 @@
+from dataclasses import replace
+
 import pytest
+
+import ccgparse
 
 from ccgparse import logical_form as lf
 from ccgparse.category import (
@@ -6,7 +10,7 @@ from ccgparse.category import (
     parse_category,
     render_category,
 )
-from ccgparse.lexicon import parse_lexicon, tokenize
+from ccgparse.lexicon import Lexicon, parse_lexicon, tokenize
 from ccgparse.parser import (
     COMPUTED_ATTRS,
     RULES,
@@ -34,8 +38,8 @@ def load(text):
 
 
 def chart_over(text):
-    """An empty chart over the words of text, under the default settings."""
-    return Chart(text.split(), ParseSettings())
+    """An empty chart over the words of text, under an empty lexicon's default settings."""
+    return Chart(Lexicon(), text.split(), ParseSettings())
 
 
 def edge_for(text, category, term_text, start=0):
@@ -239,12 +243,6 @@ def test_sentence_length_guard(fragment):
     assert parse(fragment, ["John"] * 32) == []
 
 
-def test_settings_reject_an_unknown_override(fragment):
-    assert ParseSettings.from_lexicon(fragment, max_steps=3, all_derivations=None).max_steps == 3
-    with pytest.raises(TypeError):
-        ParseSettings.from_lexicon(fragment, max_token=3)
-
-
 def test_goal_filters_readings(fragment):
     tokens = tokenize("the bucket that you kicked")
     assert len(parse(fragment, tokens, parse_category("NP"))) == 1
@@ -256,29 +254,27 @@ def test_packing_collapses_equivalent_derivations(fragment):
     tokens = tokenize("John persuaded Mary to hit Harry")
     packed = parse(fragment, tokens, parse_category("S"))
     assert len(packed) == 1
-    settings = ParseSettings.from_lexicon(fragment, all_derivations=True)
+    settings = ParseSettings(all_derivations=True)
     unpacked = parse(fragment, tokens, parse_category("S"), settings=settings)
     assert len(unpacked) > 1
     assert all(lf.alpha_eq(e.lf, packed[0].lf) for e in unpacked)
 
 
 def test_multi_token_entries_seed_longer_spans(fragment):
-    chart = Chart(tokenize("my team scored every which way"), ParseSettings.from_lexicon(fragment))
-    edges = seed_edges(fragment, chart)
+    chart = Chart(fragment, tokenize("my team scored every which way"), ParseSettings())
+    edges = seed_edges(chart)
     spans = {(e.start, e.end) for e in edges}
     assert (3, 6) in spans
 
 
 def test_singleton_needs_derived_constituent(fragment):
     # removing the lexical seed for "bucket" starves the idiom
-    from ccgparse.lexicon import Lexicon
-
     entries = {
         first: [e for e in group if e.phon != ("bucket",)]
         for first, group in fragment.entries.items()
     }
     entries = {k: v for k, v in entries.items() if v}
-    crippled = Lexicon(entries, fragment.atom_declarations, fragment.config)
+    crippled = replace(fragment, entries=entries)
     with pytest.raises(UnknownTokenError):
         parse(crippled, tokenize("John kicked the bucket"))
 
@@ -286,7 +282,7 @@ def test_singleton_needs_derived_constituent(fragment):
 def test_singleton_span_must_be_a_constituent(fragment):
     # keep every token known but make "the bucket" underivable: the
     # string still matches the singleton, yet no edge covers the span
-    from ccgparse.lexicon import LexEntry, Lexicon
+    from ccgparse.lexicon import LexEntry
 
     entries = {
         first: [e for e in group if e.phon != ("bucket",)]
@@ -295,7 +291,7 @@ def test_singleton_span_must_be_a_constituent(fragment):
     entries["bucket"] = [
         LexEntry(("bucket",), parse_category("PP"), lf.Const("bucket"), False, 0)
     ]
-    reshaped = Lexicon(entries, fragment.atom_declarations, fragment.config)
+    reshaped = replace(fragment, entries=entries)
     edges = parse(reshaped, tokenize("John kicked the bucket"))
     assert edges == []
 
@@ -395,18 +391,28 @@ def test_no_edge_category_has_singleton_result(fragment, corpus):
             assert not [v for v in validate_category(edge.category) if v.code == "SINGLETON_AS_RESULT"]
 
 
+def test_the_weight_threshold_is_the_lexicons_whatever_the_settings():
+    lex = load(ccgparse.fragment_path().read_text(encoding="utf-8").replace("set weight_threshold 4 ;", "set weight_threshold 1 ;"))
+    assert lex.weight_threshold == 1
+    for sentence in ("I picked the book up", "John picked up the book"):
+        tokens = tokenize(sentence)
+        packed = {e.reading_key() for e in build_chart(lex, tokens).spanning()}
+        assert packed == {e.reading_key() for e in build_chart(lex, tokens, ParseSettings(all_derivations=True)).spanning()}
+        assert bool(packed) is (sentence == "John picked up the book")  # "the book" is heavy at threshold 1
+
+
 @pytest.mark.parametrize("weight_threshold", [4, 1])
 def test_cky_matches_bruteforce_on_short_sentences(fragment, corpus, weight_threshold):
-    assert fragment.config.weight_threshold == 4
-    settings = ParseSettings.from_lexicon(fragment, weight_threshold=weight_threshold)
+    assert fragment.weight_threshold == 4
+    lex = replace(fragment, weight_threshold=weight_threshold)
     checked = differ = 0
     for sentence, _, _ in corpus:
         tokens = tokenize(sentence)
         if len(tokens) > 7:
             continue
         checked += 1
-        cky = {e.reading_key() for e in build_chart(fragment, tokens, settings).spanning()}
-        assert cky == enumerate_readings(fragment, tokens, settings), sentence
+        cky = {e.reading_key() for e in build_chart(lex, tokens).spanning()}
+        assert cky == enumerate_readings(lex, tokens), sentence
         differ += cky != {e.reading_key() for e in build_chart(fragment, tokens).spanning()}
     assert checked >= 10
     # a non-default threshold must change some readings, or it checks nothing new
