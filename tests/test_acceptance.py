@@ -314,14 +314,44 @@ def test_c7_golden_files_byte_exact(fragment):
     report("7c golden files byte-exact")
 
 
-def test_c7_corpus_golden_byte_exact(capsys, corpus):
-    """Default `parse` output for every corpus sentence; each block of the
-    golden file is headed by `# <sentence>`."""
-    golden = (GOLDEN / "corpus.ascii.expected").read_text(encoding="utf-8")
+def golden_blocks(name):
+    """A golden file of `parse` outputs, each block headed by `# <sentence>`, as {sentence: output}."""
+    golden = (GOLDEN / name).read_text(encoding="utf-8")
     _, *parts = re.split(r"^# (.*)\n", golden, flags=re.M)
-    expected = dict(zip(parts[::2], parts[1::2]))
-    assert list(expected) == [sentence for sentence, _, _ in corpus]
+    return dict(zip(parts[::2], parts[1::2]))
+
+
+def assert_parse_outputs(capsys, expected, *flags):
     for sentence in expected:
-        main(["parse", "-l", str(ccgparse.fragment_path()), sentence])
+        main(["parse", *flags, "-l", str(ccgparse.fragment_path()), sentence])
         assert capsys.readouterr().out == expected[sentence], f"first differing sentence: {sentence}"
+
+
+def test_c7_corpus_golden_byte_exact(capsys, corpus):
+    """Default `parse` output for every corpus sentence."""
+    expected = golden_blocks("corpus.ascii.expected")
+    assert list(expected) == [sentence for sentence, _, _ in corpus]
+    assert_parse_outputs(capsys, expected)
     report("7d corpus golden byte-exact")
+
+
+def test_c7_modstack_golden_byte_exact(capsys):
+    """Four modifiers in each modifier-stack frame: a NO PARSE with its near
+    misses (the object NP is too heavy to shift), a lexc+ reading and an
+    idiom-free literal reading."""
+    expected = golden_blocks("modstack.ascii.expected")
+    assert list(expected) == [
+        "I picked the long very proverbial long book up",
+        "I picked up the long very proverbial long book",
+        "John kicked the long very proverbial long bucket",
+    ]
+    assert_parse_outputs(capsys, expected)
+    report("7e modifier-stack golden byte-exact")
+
+
+def test_c7_all_derivations_chain_golden_byte_exact(capsys):
+    """Every derivation of a four-clause chain, in the order the chart adds them."""
+    expected = golden_blocks("kicked_chain_all.ascii.expected")
+    assert list(expected) == ["John kicked and Mary dragged and I cooked and You spilled the bucket"]
+    assert_parse_outputs(capsys, expected, "--all-derivations")
+    report("7f all-derivations chain golden byte-exact")
