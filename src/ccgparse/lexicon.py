@@ -132,19 +132,23 @@ def case_folded(lex: Lexicon) -> Lexicon:
 # parsing the file format
 
 _CODE_RE = re.compile(r'(?:[^"#]|"[^"]*"?)*')  # a line up to a '#' outside quotes
+_SEMICOLON_RE = re.compile(r'"[^"]*"|;')  # quoted text, or a ';' that no pair of quotes encloses
 
 
 def _chunks(text: str) -> Iterator[tuple[int, str, bool]]:
     """Yield (line, text, terminated) for each chunk that is not blank.
 
-    Chunks end at ';'.  A chunk that runs into a second ':=' on a later line
-    ends before that line, unterminated, and so does a tail without ';'.
-    ``line`` is where the chunk's text begins; a quote does not span lines.
+    Chunks end at a ';' that no pair of quotes on its line encloses.  A
+    chunk that runs into a second ':=' on a later line ends before that
+    line, unterminated, and so does a tail without ';'.  ``line`` is where
+    the chunk's text begins; a quote does not span lines.
     """
     parts: list[str] = []  # the chunk's text, line by line
     start = entry = 0  # the lines of its first text and of its ':=', 0 while none
     for number, raw in enumerate(text.splitlines(), 1):
-        for i, piece in enumerate(_CODE_RE.match(raw).group().split(";")):
+        code = _CODE_RE.match(raw).group()
+        ends = [-1] + [m.start() for m in _SEMICOLON_RE.finditer(code) if m.group() == ";"] + [len(code)]
+        for i, piece in enumerate(code[a + 1 : b] for a, b in zip(ends, ends[1:])):
             if i:
                 if start:
                     yield start, "\n".join(parts), True
@@ -191,6 +195,9 @@ def parse_lexicon(text: str) -> tuple[Lexicon, list[LexiconIssue]]:
     for line, chunk, terminated in _chunks(text):
         if not terminated:
             issues.append(LexiconIssue(line, "entry not terminated by ';'"))
+        if ";" in chunk:
+            issues.append(LexiconIssue(line, "';' inside quotes: a string category cannot hold one"))
+            continue
         if ":=" not in chunk:
             words = chunk.split()
             if words[0] == "set" and len(words) == 3:

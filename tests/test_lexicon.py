@@ -4,6 +4,7 @@ import pytest
 
 from ccgparse import logical_form as lf
 from ccgparse.category import Modality, Singleton, parse_category
+from ccgparse.cli import main
 from ccgparse.lexicon import (
     ARITY_MISMATCH,
     LEXICAL_WRAP,
@@ -158,6 +159,17 @@ def test_comment_hash_inside_singleton_quotes():
     entry = lex.all_entries()[0]
     arg = entry.category.argument
     assert isinstance(arg, Singleton) and arg.tokens == ("the", "#", "sign")
+
+
+def test_a_semicolon_inside_quotes_is_one_error_on_its_line(tmp_path, capsys):
+    text = 'x := S/*"a;b" : x ;\ny := NP : y ;\n'
+    lex, issues = parse_lexicon(text)
+    assert [str(i) for i in issues] == ["line 1: error: ';' inside quotes: a string category cannot hold one"]
+    assert [e.phon for e in lex.all_entries()] == [("y",)]
+    path = tmp_path / "x.ccg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", "-l", str(path)]) == 1
+    assert capsys.readouterr().err == f"{path}: line 1: error: ';' inside quotes: a string category cannot hold one\n"
 
 
 def test_crlf_input():
