@@ -20,27 +20,65 @@ class BudgetExceeded(Exception):
     """Beta reduction ran out of steps; the lexicon is pathological."""
 
 
-@dataclass(frozen=True)
-class Var:
+class _Node:
+    """Facts a term node computes once, when it is made: ``free``, its free
+    variables, and ``normal``, whether it holds no redex.  A closed node
+    caches its alpha key in ``key`` on first use."""
+
+    __slots__ = ("free", "normal", "key")
+
+
+_CLOSED: frozenset[str] = frozenset()
+
+# Equality, hashing and repr are generated as for a frozen dataclass.  Each
+# class writes its own __init__: a frozen dataclass's sets every field
+# through object.__setattr__, several times slower.
+
+
+@dataclass(init=False, unsafe_hash=True, slots=True)
+class Var(_Node):
     name: str
 
+    def __init__(self, name: str):
+        self.name, self.free, self.normal, self.key = name, frozenset((name,)), True, None
 
-@dataclass(frozen=True)
-class Const:
+
+@dataclass(init=False, unsafe_hash=True, slots=True)
+class Const(_Node):
     name: str
-    contingencies: tuple["Term", ...] = ()
+    contingencies: tuple["Term", ...]
+
+    def __init__(self, name: str, contingencies: tuple["Term", ...] = ()):
+        self.name, self.contingencies = name, contingencies
+        free, normal = _CLOSED, True
+        for c in contingencies:
+            free = free | c.free if free else c.free
+            normal = normal and c.normal
+        self.free, self.normal, self.key = free, normal, None
 
 
-@dataclass(frozen=True)
-class Abs:
+@dataclass(init=False, unsafe_hash=True, slots=True)
+class Abs(_Node):
     var: str
     body: "Term"
 
+    def __init__(self, var: str, body: "Term"):
+        self.var, self.body = var, body
+        free = body.free
+        self.free, self.normal, self.key = free - {var} if var in free else free, body.normal, None
 
-@dataclass(frozen=True)
-class App:
+
+@dataclass(init=False, unsafe_hash=True, slots=True)
+class App(_Node):
     fun: "Term"
     arg: "Term"
+
+    def __init__(self, fun: "Term", arg: "Term"):
+        self.fun, self.arg = fun, arg
+        f, a = fun.free, arg.free
+        self.free = f | a if f and a and f is not a else f or a
+        self.normal = fun.normal and arg.normal and type(fun) is not Abs
+        self.key = None
 
 
 Term = Var | Const | Abs | App
@@ -58,25 +96,12 @@ def absn(variables: list[str] | tuple[str, ...], body: Term) -> Term:
     return body
 
 
-# free_vars, substitute, beta_normalize and alpha_key run once or more per
-# chart edge, so they dispatch on type(t) rather than with structural
-# pattern matching, which is several times slower.
+# substitute, beta_normalize and alpha_key run once or more per chart
+# edge, so they dispatch on type(t) rather than with structural pattern
+# matching, which is several times slower.
 
 def free_vars(t: Term) -> frozenset[str]:
-    out: frozenset[str] = frozenset()
-    while type(t) is App:  # along the spine in a loop, so a long spine does not nest
-        out |= free_vars(t.arg)
-        t = t.fun
-    cls = type(t)
-    if cls is Var:
-        return out | {t.name}
-    if cls is Abs:
-        return out | (free_vars(t.body) - {t.var})
-    if cls is Const:
-        for c in t.contingencies:
-            out |= free_vars(c)
-        return out
-    raise TypeError(f"not a term: {t!r}")
+    return t.free
 
 
 def fresh_name(base: str, avoid: frozenset[str]) -> str:
@@ -102,30 +127,26 @@ def _subscripts(t: Const, new: list[Term]) -> Const:
 # frame per term level, which would lower the nesting a term may have.
 
 def _substitute(t: Term, v: str, s: Term, s_free: frozenset[str]) -> Term:
+    if v not in t.free:
+        return t
     cls = type(t)
     if cls is Var:
-        return s if t.name == v else t
+        return s
     if cls is App:
         f, a = t.fun, t.arg
         f2, a2 = _substitute(f, v, s, s_free), _substitute(a, v, s, s_free)
         return t if f2 is f and a2 is a else App(f2, a2)
     if cls is Abs:
         x, body = t.var, t.body
-        if x == v:
-            return t
-        if x in s_free and v in free_vars(body):
-            x2 = fresh_name(x, s_free | free_vars(body))
+        if x in s_free:
+            x2 = fresh_name(x, s_free | body.free)
             return Abs(x2, _substitute(substitute(body, x, Var(x2)), v, s, s_free))
         body2 = _substitute(body, v, s, s_free)
         return t if body2 is body else Abs(x, body2)
-    if cls is Const:
-        if not t.contingencies:
-            return t
-        new = []
-        for c in t.contingencies:
-            new.append(_substitute(c, v, s, s_free))
-        return _subscripts(t, new)
-    raise TypeError(f"not a term: {t!r}")
+    new = []  # a Const with v free in a subscript
+    for c in t.contingencies:
+        new.append(_substitute(c, v, s, s_free))
+    return _subscripts(t, new)
 
 
 def substitute(t: Term, v: str, s: Term) -> Term:
@@ -133,18 +154,18 @@ def substitute(t: Term, v: str, s: Term) -> Term:
 
     Subterms without a free v come back as the same objects.
     """
-    return _substitute(t, v, s, free_vars(s))
+    return _substitute(t, v, s, s.free)
 
 
 def _normal_form(t: Term, budget: list[int]) -> Term:
     """beta_normalize's walk; budget is [steps taken, max_steps]."""
+    if t.normal:
+        return t
     cls = type(t)
     if cls is Abs:
         body = _normal_form(t.body, budget)
         return t if body is t.body else Abs(t.var, body)
-    if cls is not App:
-        if cls is not Const or not t.contingencies:
-            return t
+    if cls is not App:  # a Const with a redex in a subscript
         new = []
         for c in t.contingencies:
             new.append(_normal_form(c, budget))
@@ -160,8 +181,7 @@ def _normal_form(t: Term, budget: list[int]) -> Term:
             raise BudgetExceeded(f"no normal form within {budget[1]} steps")
         budget[0] += 1
         t = substitute(t.body, t.var, pending.pop().arg)
-    if type(t) is not Const or t.contingencies:  # a plain constant head is normal
-        t = _normal_form(t, budget)
+    t = _normal_form(t, budget)
     while pending:
         node = pending.pop()
         a = _normal_form(node.arg, budget)
@@ -191,7 +211,17 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 
 def _key(t: Term, depth: int, binders: dict[str, list[int]], out: list[str]) -> None:
-    """alpha_key's walk; binders maps a name to the depths of its binders in scope."""
+    """alpha_key's walk; binders maps a name to the depths of its binders in scope.
+
+    A closed subterm's key depends on neither, so the subterm caches it and
+    leaves it in out as one piece.
+    """
+    closed = not t.free
+    if closed:
+        if t.key is not None:
+            out.append(t.key)
+            return
+        start = len(out)
     cls = type(t)
     if cls is Var:
         ds = binders.get(t.name)
@@ -209,7 +239,7 @@ def _key(t: Term, depth: int, binders: dict[str, list[int]], out: list[str]) -> 
         _key(t.body, depth + 1, binders, out)
         ds.pop()
         out.append(")")
-    elif cls is Const:
+    else:
         out.append("c:" + t.name)
         if t.contingencies:
             sep = "{"
@@ -218,8 +248,9 @@ def _key(t: Term, depth: int, binders: dict[str, list[int]], out: list[str]) -> 
                 _key(c, depth, binders, out)
                 sep = ","
             out.append("}")
-    else:
-        raise TypeError(f"not a term: {t!r}")
+    if closed:
+        t.key = "".join(out[start:])
+        out[start:] = [t.key]
 
 
 def alpha_key(t: Term) -> str:

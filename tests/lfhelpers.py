@@ -62,6 +62,21 @@ def _step_normal(t: Term) -> Term | None:
             return None
 
 
+def has_redex(t: Term) -> bool:
+    """Whether _step_normal would find a redex in t, without contracting it."""
+    match t:
+        case App(Abs(), _):
+            return True
+        case App(f, a):
+            return has_redex(f) or has_redex(a)
+        case Abs(_, body):
+            return has_redex(body)
+        case Const(_, cs):
+            return any(has_redex(c) for c in cs)
+        case _:
+            return False
+
+
 def small_step(t: Term) -> tuple[Term, int]:
     """Normal form in normal order, restarting the leftmost-outermost search
     from the root after each contraction, and the number of contractions.

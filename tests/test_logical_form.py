@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -283,12 +285,18 @@ def test_one_pass_reducer_matches_small_steps_on_hand_cases(term):
     assert lf.beta_normalize(term) == lfh.small_step(term)[0]
 
 
+@functools.cache
+def generated_terms():
+    """The 6000 generated terms that the reducer tests share."""
+    return sample(5151, 6000, depth=7)
+
+
 def test_one_pass_reducer_makes_the_small_step_contractions():
     """Same term by ==, binder names included, and the budget runs out at
     the same contraction, on 6000 generated terms and their binder-collapsed
     variants."""
     renamed = 0
-    for i, (generated, _) in enumerate(sample(5151, 6000, depth=7)):
+    for i, (generated, _) in enumerate(generated_terms()):
         for term in (generated, collapse_binders(generated)):
             expected, steps = lfh.small_step(term)
             assert lf.beta_normalize(term) == expected, f"term {i}: {lf.pretty_print(term)}"
@@ -308,3 +316,72 @@ def test_strategies_agree_on_generated_terms(pair):
     applicative = lfh.applicative_normalize(term)
     assert lf.alpha_eq(normal, applicative)
     assert lf.free_vars(normal) <= lf.free_vars(term)
+
+
+# ---------------------------------------------------------------------------
+# facts each term node computes once
+
+def plain_free_vars(t: lf.Term, memo: dict[int, frozenset[str]]) -> frozenset[str]:
+    """The free variables of t by a plain walk; memo holds those of the nodes already walked, by id."""
+    if id(t) not in memo:
+        match t:
+            case lf.Var(name):
+                found = frozenset({name})
+            case lf.Const(_, cs):
+                found = frozenset().union(*(plain_free_vars(c, memo) for c in cs))
+            case lf.Abs(v, body):
+                found = plain_free_vars(body, memo) - {v}
+            case lf.App(f, a):
+                found = plain_free_vars(f, memo) | plain_free_vars(a, memo)
+        memo[id(t)] = found
+    return memo[id(t)]
+
+
+def rebuilt(t: lf.Term) -> lf.Term:
+    """A copy of t made of new nodes, none of which has a cached key."""
+    match t:
+        case lf.Var(name):
+            return lf.Var(name)
+        case lf.Const(name, cs):
+            return lf.Const(name, tuple(map(rebuilt, cs)))
+        case lf.Abs(v, body):
+            return lf.Abs(v, rebuilt(body))
+        case lf.App(f, a):
+            return lf.App(rebuilt(f), rebuilt(a))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def subterms(t: lf.Term, seen: set[int]):
+    """The subterms of t, each node once, leaving out nodes whose ids are in seen."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        yield t
+        match t:
+            case lf.Const(_, cs):
+                todo.extend(cs)
+            case lf.Abs(_, body):
+                todo.append(body)
+            case lf.App(f, a):
+                todo += (f, a)
+
+
+def test_cached_term_facts_agree_with_plain_walks():
+    """On every subterm of the generated terms, their binder-collapsed
+    variants and the normal forms of both: the free variables, the normal
+    flag and, once alpha_key has walked the term, a closed subterm's key."""
+    generated = generated_terms() + sample(4242, 150) + sample(97, 40)
+    for i, (term, _) in enumerate(generated):
+        seen: set[int] = set()
+        free: dict[int, frozenset[str]] = {}
+        for top in (term, collapse_binders(term)):
+            for t in (top, lf.beta_normalize(top)):
+                lf.alpha_key(t)
+                for sub in subterms(t, seen):
+                    assert sub.free == plain_free_vars(sub, free), f"term {i}: {lf.pretty_print(sub)}"
+                    assert sub.normal is not lfh.has_redex(sub), f"term {i}: {lf.pretty_print(sub)}"
+                    if not sub.free:
+                        assert sub.key == lf.alpha_key(rebuilt(sub)), f"term {i}: {lf.pretty_print(sub)}"
