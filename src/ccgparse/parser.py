@@ -22,6 +22,7 @@ from .category import (
     Direction,
     Functor,
     Modality,
+    Singleton,
     apply_bindings,
     category_key,
     category_parts,
@@ -107,8 +108,9 @@ class Edge:
     def label(self) -> str:
         return self.rule.value if self.rule is not None else "LEX"
 
-    def reading_key(self) -> tuple[str, str]:
-        return (category_key(self.category), lf.alpha_key(self.lf))
+    def reading_key(self, category_text: str | None = None) -> tuple[str, str]:
+        """The category's key, or category_text when the caller holds it, and the logical form's alpha key."""
+        return (category_text or category_key(self.category), lf.alpha_key(self.lf))
 
 
 def derived_features(edge: Edge, weight_threshold: int) -> dict[str, str]:
@@ -121,19 +123,34 @@ def derived_features(edge: Edge, weight_threshold: int) -> dict[str, str]:
 
 
 class Chart:
-    """The cells of one parse, with the lexicon, the sentence and the settings they are built under."""
+    """The cells of one parse, with the lexicon, the sentence and the settings they are built under.
+
+    Equal categories made in the chart are one object, hashed and keyed
+    once, so the category steps of two edges are looked up by identity.
+    """
 
     def __init__(self, lexicon: Lexicon, tokens: list[str] | tuple[str, ...], settings: ParseSettings):
         self.lexicon = lexicon
         self.tokens = tuple(tokens)
         self.settings = settings
         self.cells: dict[tuple[int, int], dict[object, Edge]] = {}
+        self.categories: dict[Category, Category] = {}
+        self.category_keys: dict[int, str] = {}  # by the id of an interned category
+        self.category_steps: dict[tuple, tuple] = {}  # see _category_steps
+
+    def intern(self, c: Category) -> Category:
+        """The chart's one category equal to c."""
+        found = self.categories.setdefault(c, c)
+        if id(found) not in self.category_keys:
+            self.category_keys[id(found)] = category_key(found)
+        return found
 
     def add(self, edge: Edge) -> bool:
         cell = self.cells.setdefault(edge.span, {})
+        reading = edge.reading_key(self.category_keys.get(id(edge.category)))
         # application reads lexc, so edges that differ in it are not packed together;
         # under all_derivations len(cell) numbers the edge: cells only grow
-        key = (edge.reading_key(), len(cell) if self.settings.all_derivations else edge.lexc)
+        key = (reading, len(cell) if self.settings.all_derivations else edge.lexc)
         if key in cell:
             return False
         cell[key] = edge
@@ -270,27 +287,53 @@ def _category_step(row: RuleRow, f_edge: Edge, g_edge: Edge, chart: Chart) -> tu
     return None if bnd is None else (Functor(head, g.slash, g.argument), bnd)
 
 
+_X = lf.Var("x")
+
+
 def _lf_step(shape: str, f: lf.Term, g: lf.Term, max_steps: int) -> lf.Term:
     """f g, \\x. f (g x) or \\x. f x (g x) by shape, normalized once; f and g are closed, so x captures nothing."""
     if shape == "A":
         term: lf.Term = lf.App(f, g)
     else:
-        head = lf.App(f, lf.Var("x")) if shape == "S" else f
-        term = lf.Abs("x", lf.App(head, lf.App(g, lf.Var("x"))))
+        head = lf.App(f, _X) if shape == "S" else f
+        term = lf.Abs("x", lf.App(head, lf.App(g, _X)))
     return lf.beta_normalize(term, max_steps=max_steps)
+
+
+def _category_steps(left: Edge, right: Edge, chart: Chart) -> list[tuple[RuleRow, Category]]:
+    """The rows of RULES that fire on two adjacent edges, each with its
+    interned result category, computed once per distinct input: both
+    categories, both lexc flags and weights, and a span's words when the
+    other side applies to a string."""
+    lc, rc = left.category, right.category
+    l_functor, r_functor = type(lc) is Functor, type(rc) is Functor
+    if not (l_functor and lc.slash.direction is _FWD or r_functor and rc.slash.direction is _BWD):
+        return []  # no row has a primary functor here
+    threshold = chart.lexicon.weight_threshold
+    key = (
+        id(lc), id(rc), left.lexc, right.lexc, left.end - left.start <= threshold, right.end - right.start <= threshold,
+        l_functor and type(lc.argument) is Singleton and chart.tokens[right.start : right.end],
+        r_functor and type(rc.argument) is Singleton and chart.tokens[left.start : left.end],
+    )
+    found = chart.category_steps.get(key)
+    if found is None:
+        rows = []
+        for row in RULES:
+            step = _category_step(row, *((left, right) if row.f_direction is _FWD else (right, left)), chart)
+            if step is not None:
+                rows.append((row, chart.intern(apply_bindings(*step))))
+        found = chart.category_steps[key] = (rows, lc, rc)  # holding lc and rc keeps their ids theirs
+    return found[0]
 
 
 def combine(left: Edge, right: Edge, chart: Chart) -> list[Edge]:
     """All edges derivable from two adjacent constituents of the chart's
     sentence, one per rule in RULES that fires."""
     out: list[Edge] = []
-    for row in RULES:
+    for row, category in _category_steps(left, right, chart):
         f_edge, g_edge = (left, right) if row.f_direction is _FWD else (right, left)
-        step = _category_step(row, f_edge, g_edge, chart)
-        if step is not None:
-            term = _lf_step(row.shape, f_edge.lf, g_edge.lf, chart.settings.max_steps)
-            category = apply_bindings(*step)
-            out.append(Edge(left.start, right.end, category, term, row.rule, (left, right), lexc=left.lexc or right.lexc))
+        term = _lf_step(row.shape, f_edge.lf, g_edge.lf, chart.settings.max_steps)
+        out.append(Edge(left.start, right.end, category, term, row.rule, (left, right), lexc=left.lexc or right.lexc))
     return out
 
 
@@ -305,7 +348,7 @@ def seed_edges(chart: Chart) -> list[Edge]:
     fresh = itertools.count()
     for start in range(len(tokens)):
         for entry, length in lookup(lex, tokens, start):
-            category = rename_variables(entry.category, str(next(fresh)))
+            category = chart.intern(rename_variables(entry.category, str(next(fresh))))
             term = lf.beta_normalize(entry.lf, max_steps=max_steps)
             edges.append(Edge(start, start + length, category, term, entry=entry, lexc=entry.lexc))
             for i in range(start, start + length):

@@ -5,8 +5,11 @@ import pytest
 import ccgparse
 
 from ccgparse import logical_form as lf
+from ccgparse import parser
 from ccgparse.category import (
+    Direction,
     Functor,
+    apply_bindings,
     parse_category,
     render_category,
 )
@@ -444,3 +447,67 @@ def test_readings_list_one_edge_per_reading_key():
     assert [e.lexc for e in chart_readings(every)] == [False, True]
     # so do the near misses of a NO PARSE
     assert [e.span for e in build_chart(lex, ["a", "b"]).longest_partials()] == [(0, 1), (1, 2)]
+
+
+# ---------------------------------------------------------------------------
+# the category-step memo
+
+CHAIN_4 = "John kicked and Mary dragged and I cooked and You spilled the bucket"
+STACKS_4 = (
+    "I picked the long very proverbial long book up",
+    "I picked up the long very proverbial long book",
+    "John kicked the long very proverbial long bucket",
+)
+# the coordination workload's first chain at seed 0
+CHAIN_6 = "Mary kicked and You cooked and I spilled and Mary kicked and John dragged and John cooked the bucket"
+
+
+def summary(edges):
+    return [(e.rule, render_category(e.category), lf.alpha_key(e.lf), e.lexc) for e in edges]
+
+
+def direct_combine(left, right, chart):
+    """combine's outputs summarized, each row's step computed afresh: no memo, no interning."""
+    out = []
+    for row in RULES:
+        f_edge, g_edge = (left, right) if row.f_direction is Direction.FORWARD else (right, left)
+        step = parser._category_step(row, f_edge, g_edge, chart)
+        if step is not None:
+            term = parser._lf_step(row.shape, f_edge.lf, g_edge.lf, chart.settings.max_steps)
+            out.append((row.rule, render_category(apply_bindings(*step)), lf.alpha_key(term), left.lexc or right.lexc))
+    return out
+
+
+def test_memoized_combine_equals_the_direct_rule_steps(fragment, corpus):
+    """Every adjacent edge pair of each chart, after the build has filled its memo."""
+    pairs = 0
+    for sentence in [s for s, _, _ in corpus] + [CHAIN_4, *STACKS_4]:
+        try:
+            chart = build_chart(fragment, tokenize(sentence))
+        except UnknownTokenError:
+            continue
+        for (start, split), lefts in chart.cells.items():
+            for (i, end), rights in chart.cells.items():
+                if i != split:
+                    continue
+                for left in lefts.values():
+                    for right in rights.values():
+                        assert summary(combine(left, right, chart)) == direct_combine(left, right, chart), sentence
+                        pairs += 1
+    assert pairs > 1000
+
+
+def test_the_memo_takes_one_category_step_per_distinct_input(fragment, monkeypatch):
+    calls = {"_category_step": 0, "category_key": 0}
+    for name in calls:
+        original = getattr(parser, name)
+
+        def counted(*args, original=original, name=name):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(parser, name, counted)
+    chart = build_chart(fragment, tokenize(CHAIN_6))
+    assert len(chart.all_edges()) == 364
+    assert calls["_category_step"] <= 1800  # 9104 without the memo
+    assert calls["category_key"] <= 40  # 433 without interning: one per edge
