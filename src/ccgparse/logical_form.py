@@ -23,7 +23,7 @@ class BudgetExceeded(Exception):
 class _Node:
     """Facts a term node computes once, when it is made: ``free``, its free
     variables, and ``normal``, whether it holds no redex.  A closed node
-    caches its alpha key in ``key`` on first use."""
+    keeps its alpha key in ``key`` once alpha_key has made it."""
 
     __slots__ = ("free", "normal", "key")
 
@@ -213,15 +213,12 @@ def alpha_eq(a: Term, b: Term) -> bool:
 def _key(t: Term, depth: int, binders: dict[str, list[int]], out: list[str]) -> None:
     """alpha_key's walk; binders maps a name to the depths of its binders in scope.
 
-    A closed subterm's key depends on neither, so the subterm caches it and
-    leaves it in out as one piece.
+    A closed subterm's key depends on neither, so one that alpha_key has
+    keyed before is appended whole.
     """
-    closed = not t.free
-    if closed:
-        if t.key is not None:
-            out.append(t.key)
-            return
-        start = len(out)
+    if t.key is not None:
+        out.append(t.key)
+        return
     cls = type(t)
     if cls is Var:
         ds = binders.get(t.name)
@@ -248,16 +245,18 @@ def _key(t: Term, depth: int, binders: dict[str, list[int]], out: list[str]) -> 
                 _key(c, depth, binders, out)
                 sep = ","
             out.append("}")
-    if closed:
-        t.key = "".join(out[start:])
-        out[start:] = [t.key]
 
 
 def alpha_key(t: Term) -> str:
-    """Canonical string shared by alpha-equivalent terms: bound variables by binder depth, free ones by name."""
-    out: list[str] = []
-    _key(t, 0, {}, out)
-    return "".join(out)
+    """Canonical string shared by alpha-equivalent terms: bound variables by
+    binder depth, free ones by name.  A closed term keeps its key."""
+    if t.key is None:
+        out: list[str] = []
+        _key(t, 0, {}, out)
+        if t.free:
+            return "".join(out)
+        t.key = "".join(out)
+    return t.key
 
 
 def spine(t: Term) -> tuple[Term, list[Term]]:
