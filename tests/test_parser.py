@@ -486,9 +486,9 @@ def test_memoized_combine_equals_the_direct_rule_steps(fragment, corpus):
             chart = build_chart(fragment, tokenize(sentence))
         except UnknownTokenError:
             continue
-        for (start, split), lefts in chart.cells.items():
-            for (i, end), rights in chart.cells.items():
-                if i != split:
+        for (_, split), lefts in chart.cells.items():
+            for (start, _), rights in chart.cells.items():
+                if start != split:
                     continue
                 for left in lefts.values():
                     for right in rights.values():
