@@ -53,7 +53,7 @@ def _parse_setup(args: argparse.Namespace) -> tuple[Lexicon, ParseSettings]:
         lexicon = replace(lexicon, weight_threshold=args.weight_threshold)
     if args.case_fold:
         lexicon = case_folded(lexicon)
-    return lexicon, ParseSettings(args.max_steps, getattr(args, "all_derivations", False))
+    return lexicon, ParseSettings(args.max_steps)
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
@@ -76,7 +76,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     tokens = tokenize(args.sentence, args.case_fold)
     if not tokens:
         raise CommandError("empty sentence")
-    doc = document(build_chart(lexicon, tokens, settings), goal)
+    doc = document(build_chart(lexicon, tokens, settings), goal, args.all_derivations)
     sys.stdout.write(render_json(doc) if args.json else render_ascii(doc))
     return OK if doc.readings else NEGATIVE
 
@@ -159,7 +159,7 @@ def make_arg_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--goal", default=None, help="accept only spanning readings that fill this category as an argument slot")
     p.add_argument("--json", action="store_true", help="emit the JSON document instead of ASCII")
-    p.add_argument("--all-derivations", action="store_true", help="do not pack equal readings (near misses are listed once)")
+    p.add_argument("--all-derivations", action="store_true", help="list every derivation of each reading (near misses are listed once)")
     p.add_argument("sentence")
     p.set_defaults(func=cmd_parse)
 

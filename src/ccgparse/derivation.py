@@ -44,9 +44,10 @@ class DerivationDoc:
     near_misses: tuple[NearMiss, ...] = ()
 
 
-def document(chart: Chart, goal: Category | None = None) -> DerivationDoc:
-    """The chart's answer: its spanning readings that fill the goal (see
-    parser.chart_readings), sorted by (category, logical form).
+def document(chart: Chart, goal: Category | None = None, all_derivations: bool = False) -> DerivationDoc:
+    """The chart's answer: its spanning readings that fill the goal, or every
+    derivation of each (see parser.chart_readings), sorted stably by
+    (category, logical form).
 
     Each chart edge becomes one TreeNode, so readings that share a
     sub-derivation share its node. With no readings, the edges over the
@@ -55,7 +56,7 @@ def document(chart: Chart, goal: Category | None = None) -> DerivationDoc:
     the spanning readings that missed it.
     """
     nodes: dict[Edge, TreeNode] = {}  # Edge hashes by identity
-    roots = (_tree_node(e, nodes) for e in chart_readings(chart, goal))
+    roots = (_tree_node(e, nodes) for e in chart_readings(chart, goal, all_derivations))
     readings = tuple(sorted((Reading(t.category, t.lf, t) for t in roots), key=lambda r: (r.category, r.lf)))
     near: tuple[NearMiss, ...] = ()
     if not readings:

@@ -5,7 +5,8 @@ forward and backward application (which also perform string-category
 substitution), harmonic and crossing composition, and substitution.
 Every rule is gated by the modalities of the slashes it consumes.  Cells
 pack edges by (category, logical-form alpha class) so derivational
-ambiguity with identical results is not duplicated.
+ambiguity with identical results is not duplicated; the kept edge records
+what was packed into it, so every derivation can still be listed.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import NamedTuple
 
 from .category import (
@@ -83,7 +85,6 @@ class SentenceTooLongError(ParserError):
 @dataclass(frozen=True)
 class ParseSettings:
     max_steps: int = lf.DEFAULT_STEP_BUDGET
-    all_derivations: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +138,8 @@ class Chart:
         self.categories: dict[Category, Category] = {}
         self.category_keys: dict[int, str] = {}  # by the id of an interned category
         self.category_steps: dict[tuple, tuple] = {}  # see _category_steps
+        self.seeds: list[Edge] = []  # in lookup order, as build_chart adds them
+        self.packed: dict[Edge, list] = {}  # by kept edge: the seeds packed into it, and the (rule, children) of combinations
 
     def intern(self, c: Category) -> Category:
         """The chart's one category equal to c."""
@@ -147,23 +150,14 @@ class Chart:
 
     def add(self, edge: Edge) -> bool:
         cell = self.cells.setdefault(edge.span, {})
-        reading = edge.reading_key(self.category_keys.get(id(edge.category)))
-        # application reads lexc, so edges that differ in it are not packed together;
-        # under all_derivations len(cell) numbers the edge: cells only grow
-        key = (reading, len(cell) if self.settings.all_derivations else edge.lexc)
-        if key in cell:
-            return False
-        cell[key] = edge
-        return True
+        # application reads lexc, so edges that differ in it are not packed together
+        kept = cell.setdefault((edge.reading_key(self.category_keys.get(id(edge.category))), edge.lexc), edge)
+        if kept is not edge:  # a combination's logical form is not kept
+            self.packed.setdefault(kept, []).append(edge if edge.rule is None else (edge.rule, edge.children))
+        return kept is edge
 
     def edges(self, start: int, end: int) -> list[Edge]:
         return list(self.cells.get((start, end), {}).values())
-
-    def readings(self, start: int, end: int) -> list[Edge]:
-        """The first edge added for each reading key, or under all_derivations
-        every edge, in the order added."""
-        cell = self.cells.get((start, end), {})
-        return list(cell.values()) if self.settings.all_derivations else _first_per_reading(cell)
 
     def spanning(self) -> list[Edge]:
         return self.edges(0, len(self.tokens))
@@ -174,8 +168,7 @@ class Chart:
     def longest_partials(self) -> list[Edge]:
         """The first edge for each reading key over the longest spans holding
         edges, the whole sentence included: the near misses of a NO PARSE,
-        which under a goal are the spanning readings that missed it.  A near
-        miss shows no derivation, so all_derivations lists each once too."""
+        which under a goal are the spanning readings that missed it."""
         n = len(self.tokens)
         for length in range(n, 0, -1):
             found = [e for (i, j), cell in self.cells.items() if j - i == length for e in _first_per_reading(cell)]
@@ -366,7 +359,8 @@ def build_chart(lex: Lexicon, tokens: list[str] | tuple[str, ...], settings: Par
     if len(tokens) > MAX_TOKENS:
         raise SentenceTooLongError(f"{len(tokens)} tokens exceeds the limit of {MAX_TOKENS}")
     chart = Chart(lex, tokens, settings)
-    for edge in seed_edges(chart):
+    chart.seeds = seed_edges(chart)
+    for edge in chart.seeds:
         chart.add(edge)
     n = len(tokens)
     for length in range(2, n + 1):
@@ -381,10 +375,35 @@ def build_chart(lex: Lexicon, tokens: list[str] | tuple[str, ...], settings: Par
     return chart
 
 
-def chart_readings(chart: Chart, goal: Category | None = None) -> list[Edge]:
-    """The chart's spanning readings (see Chart.readings) that fill the goal
-    as an argument slot, computed features included; None accepts any."""
-    return [e for e in chart.readings(0, len(chart.tokens)) if goal is None or chart.fills(goal, e) is not None]
+def _derivations(edge: Edge, chart: Chart, memo: dict) -> list[tuple[tuple, Edge]]:
+    """Every derivation packed into edge, each made by combine on its own child
+    derivations, with its key in the order a chart without packing adds edges:
+    seeds in lookup order, then (split, left key, right key, rule row)."""
+    if edge not in memo:
+        found = []
+        for d in (edge, *chart.packed.get(edge, ())):
+            if type(d) is Edge and d.rule is None:
+                found.append(((-1, chart.seeds.index(d)), d))
+                continue
+            rule, (left, right) = (d.rule, d.children) if type(d) is Edge else d
+            for lkey, l in _derivations(left, chart, memo):
+                for rkey, r in _derivations(right, chart, memo):
+                    out = memo[l, r] if (l, r) in memo else memo.setdefault((l, r), combine(l, r, chart))
+                    found += [((left.end, lkey, rkey, i), e) for i, e in enumerate(out) if e.rule is rule]
+        memo[edge] = found
+    return memo[edge]
+
+
+def chart_readings(chart: Chart, goal: Category | None = None, all_derivations: bool = False) -> list[Edge]:
+    """The chart's spanning edges that fill the goal as an argument slot,
+    computed features included (None accepts any): the first for each reading
+    key, or every derivation of each (see _derivations) in one add order."""
+    cell = chart.cells.get((0, len(chart.tokens)), {})
+    filling = {k: e for k, e in cell.items() if goal is None or chart.fills(goal, e) is not None}
+    if not all_derivations:
+        return _first_per_reading(filling)
+    memo: dict = {}
+    return [d for _, d in sorted((p for e in filling.values() for p in _derivations(e, chart, memo)), key=itemgetter(0))]
 
 
 def parse(

@@ -12,8 +12,10 @@ from ccgparse.lexicon import Lexicon
 from ccgparse.parser import Chart, Edge, ParseSettings, combine, seed_edges
 
 
-def enumerate_readings(lex: Lexicon, tokens: list[str], settings: ParseSettings = ParseSettings()) -> set[tuple[str, str]]:
-    """All (category key, lf alpha key) pairs derivable over the full span."""
+def derivations(lex: Lexicon, tokens: list[str], settings: ParseSettings = ParseSettings()) -> list[Edge]:
+    """Every derivation over the full span, in the order an unpacked chart
+    adds them: seeds in lookup order, then by split, left derivation, right
+    derivation and rule row."""
     chart = Chart(lex, tokens, settings)
     lexical: dict[tuple[int, int], list[Edge]] = {}
     for edge in seed_edges(chart):
@@ -22,11 +24,15 @@ def enumerate_readings(lex: Lexicon, tokens: list[str], settings: ParseSettings 
     def derive(start: int, end: int) -> list[Edge]:
         found = list(lexical.get((start, end), ()))
         for split in range(start + 1, end):
+            rights = derive(split, end)
             for left in derive(start, split):
-                for right in derive(split, end):
+                for right in rights:
                     found.extend(combine(left, right, chart))
         return found
 
-    return {
-        (category_key(e.category), lf.alpha_key(e.lf)) for e in derive(0, len(tokens))
-    }
+    return derive(0, len(tokens))
+
+
+def enumerate_readings(lex: Lexicon, tokens: list[str], settings: ParseSettings = ParseSettings()) -> set[tuple[str, str]]:
+    """All (category key, lf alpha key) pairs derivable over the full span."""
+    return {(category_key(e.category), lf.alpha_key(e.lf)) for e in derivations(lex, tokens, settings)}

@@ -133,6 +133,14 @@ def test_all_derivations_lists_each_near_miss_once(capsys):
     assert run(capsys, "parse", "-l", FRAGMENT, "--all-derivations", sentence) == packed
 
 
+@pytest.mark.parametrize("entries", [("a := N : a ;", "a := N : a [lexc+] ;"), ("a := N : a [lexc+] ;", "a := N : a ;")])
+@pytest.mark.parametrize("goal", ["N[lexc=+]", "N[lexc=-]"])
+def test_a_lexc_goal_finds_its_reading_whatever_the_entry_order(capsys, tmp_path, entries, goal):
+    # the two entries are one reading that differs in lexc: the goal picks the edge that fills it
+    code, out, _ = run(capsys, "parse", "-l", write(tmp_path, "\n".join(entries) + "\n"), "--goal", goal, "a")
+    assert (code, out.count("reading ")) == (0, 1)
+
+
 def test_parse_missing_file(capsys):
     code, _, err = run(capsys, "parse", "-l", "no-such-file.ccg", "John")
     assert code == 2 and "cannot read" in err

@@ -17,7 +17,8 @@ from ccgparse.derivation import (
     render_json,
 )
 from ccgparse.lexicon import case_folded, tokenize
-from ccgparse.parser import ParseSettings, build_chart, chart_readings
+from ccgparse import parser
+from ccgparse.parser import build_chart, chart_readings, combine
 
 
 def doc_for(fragment, sentence, goal=None):
@@ -177,34 +178,47 @@ def test_json_layout_equals_the_standard_encoder(doc):
 
 def test_json_layout_equals_the_standard_encoder_on_parses(fragment, corpus):
     for all_derivations in (False, True):
-        settings = ParseSettings(all_derivations=all_derivations)
         for sentence, _, _ in corpus:
-            doc = document(build_chart(fragment, tokenize(sentence), settings))
+            doc = document(build_chart(fragment, tokenize(sentence)), None, all_derivations)
             assert render_json(doc) == standard_json(doc), (sentence, all_derivations)
     for k in range(2, 6):
         doc = document(build_chart(fragment, tokenize(chain(k))), parse_category("S"))
         assert render_json(doc) == standard_json(doc), k
 
 
+def test_every_derivation_of_a_no_parse_costs_no_combination(fragment, monkeypatch):
+    calls = []
+    monkeypatch.setattr(parser, "combine", lambda *args: calls.append(args) or combine(*args))
+    chart = build_chart(fragment, tokenize("I picked the " + "long " * 8 + "book up"))
+    calls.clear()
+    every = document(chart, None, all_derivations=True)
+    assert not calls and not every.readings
+    assert every == document(chart)
+    # the counter sees the combinations that a parse with readings makes
+    assert document(build_chart(fragment, tokenize(chain(2))), None, all_derivations=True).readings and calls
+
+
 # ---------------------------------------------------------------------------
 # every chart and document is freed by reference count
 
-def parse_and_render(fragment, sentence, goal=None, case_fold=False):
+def parse_and_render(fragment, sentence, goal=None, case_fold=False, all_derivations=False):
     """Everything made here is unreachable once this returns."""
     lex = case_folded(fragment) if case_fold else fragment
-    doc = document(build_chart(lex, tokenize(sentence, case_fold)), parse_category(goal) if goal else None)
+    doc = document(build_chart(lex, tokenize(sentence, case_fold)), parse_category(goal) if goal else None, all_derivations)
     render_json(doc)
     render_ascii(doc)
 
 
 def test_parsing_and_rendering_leave_no_cyclic_garbage(fragment):
     # a chain with readings, a modifier stack in the weight frame (a NO PARSE),
-    # the chain through a case-folded lexicon, and a NO PARSE under a goal
+    # the chain through a case-folded lexicon, a NO PARSE under a goal, and
+    # every derivation of the chain
     runs = [
         (chain(4), {}),
         ("I picked the " + "long " * 10 + "book up", {}),
         (chain(4), {"case_fold": True}),
         ("the book", {"goal": "S"}),
+        (chain(4), {"all_derivations": True}),
     ]
     gc.disable()
     try:

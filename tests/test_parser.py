@@ -31,7 +31,7 @@ from ccgparse.parser import (
     seed_edges,
 )
 
-from bruteforce import enumerate_readings
+from bruteforce import derivations, enumerate_readings
 
 
 def load(text):
@@ -257,8 +257,7 @@ def test_packing_collapses_equivalent_derivations(fragment):
     tokens = tokenize("John persuaded Mary to hit Harry")
     packed = parse(fragment, tokens, parse_category("S"))
     assert len(packed) == 1
-    settings = ParseSettings(all_derivations=True)
-    unpacked = parse(fragment, tokens, parse_category("S"), settings=settings)
+    unpacked = chart_readings(build_chart(fragment, tokens), parse_category("S"), all_derivations=True)
     assert len(unpacked) > 1
     assert all(lf.alpha_eq(e.lf, packed[0].lf) for e in unpacked)
 
@@ -400,7 +399,7 @@ def test_the_weight_threshold_is_the_lexicons_whatever_the_settings():
     for sentence in ("I picked the book up", "John picked up the book"):
         tokens = tokenize(sentence)
         packed = {e.reading_key() for e in build_chart(lex, tokens).spanning()}
-        assert packed == {e.reading_key() for e in build_chart(lex, tokens, ParseSettings(all_derivations=True)).spanning()}
+        assert packed == {e.reading_key() for e in chart_readings(build_chart(lex, tokens, ParseSettings()), all_derivations=True)}
         assert bool(packed) is (sentence == "John picked up the book")  # "the book" is heavy at threshold 1
 
 
@@ -443,10 +442,48 @@ def test_readings_list_one_edge_per_reading_key():
     chart = build_chart(lex, ["a"])
     assert [e.lexc for e in chart.spanning()] == [False, True]
     assert [e.lexc for e in chart_readings(chart)] == [False]
-    every = build_chart(lex, ["a"], ParseSettings(all_derivations=True))
-    assert [e.lexc for e in chart_readings(every)] == [False, True]
+    assert [e.lexc for e in chart_readings(chart, all_derivations=True)] == [False, True]
     # so do the near misses of a NO PARSE
     assert [e.span for e in build_chart(lex, ["a", "b"]).longest_partials()] == [(0, 1), (1, 2)]
+
+
+def derivation_tree(edge):
+    return (
+        edge.span, edge.label, render_category(edge.category), lf.pretty_print(edge.lf), edge.lexc,
+        tuple(derivation_tree(child) for child in edge.children),
+    )
+
+
+# lexc+ between two alpha-equal seeds: seeds of two readings interleave in lookup order
+ALPHA_EQUAL_SEEDS = r"""
+a := N/N : \x. f x ;
+a := N/N : \x. f x [lexc+] ;
+a := N/N : \y. f y ;
+b := N : b ;
+b := N : b [lexc+] ;
+c := S/N[lexc=+] : \x. g x ;
+"""
+
+# t applies to n and composes with it: two rule rows fire on one pair
+TWO_ROWS_ON_ONE_PAIR = r"""
+t := X/X : \p. t p ;
+n := N/N : \x. n x ;
+m := N : m ;
+"""
+
+
+def test_every_derivation_comes_in_the_unpacked_charts_add_order(fragment, corpus):
+    cases = [(fragment, tokenize(s)) for s, _, _ in corpus if len(tokenize(s)) <= 7] + [(fragment, tokenize(CHAIN_4))]
+    lex = load(ALPHA_EQUAL_SEEDS)
+    cases += [(lex, s.split()) for s in ("a b", "a a b", "c a b", "c a a b")]
+    lex = load(TWO_ROWS_ON_ONE_PAIR)
+    cases += [(lex, s.split()) for s in ("t n", "t n m", "t t n m")]
+    listed = 0
+    for lex, tokens in cases:
+        want = [derivation_tree(e) for e in derivations(lex, tokens)]
+        assert [derivation_tree(e) for e in chart_readings(build_chart(lex, tokens), all_derivations=True)] == want, tokens
+        listed += len(want)
+    assert len(cases) >= 15 and listed > len(cases)
 
 
 # ---------------------------------------------------------------------------
