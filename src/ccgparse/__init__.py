@@ -35,7 +35,6 @@ from .lexicon import (
 from .parser import (
     Chart,
     Edge,
-    ParseSettings,
     ParserError,
     RuleId,
     SentenceTooLongError,

@@ -16,7 +16,7 @@ from pathlib import Path
 from .category import CategorySyntaxError, parse_category, render_category, validate_category
 from . import logical_form as lf
 from .lexicon import Lexicon, case_folded, fold_strings, lexicon_notes, parse_lexicon, tokenize, validate_lexicon
-from .parser import ParseSettings, ParserError, build_chart, misplaced_computed, parse
+from .parser import ParserError, build_chart, misplaced_computed, parse
 from .derivation import document, render_ascii, render_json
 
 OK, NEGATIVE, ERROR = 0, 1, 2
@@ -43,8 +43,8 @@ def _load_lexicon(path: str, strict: bool = True):
     return lexicon, issues
 
 
-def _parse_setup(args: argparse.Namespace) -> tuple[Lexicon, ParseSettings]:
-    """The lexicon, validated as written, then viewed under --weight-threshold and --case-fold; settings from the rest."""
+def _parse_setup(args: argparse.Namespace) -> Lexicon:
+    """The lexicon, validated as written, then viewed under --weight-threshold and --case-fold."""
     lexicon, _ = _load_lexicon(args.lexicon)
     violations = validate_lexicon(lexicon)
     if violations:
@@ -53,11 +53,11 @@ def _parse_setup(args: argparse.Namespace) -> tuple[Lexicon, ParseSettings]:
         lexicon = replace(lexicon, weight_threshold=args.weight_threshold)
     if args.case_fold:
         lexicon = case_folded(lexicon)
-    return lexicon, ParseSettings(args.max_steps)
+    return lexicon
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    lexicon, settings = _parse_setup(args)
+    lexicon = _parse_setup(args)
     goal = None
     if args.goal is not None:
         try:
@@ -76,7 +76,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     tokens = tokenize(args.sentence, args.case_fold)
     if not tokens:
         raise CommandError("empty sentence")
-    doc = document(build_chart(lexicon, tokens, settings), goal, args.all_derivations)
+    doc = document(build_chart(lexicon, tokens, args.max_steps), goal, args.all_derivations)
     sys.stdout.write(render_json(doc) if args.json else render_ascii(doc))
     return OK if doc.readings else NEGATIVE
 
@@ -95,10 +95,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return OK
 
 
-def _check_line(lexicon: Lexicon, settings: ParseSettings, tokens: list[str], count: int, lf_specs: list[lf.Term]) -> str | None:
+def _check_line(lexicon: Lexicon, max_steps: int, tokens: list[str], count: int, lf_specs: list[lf.Term]) -> str | None:
     """Run one suite line; None on pass, else a failure description."""
     try:
-        edges = parse(lexicon, tokens, settings=settings)
+        edges = parse(lexicon, tokens, max_steps=max_steps)
     except (ParserError, lf.BudgetExceeded) as exc:
         return str(exc)
     if len(edges) != count:
@@ -111,7 +111,7 @@ def _check_line(lexicon: Lexicon, settings: ParseSettings, tokens: list[str], co
 
 
 def cmd_test(args: argparse.Namespace) -> int:
-    lexicon, settings = _parse_setup(args)
+    lexicon = _parse_setup(args)
     text = _read("suite", args.suite)
     passed = failed = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -132,7 +132,7 @@ def cmd_test(args: argparse.Namespace) -> int:
                 lf_specs = [lf.parse_term(p.strip()) for p in lf_text.split("|")]
             except lf.LFSyntaxError as exc:
                 raise CommandError(f"{args.suite}:{lineno}: bad expected logical form: {exc}") from None
-        problem = _check_line(lexicon, settings, tokenize(sentence, args.case_fold), count, lf_specs)
+        problem = _check_line(lexicon, args.max_steps, tokenize(sentence, args.case_fold), count, lf_specs)
         if problem is None:
             passed += 1
             print(f"PASS  {sentence}")

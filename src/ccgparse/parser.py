@@ -3,19 +3,19 @@
 Eight binary rules, one row each of the table RULES, plus lexical seeding:
 forward and backward application (which also perform string-category
 substitution), harmonic and crossing composition, and substitution.
-Every rule is gated by the modalities of the slashes it consumes.  Cells
-pack edges by (category, logical-form alpha class) so derivational
-ambiguity with identical results is not duplicated; the kept edge records
-what was packed into it, so every derivation can still be listed.
+Every rule is gated by the modalities of the slashes it consumes.  The
+chart is built over categories only, a cell holding one node per (category,
+lexc) with every way it was made; logical forms are made by a walk from the
+nodes asked for, so a node that no reading uses costs none.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .category import (
     Atom,
@@ -82,11 +82,6 @@ class SentenceTooLongError(ParserError):
     pass
 
 
-@dataclass(frozen=True)
-class ParseSettings:
-    max_steps: int = lf.DEFAULT_STEP_BUDGET
-
-
 @dataclass(frozen=True, eq=False)
 class Edge:
     """A chart constituent over tokens [start, end) of its chart's sentence;
@@ -114,7 +109,7 @@ class Edge:
         return (category_text or category_key(self.category), lf.alpha_key(self.lf))
 
 
-def derived_features(edge: Edge, weight_threshold: int) -> dict[str, str]:
+def derived_features(edge: Edge | Node, weight_threshold: int) -> dict[str, str]:
     """The values of COMPUTED_ATTRS for an edge, never stored on its category.
 
     ``lexc`` is "+" when the edge's lexc flag is set; ``weight`` is "-" when
@@ -123,23 +118,35 @@ def derived_features(edge: Edge, weight_threshold: int) -> dict[str, str]:
     return {"lexc": "+" if edge.lexc else "-", "weight": "-" if edge.end - edge.start <= weight_threshold else "+"}
 
 
+@dataclass(eq=False)
+class Node:
+    """The derivations of one category and lexc flag over tokens [start, end), as the ways
+    they were made, in order: (seed index, seed edge) or (rule row, left node, right node)."""
+
+    start: int
+    end: int
+    category: Category
+    lexc: bool
+    ways: list[tuple] = field(default_factory=list)
+
+
 class Chart:
-    """The cells of one parse, with the lexicon, the sentence and the settings they are built under.
+    """The cells of one parse, with the lexicon, the sentence and the step budget they are built under.
 
     Equal categories made in the chart are one object, hashed and keyed
-    once, so the category steps of two edges are looked up by identity.
+    once, so the category steps of two nodes or edges are looked up by identity.
     """
 
-    def __init__(self, lexicon: Lexicon, tokens: list[str] | tuple[str, ...], settings: ParseSettings):
+    def __init__(self, lexicon: Lexicon, tokens: list[str] | tuple[str, ...], max_steps: int):
         self.lexicon = lexicon
         self.tokens = tuple(tokens)
-        self.settings = settings
-        self.cells: dict[tuple[int, int], dict[object, Edge]] = {}
+        self.max_steps = max_steps
+        self.cells: dict[tuple[int, int], dict[tuple[str, bool], Node]] = {}
         self.categories: dict[Category, Category] = {}
         self.category_keys: dict[int, str] = {}  # by the id of an interned category
         self.category_steps: dict[tuple, tuple] = {}  # see _category_steps
-        self.seeds: list[Edge] = []  # in lookup order, as build_chart adds them
-        self.packed: dict[Edge, list] = {}  # by kept edge: the seeds packed into it, and the (rule, children) of combinations
+        self.derivations: dict[tuple[Node, bool], list] = {}  # see _derivations
+        self.combined: dict[tuple[Edge, Edge], list[Edge]] = {}  # combine's edges by input pair
 
     def intern(self, c: Category) -> Category:
         """The chart's one category equal to c."""
@@ -148,22 +155,24 @@ class Chart:
             self.category_keys[id(found)] = category_key(found)
         return found
 
-    def add(self, edge: Edge) -> bool:
-        cell = self.cells.setdefault(edge.span, {})
-        # application reads lexc, so edges that differ in it are not packed together
-        kept = cell.setdefault((edge.reading_key(self.category_keys.get(id(edge.category))), edge.lexc), edge)
-        if kept is not edge:  # a combination's logical form is not kept
-            self.packed.setdefault(kept, []).append(edge if edge.rule is None else (edge.rule, edge.children))
-        return kept is edge
+    def add(self, start: int, end: int, category: Category, lexc: bool, way: tuple) -> bool:
+        """File way under the node of its span, category and lexc flag; whether that node is new."""
+        cell = self.cells.setdefault((start, end), {})
+        # application reads lexc, so derivations that differ in it are not packed together
+        key = (self.category_keys[id(category)], lexc)
+        node = cell.get(key) or cell.setdefault(key, Node(start, end, category, lexc))
+        node.ways.append(way)
+        return len(node.ways) == 1
 
     def edges(self, start: int, end: int) -> list[Edge]:
-        return list(self.cells.get((start, end), {}).values())
+        """The first derivation of each (reading, lexc) over [start, end), in the order an unpacked chart adds them."""
+        return [e for _, e in _walk(self.cells.get((start, end), {}).values(), self, False)]
 
     def spanning(self) -> list[Edge]:
         return self.edges(0, len(self.tokens))
 
     def all_edges(self) -> list[Edge]:
-        return [e for cell in self.cells.values() for e in cell.values()]
+        return [e for i, j in self.cells for e in self.edges(i, j)]
 
     def longest_partials(self) -> list[Edge]:
         """The first edge for each reading key over the longest spans holding
@@ -171,29 +180,32 @@ class Chart:
         which under a goal are the spanning readings that missed it."""
         n = len(self.tokens)
         for length in range(n, 0, -1):
-            found = [e for (i, j), cell in self.cells.items() if j - i == length for e in _first_per_reading(cell)]
+            found = [
+                e for (i, j), cell in self.cells.items() if j - i == length
+                for _, e in _first_per_reading(_walk(cell.values(), self, False), self)
+            ]
             if found:
                 return found
         return []
 
-    def fills(self, spec: Category, edge: Edge) -> Bindings | None:
+    def fills(self, spec: Category, edge: Edge | Node) -> Bindings | None:
         """Match an argument slot against the edge's span of the sentence, computed features included."""
         computed = derived_features(edge, self.lexicon.weight_threshold)
         return match_argument(spec, edge.category, self.tokens[edge.start : edge.end], computed)
 
 
-def _first_per_reading(cell: dict[object, Edge]) -> list[Edge]:
-    """The first edge added to a cell for each reading key, in the order added."""
-    found: dict[tuple[str, str], Edge] = {}
-    for (reading, _), e in cell.items():
-        found.setdefault(reading, e)
-    return list(found.values())
+def _first_per_reading(found: list[tuple[tuple, Edge]], chart: Chart) -> list[tuple[tuple, Edge]]:
+    """The first (key, edge) pair of found for each reading key of its edge, in order."""
+    first: dict[tuple[str, str], tuple[tuple, Edge]] = {}
+    for key, e in found:
+        first.setdefault(e.reading_key(chart.category_keys.get(id(e.category))), (key, e))
+    return list(first.values())
 
 
 # ---------------------------------------------------------------------------
 # the rules
 
-def _functor(edge: Edge, direction: Direction) -> Functor | None:
+def _functor(edge: Edge | Node, direction: Direction) -> Functor | None:
     c = edge.category
     if isinstance(c, Functor) and c.slash.direction is direction:
         return c
@@ -233,7 +245,7 @@ _CROSSING = (Modality.CROSS, Modality.DOT)
 #   B  composition   X/Y      Y|Z  => X|Z  \x. f (g x)
 #   S  substitution  (X/Y)/Z  Y|Z  => X|Z  \x. f x (g x)
 # Every slash a rule consumes must have one of the row's ``admits`` modalities.
-# Rows are tried in order.  Chart.add keeps the first edge for each
+# Rows are tried in order.  _derivations keeps the first derivation for each
 # reading, so the order decides which derivation a packed reading shows.
 RULES = (
     RuleRow(RuleId.FWD_APP, _FWD, None, "A", _ANY),
@@ -247,7 +259,7 @@ RULES = (
 )
 
 
-def _category_step(row: RuleRow, f_edge: Edge, g_edge: Edge, chart: Chart) -> tuple[Category, Bindings] | None:
+def _category_step(row: RuleRow, f_edge: Edge | Node, g_edge: Edge | Node, chart: Chart) -> tuple[Category, Bindings] | None:
     """The result category of one rule with its bindings, or None if a gate blocks it.
 
     Every slash the rule consumes must admit it.  Application matches f's
@@ -293,7 +305,7 @@ def _lf_step(shape: str, f: lf.Term, g: lf.Term, max_steps: int) -> lf.Term:
     return lf.beta_normalize(term, max_steps=max_steps)
 
 
-def _category_steps(left: Edge, right: Edge, chart: Chart) -> list[tuple[RuleRow, Category]]:
+def _category_steps(left: Edge | Node, right: Edge | Node, chart: Chart) -> list[tuple[RuleRow, Category]]:
     """The rows of RULES that fire on two adjacent edges, each with its
     interned result category, computed once per distinct input: both
     categories, both lexc flags and weights, and a span's words when the
@@ -325,7 +337,7 @@ def combine(left: Edge, right: Edge, chart: Chart) -> list[Edge]:
     out: list[Edge] = []
     for row, category in _category_steps(left, right, chart):
         f_edge, g_edge = (left, right) if row.f_direction is _FWD else (right, left)
-        term = _lf_step(row.shape, f_edge.lf, g_edge.lf, chart.settings.max_steps)
+        term = _lf_step(row.shape, f_edge.lf, g_edge.lf, chart.max_steps)
         out.append(Edge(left.start, right.end, category, term, row.rule, (left, right), lexc=left.lexc or right.lexc))
     return out
 
@@ -335,7 +347,7 @@ def combine(left: Edge, right: Edge, chart: Chart) -> list[Edge]:
 
 def seed_edges(chart: Chart) -> list[Edge]:
     """Lexical edges for each match of the chart's lexicon in its sentence; raises when a token is uncovered."""
-    lex, tokens, max_steps = chart.lexicon, chart.tokens, chart.settings.max_steps
+    lex, tokens, max_steps = chart.lexicon, chart.tokens, chart.max_steps
     edges: list[Edge] = []
     covered = [False] * len(tokens)
     fresh = itertools.count()
@@ -352,69 +364,73 @@ def seed_edges(chart: Chart) -> list[Edge]:
     return edges
 
 
-def build_chart(lex: Lexicon, tokens: list[str] | tuple[str, ...], settings: ParseSettings = ParseSettings()) -> Chart:
-    """Run exhaustive CKY and return the filled chart."""
+def build_chart(lex: Lexicon, tokens: list[str] | tuple[str, ...], max_steps: int = lf.DEFAULT_STEP_BUDGET) -> Chart:
+    """Run exhaustive CKY over categories and return the filled chart (its logical forms: see _derivations)."""
     if not tokens:
         raise ParserError("cannot parse an empty sentence")
     if len(tokens) > MAX_TOKENS:
         raise SentenceTooLongError(f"{len(tokens)} tokens exceeds the limit of {MAX_TOKENS}")
-    chart = Chart(lex, tokens, settings)
-    chart.seeds = seed_edges(chart)
-    for edge in chart.seeds:
-        chart.add(edge)
+    chart = Chart(lex, tokens, max_steps)
+    for i, edge in enumerate(seed_edges(chart)):
+        chart.add(edge.start, edge.end, edge.category, edge.lexc, (i, edge))
     n = len(tokens)
     for length in range(2, n + 1):
         for start in range(0, n - length + 1):
             end = start + length
             for split in range(start + 1, end):
-                rights = chart.edges(split, end)
-                for left in chart.edges(start, split):
+                rights = chart.cells.get((split, end), {}).values()
+                for left in chart.cells.get((start, split), {}).values():
                     for right in rights:
-                        for edge in combine(left, right, chart):
-                            chart.add(edge)
+                        for row, category in _category_steps(left, right, chart):
+                            chart.add(start, end, category, left.lexc or right.lexc, (row, left, right))
     return chart
 
 
-def _derivations(edge: Edge, chart: Chart, memo: dict) -> list[tuple[tuple, Edge]]:
-    """Every derivation packed into edge, each made by combine on its own child
-    derivations, with its key in the order a chart without packing adds edges:
-    seeds in lookup order, then (split, left key, right key, rule row)."""
-    if edge not in memo:
+def _derivations(node: Node, chart: Chart, every: bool) -> list[tuple[tuple, Edge]]:
+    """Node's derivations, each made by combine on its children's derivations,
+    with its key in the order a chart without packing adds edges: seeds in
+    lookup order, then (split, left key, right key, rule row).  Every one, or
+    the first for each reading key; made once per chart."""
+    found = chart.derivations.get((node, every))
+    if found is None:
         found = []
-        for d in (edge, *chart.packed.get(edge, ())):
-            if type(d) is Edge and d.rule is None:
-                found.append(((-1, chart.seeds.index(d)), d))
+        for way in node.ways:
+            if len(way) == 2:
+                found.append(((-1, way[0]), way[1]))
                 continue
-            rule, (left, right) = (d.rule, d.children) if type(d) is Edge else d
-            for lkey, l in _derivations(left, chart, memo):
-                for rkey, r in _derivations(right, chart, memo):
-                    out = memo[l, r] if (l, r) in memo else memo.setdefault((l, r), combine(l, r, chart))
-                    found += [((left.end, lkey, rkey, i), e) for i, e in enumerate(out) if e.rule is rule]
-        memo[edge] = found
-    return memo[edge]
+            row, left, right = way
+            for lkey, l in _derivations(left, chart, every):
+                for rkey, r in _derivations(right, chart, every):
+                    out = chart.combined.get((l, r)) or chart.combined.setdefault((l, r), combine(l, r, chart))
+                    found += [((left.end, lkey, rkey, i), e) for i, e in enumerate(out) if e.rule is row.rule]
+        found.sort(key=itemgetter(0))
+        found = chart.derivations[node, every] = found if every else _first_per_reading(found, chart)
+    return found
+
+
+def _walk(nodes: Iterable[Node], chart: Chart, every: bool) -> list[tuple[tuple, Edge]]:
+    """The derivations of nodes of one span (see _derivations), in one key order."""
+    return sorted((pair for node in nodes for pair in _derivations(node, chart, every)), key=itemgetter(0))
 
 
 def chart_readings(chart: Chart, goal: Category | None = None, all_derivations: bool = False) -> list[Edge]:
     """The chart's spanning edges that fill the goal as an argument slot,
     computed features included (None accepts any): the first for each reading
-    key, or every derivation of each (see _derivations) in one add order."""
+    key, or every derivation of each (see _derivations), in one add order."""
     cell = chart.cells.get((0, len(chart.tokens)), {})
-    filling = {k: e for k, e in cell.items() if goal is None or chart.fills(goal, e) is not None}
-    if not all_derivations:
-        return _first_per_reading(filling)
-    memo: dict = {}
-    return [d for _, d in sorted((p for e in filling.values() for p in _derivations(e, chart, memo)), key=itemgetter(0))]
+    found = _walk((v for v in cell.values() if goal is None or chart.fills(goal, v) is not None), chart, all_derivations)
+    return [e for _, e in (found if all_derivations else _first_per_reading(found, chart))]
 
 
 def parse(
     lex: Lexicon,
     tokens: list[str] | tuple[str, ...],
     goal: Category | None = None,
-    settings: ParseSettings = ParseSettings(),
+    max_steps: int = lf.DEFAULT_STEP_BUDGET,
 ) -> list[Edge]:
     """The chart's readings that fill the goal (see chart_readings), in the order added.
 
     An empty result is a normal NO PARSE outcome; unknown tokens and
     over-long sentences raise ParserError subclasses.
     """
-    return chart_readings(build_chart(lex, tokens, settings), goal)
+    return chart_readings(build_chart(lex, tokens, max_steps), goal)

@@ -313,6 +313,33 @@ def test_budget_error_names_the_singleton_whose_derivation_diverges(capsys, tmp_
     assert err == 'line 4: derivation of "the bucket": no normal form within 10000 steps\n'
 
 
+# (\x. x x) (\y. y y) diverges, and only the Q over "a b" makes it
+DEAD_DIVERGENT = r"""
+atoms Q ;
+a := Q/N : \x. x x ;
+a := S/S : \p. p ;
+b := N : \y. y y ;
+d := S\N : \n. h ;
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["a b d"], 0),  # the Q is used by no reading: its logical form is never made
+        (["a b"], 2),  # the Q is the reading
+        (["--goal", "N", "a b"], 2),  # the Q is the near miss
+    ],
+)
+def test_the_step_budget_covers_readings_and_near_misses_only(capsys, tmp_path, argv, code):
+    got, out, err = run(capsys, "parse", "-l", write(tmp_path, DEAD_DIVERGENT), *argv)
+    assert got == code
+    if code == 0:
+        assert out.startswith("reading 1: S : h\n") and err == ""
+    else:
+        assert out == "" and err == "no normal form within 10000 steps\n"
+
+
 LONG_APPLICATION = "w := NP : f " + " ".join(f"a{i}" for i in range(3000)) + " ;"
 # weight stands on an atom that is not an argument of its entry: once as the
 # entry's whole category, once inside a functor argument

@@ -187,14 +187,20 @@ def test_json_layout_equals_the_standard_encoder_on_parses(fragment, corpus):
 
 
 def test_every_derivation_of_a_no_parse_costs_no_combination(fragment, monkeypatch):
+    # a NO PARSE walks only its near misses, whose derivations are listed once either way
     calls = []
     monkeypatch.setattr(parser, "combine", lambda *args: calls.append(args) or combine(*args))
-    chart = build_chart(fragment, tokenize("I picked the " + "long " * 8 + "book up"))
-    calls.clear()
-    every = document(chart, None, all_derivations=True)
-    assert not calls and not every.readings
-    assert every == document(chart)
+    tokens = tokenize("I picked the " + "long " * 8 + "book up")
+    counts, docs = [], []
+    for all_derivations in (True, False):
+        calls.clear()
+        docs.append(document(build_chart(fragment, tokens), None, all_derivations))
+        counts.append(len(calls))
+    every, plain = docs
+    assert counts[0] == counts[1] > 0 and not every.readings
+    assert every == plain
     # the counter sees the combinations that a parse with readings makes
+    calls.clear()
     assert document(build_chart(fragment, tokenize(chain(2))), None, all_derivations=True).readings and calls
 
 

@@ -18,7 +18,7 @@ from ccgparse.lexicon import (
     tokenize,
     validate_lexicon,
 )
-from ccgparse.parser import Chart, ParseSettings, seed_edges
+from ccgparse.parser import Chart, seed_edges
 
 MINI = r"""
 # a small but derivable grammar
@@ -89,7 +89,7 @@ def test_marker_group_sets_lexc_and_reports_issues(group, lexc, issues):
     """lexc is read off the entry's lexical edge; None when no entry is made."""
     lex, got = parse_lexicon(f"book := N : book {group} ;")
     assert [i.message for i in got] == issues
-    chart = Chart(lex, ["book"], ParseSettings())
+    chart = Chart(lex, ["book"], lf.DEFAULT_STEP_BUDGET)
     assert (seed_edges(chart)[0].lexc if lex.all_entries() else None) is lexc
 
 

@@ -6,6 +6,7 @@ import ccgparse
 
 from ccgparse import logical_form as lf
 from ccgparse import parser
+from ccgparse.derivation import document
 from ccgparse.category import (
     Direction,
     Functor,
@@ -19,7 +20,6 @@ from ccgparse.parser import (
     RULES,
     Chart,
     Edge,
-    ParseSettings,
     RuleId,
     SentenceTooLongError,
     UnknownTokenError,
@@ -41,8 +41,8 @@ def load(text):
 
 
 def chart_over(text):
-    """An empty chart over the words of text, under an empty lexicon's default settings."""
-    return Chart(Lexicon(), text.split(), ParseSettings())
+    """An empty chart over the words of text, under an empty lexicon and the default step budget."""
+    return Chart(Lexicon(), text.split(), lf.DEFAULT_STEP_BUDGET)
 
 
 def edge_for(text, category, term_text, start=0):
@@ -263,7 +263,7 @@ def test_packing_collapses_equivalent_derivations(fragment):
 
 
 def test_multi_token_entries_seed_longer_spans(fragment):
-    chart = Chart(fragment, tokenize("my team scored every which way"), ParseSettings())
+    chart = Chart(fragment, tokenize("my team scored every which way"), lf.DEFAULT_STEP_BUDGET)
     edges = seed_edges(chart)
     spans = {(e.start, e.end) for e in edges}
     assert (3, 6) in spans
@@ -399,7 +399,7 @@ def test_the_weight_threshold_is_the_lexicons_whatever_the_settings():
     for sentence in ("I picked the book up", "John picked up the book"):
         tokens = tokenize(sentence)
         packed = {e.reading_key() for e in build_chart(lex, tokens).spanning()}
-        assert packed == {e.reading_key() for e in chart_readings(build_chart(lex, tokens, ParseSettings()), all_derivations=True)}
+        assert packed == {e.reading_key() for e in chart_readings(build_chart(lex, tokens), all_derivations=True)}
         assert bool(packed) is (sentence == "John picked up the book")  # "the book" is heavy at threshold 1
 
 
@@ -472,17 +472,34 @@ m := N : m ;
 """
 
 
+# a's seeds in lookup order are (f, lexc -), (g, lexc +), (g, lexc -): the node of
+# the lexc - ones files g after the lexc + seed, and the lexc + b joins both in one node
+SEEDS_OUT_OF_NODE_ORDER = r"""
+a := N/N : \x. f x ;
+a := N/N : \x. g x [lexc+] ;
+a := N/N : \x. g x ;
+b := N : b [lexc+] ;
+"""
+
+
 def test_every_derivation_comes_in_the_unpacked_charts_add_order(fragment, corpus):
     cases = [(fragment, tokenize(s)) for s, _, _ in corpus if len(tokenize(s)) <= 7] + [(fragment, tokenize(CHAIN_4))]
     lex = load(ALPHA_EQUAL_SEEDS)
     cases += [(lex, s.split()) for s in ("a b", "a a b", "c a b", "c a a b")]
     lex = load(TWO_ROWS_ON_ONE_PAIR)
     cases += [(lex, s.split()) for s in ("t n", "t n m", "t t n m")]
+    cases += [(load(SEEDS_OUT_OF_NODE_ORDER), ["a", "b"])]
     listed = 0
     for lex, tokens in cases:
-        want = [derivation_tree(e) for e in derivations(lex, tokens)]
+        every = derivations(lex, tokens)
+        want = [derivation_tree(e) for e in every]
         assert [derivation_tree(e) for e in chart_readings(build_chart(lex, tokens), all_derivations=True)] == want, tokens
         listed += len(want)
+        # so does the first derivation of each reading, which a reading shows
+        first = {}
+        for e in every:
+            first.setdefault(e.reading_key(), e)
+        assert [derivation_tree(e) for e in chart_readings(build_chart(lex, tokens))] == [derivation_tree(e) for e in first.values()], tokens
     assert len(cases) >= 15 and listed > len(cases)
 
 
@@ -510,7 +527,7 @@ def direct_combine(left, right, chart):
         f_edge, g_edge = (left, right) if row.f_direction is Direction.FORWARD else (right, left)
         step = parser._category_step(row, f_edge, g_edge, chart)
         if step is not None:
-            term = parser._lf_step(row.shape, f_edge.lf, g_edge.lf, chart.settings.max_steps)
+            term = parser._lf_step(row.shape, f_edge.lf, g_edge.lf, chart.max_steps)
             out.append((row.rule, render_category(apply_bindings(*step)), lf.alpha_key(term), left.lexc or right.lexc))
     return out
 
@@ -523,20 +540,21 @@ def test_memoized_combine_equals_the_direct_rule_steps(fragment, corpus):
             chart = build_chart(fragment, tokenize(sentence))
         except UnknownTokenError:
             continue
-        for (_, split), lefts in chart.cells.items():
-            for (start, _), rights in chart.cells.items():
-                if start != split:
+        for start, split in chart.cells:
+            for split_, end in chart.cells:
+                if split_ != split:
                     continue
-                for left in lefts.values():
-                    for right in rights.values():
+                for left in chart.edges(start, split):
+                    for right in chart.edges(split, end):
                         assert summary(combine(left, right, chart)) == direct_combine(left, right, chart), sentence
                         pairs += 1
-    assert pairs > 1000
+    assert pairs == 1376
 
 
-def test_the_memo_takes_one_category_step_per_distinct_input(fragment, monkeypatch):
-    calls = {"_category_step": 0, "category_key": 0}
-    for name in calls:
+def counted_calls(monkeypatch, *names):
+    """A count per name of the parser's calls of it from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(parser, name)
 
         def counted(*args, original=original, name=name):
@@ -544,7 +562,21 @@ def test_the_memo_takes_one_category_step_per_distinct_input(fragment, monkeypat
             return original(*args)
 
         monkeypatch.setattr(parser, name, counted)
+    return calls
+
+
+def test_the_memo_takes_one_category_step_per_distinct_input(fragment, monkeypatch):
+    calls = counted_calls(monkeypatch, "_category_step", "category_key")
     chart = build_chart(fragment, tokenize(CHAIN_6))
     assert len(chart.all_edges()) == 364
     assert calls["_category_step"] <= 1800  # 9104 without the memo
     assert calls["category_key"] <= 40  # 433 without interning: one per edge
+
+
+def test_logical_forms_are_made_only_by_the_walk_of_the_readings(fragment, monkeypatch):
+    calls = counted_calls(monkeypatch, "combine", "_lf_step", "_category_step")
+    chart = build_chart(fragment, tokenize(CHAIN_6))
+    assert calls["combine"] == calls["_lf_step"] == 0
+    assert len(document(chart).readings) == 42
+    assert calls["_lf_step"] <= 270  # 403 when every edge's logical form was made
+    assert calls["_category_step"] <= 1800  # 1360 either way
