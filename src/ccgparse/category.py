@@ -5,7 +5,7 @@ Every category is an immutable value; an atom's features are a plain tuple
 of sorted (attribute, value) pairs.  Unification threads one substitution
 dict (Bindings) and reports failure by returning None, never by raising.
 category_parts is the one walk that reads a category, rebuild the one that
-builds one.
+builds one.  Per-edge walks dispatch on type(c); pattern matching is slower.
 """
 
 from __future__ import annotations
@@ -155,26 +155,23 @@ def _unify_features(fa: Features, fb: Features, bnd: Bindings) -> bool:
 def _unify(a: Category, b: Category, bnd: Bindings) -> bool:
     a = _walk_category(a, bnd)
     b = _walk_category(b, bnd)
-    if isinstance(b, Var) and not isinstance(a, Var):
+    if type(b) is Var and type(a) is not Var:
         a, b = b, a
-    if isinstance(a, Var):
+    cls = type(a)
+    if cls is Var:
         if a == b:
             return True
         if _occurs(a, b, bnd):
             return False
         bnd[a] = b
         return True
-    match a, b:
-        case Atom(na, fa), Atom(nb, fb):
-            return na == nb and _unify_features(fa, fb, bnd)
-        case Functor(ra, sa, xa), Functor(rb, sb, xb):
-            if sa != sb:
-                return False
-            return _unify(ra, rb, bnd) and _unify(xa, xb, bnd)
-        case Singleton(ta), Singleton(tb):
-            return ta == tb
-        case _:
-            return False
+    if cls is not type(b):
+        return False
+    if cls is Atom:
+        return a.name == b.name and _unify_features(a.features, b.features, bnd)
+    if cls is Functor:
+        return a.slash == b.slash and _unify(a.result, b.result, bnd) and _unify(a.argument, b.argument, bnd)
+    return a.tokens == b.tokens
 
 
 def unify(a: Category, b: Category, bindings: Bindings | None = None) -> Bindings | None:
@@ -289,25 +286,24 @@ def validate_category(c: Category) -> list[Violation]:
     """
     out: list[Violation] = []
     for part in category_parts(c):
-        match part:
-            case Singleton(()):
-                out.append(Violation(EMPTY_SINGLETON, "a string category cannot be empty"))
-            case Functor(result, slash, argument):
-                if isinstance(result, Singleton):
-                    out.append(
-                        Violation(
-                            SINGLETON_AS_RESULT,
-                            f"{render_category(part)} puts a string category in result position",
-                        )
+        if type(part) is Singleton and not part.tokens:
+            out.append(Violation(EMPTY_SINGLETON, "a string category cannot be empty"))
+        elif type(part) is Functor:
+            if type(part.result) is Singleton:
+                out.append(
+                    Violation(
+                        SINGLETON_AS_RESULT,
+                        f"{render_category(part)} puts a string category in result position",
                     )
-                if isinstance(argument, Singleton) and slash.modality is not Modality.STAR:
-                    out.append(
-                        Violation(
-                            NON_STAR_SINGLETON_SLASH,
-                            f"{render_category(part)} must use an application-only slash "
-                            "on its string argument",
-                        )
+                )
+            if type(part.argument) is Singleton and part.slash.modality is not Modality.STAR:
+                out.append(
+                    Violation(
+                        NON_STAR_SINGLETON_SLASH,
+                        f"{render_category(part)} must use an application-only slash "
+                        "on its string argument",
                     )
+                )
     return out
 
 
@@ -405,33 +401,32 @@ def _slash_text(slash: Slash) -> str:
     return text
 
 
-def _feature_text(feats: Features, name: Callable[[str], str]) -> str:
-    if not feats:
-        return ""
-    return "[" + ", ".join([f"{a}={name(v) if is_feature_variable(v) else v}" for a, v in feats]) + "]"
-
-
 def render_category(c: Category, name: Callable[[str], str] = variable_display_name) -> str:
     """Deterministic rendering that re-parses to an equal category.
 
     ``name`` spells each variable; the default strips freshness suffixes.
     """
-    match c:
-        case Atom(atom, feats):
-            return atom + _feature_text(feats, name)
-        case Singleton(tokens):
-            return '"' + " ".join(tokens) + '"'
-        case Var(var):
-            return name(var)
-        case Functor(result, slash, argument):
-            left = render_category(result, name)
-            if isinstance(result, Functor):
-                left = f"({left})"
-            right = render_category(argument, name)
-            if isinstance(argument, Functor):
-                right = f"({right})"
-            return f"{left}{_slash_text(slash)}{right}"
-    raise TypeError(f"not a category: {c!r}")
+    return _render(c, name)
+
+
+def _render(c: Category, name: Callable[[str], str]) -> str:
+    """render_category's walk; it calls itself, so a wrapper on render_category is entered once."""
+    cls = type(c)
+    if cls is Atom:
+        if not c.features:
+            return c.name
+        return c.name + "[" + ", ".join([f"{a}={name(v) if is_feature_variable(v) else v}" for a, v in c.features]) + "]"
+    if cls is Singleton:
+        return '"' + " ".join(c.tokens) + '"'
+    if cls is Var:
+        return name(c.name)
+    left = _render(c.result, name)
+    if type(c.result) is Functor:
+        left = f"({left})"
+    right = _render(c.argument, name)
+    if type(c.argument) is Functor:
+        right = f"({right})"
+    return f"{left}{_slash_text(c.slash)}{right}"
 
 
 def category_key(c: Category) -> str:

@@ -96,9 +96,9 @@ def absn(variables: list[str] | tuple[str, ...], body: Term) -> Term:
     return body
 
 
-# substitute, beta_normalize and alpha_key run once or more per chart
-# edge, so they dispatch on type(t) rather than with structural pattern
-# matching, which is several times slower.
+# substitute, beta_normalize, alpha_key and pretty_print run once or more
+# per chart edge, so they dispatch on type(t) rather than with structural
+# pattern matching, which is several times slower.
 
 def free_vars(t: Term) -> frozenset[str]:
     return t.free
@@ -369,41 +369,25 @@ def parse_term(text: str) -> Term:
     return t
 
 
-def _is_conj(t: Term) -> bool:
-    return (
-        isinstance(t, App)
-        and isinstance(t.fun, App)
-        and isinstance(t.fun.fun, Const)
-        and t.fun.fun.name == "and"
-        and not t.fun.fun.contingencies
-    )
-
-
 def _pp(t: Term, level: int) -> str:
-    match t:
-        case Var(name):
-            return name
-        case Const(name, cs):
-            if not cs:
-                return name
-            return name + "_{" + ", ".join(_pp(c, _LEVEL_TOP) for c in cs) + "}"
-        case Abs(_, _):
-            binders: list[str] = []
-            body = t
-            while isinstance(body, Abs):
-                binders.append(body.var)
-                body = body.body
-            text = "".join("\\" + b for b in binders) + ". " + _pp(body, _LEVEL_TOP)
-            return f"({text})" if level > _LEVEL_TOP else text
-        case App(f, a):
-            if _is_conj(t):
-                left = _pp(t.fun.arg, _LEVEL_CONJ)
-                right = _pp(a, _LEVEL_APP)
-                text = f"{left} & {right}"
-                return f"({text})" if level > _LEVEL_CONJ else text
-            text = f"{_pp(f, _LEVEL_APP)} {_pp(a, _LEVEL_ATOM)}"
-            return f"({text})" if level > _LEVEL_APP else text
-    raise TypeError(f"not a term: {t!r}")
+    cls = type(t)
+    if cls is Var or cls is Const and not t.contingencies:
+        return t.name
+    if cls is Const:
+        return t.name + "_{" + ", ".join(_pp(c, _LEVEL_TOP) for c in t.contingencies) + "}"
+    if cls is Abs:
+        text, body = "", t
+        while type(body) is Abs:
+            text += "\\" + body.var
+            body = body.body
+        text += ". " + _pp(body, _LEVEL_TOP)
+        return f"({text})" if level > _LEVEL_TOP else text
+    f, a = t.fun, t.arg
+    if type(f) is App and type(f.fun) is Const and f.fun.name == "and" and not f.fun.contingencies:
+        text = f"{_pp(f.arg, _LEVEL_CONJ)} & {_pp(a, _LEVEL_APP)}"
+        return f"({text})" if level > _LEVEL_CONJ else text
+    text = f"{_pp(f, _LEVEL_APP)} {_pp(a, _LEVEL_ATOM)}"
+    return f"({text})" if level > _LEVEL_APP else text
 
 
 def pretty_print(t: Term) -> str:

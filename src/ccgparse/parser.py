@@ -146,7 +146,6 @@ class Chart:
         self.category_keys: dict[int, str] = {}  # by the id of an interned category
         self.category_steps: dict[tuple, tuple] = {}  # see _category_steps
         self.derivations: dict[tuple[Node, bool], list] = {}  # see _derivations
-        self.combined: dict[tuple[Edge, Edge], list[Edge]] = {}  # combine's edges by input pair
 
     def intern(self, c: Category) -> Category:
         """The chart's one category equal to c."""
@@ -401,8 +400,7 @@ def _derivations(node: Node, chart: Chart, every: bool) -> list[tuple[tuple, Edg
             row, left, right = way
             for lkey, l in _derivations(left, chart, every):
                 for rkey, r in _derivations(right, chart, every):
-                    out = chart.combined.get((l, r)) or chart.combined.setdefault((l, r), combine(l, r, chart))
-                    found += [((left.end, lkey, rkey, i), e) for i, e in enumerate(out) if e.rule is row.rule]
+                    found += [((left.end, lkey, rkey, i), e) for i, e in enumerate(combine(l, r, chart)) if e.rule is row.rule]
         found.sort(key=itemgetter(0))
         found = chart.derivations[node, every] = found if every else _first_per_reading(found, chart)
     return found

@@ -1,9 +1,12 @@
 """The reader table: seeded inputs and what the readers make of them.
 
 Each row of ``tests/golden/readers.jsonl`` is a JSON list.  A reader row is
-``["reader", text, category, term]``: the outcome of ``parse_category`` and
-of ``parse_term`` on the text, either the ``repr`` of the result or
-``"<ExceptionName>: <message>"``.  A lexicon row is
+``["reader", text, category, term, rendered, key, printed]``: the outcome of
+``parse_category`` and of ``parse_term`` on the text, either the ``repr`` of
+the result or ``"<ExceptionName>: <message>"``, then ``render_category`` and
+``category_key`` of the category and ``pretty_print`` of the term the text
+reads as, each ``null`` where the text is no category or no term, so the
+printers are pinned byte for byte.  A lexicon row is
 ``["lexicon", text, chunks, issues]``: the ``[line, text, terminated]``
 chunks the lexicon reader splits the text into (blank chunks, which
 ``parse_lexicon`` skips, are left out) and the issues ``parse_lexicon``
@@ -27,7 +30,7 @@ from pathlib import Path
 import ccgparse
 from ccgparse import lexicon as lx
 from ccgparse import logical_form as lf
-from ccgparse.category import parse_category
+from ccgparse.category import category_key, parse_category, render_category
 from test_fuzz import CATEGORY_CHARS, LF_CHARS
 
 TABLE = Path(__file__).parent / "golden" / "readers.jsonl"
@@ -123,6 +126,25 @@ def outcome(read, text: str) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
+def printed(read, text: str, *printers) -> list:
+    """What each printer makes of what read makes of the text, each None where read raises."""
+    try:
+        value = read(text)
+    except Exception:  # noqa: BLE001 -- outcome records the escape
+        return [None] * len(printers)
+    return [show(value) for show in printers]
+
+
+def reader_row(text: str) -> list:
+    """A reader row after its tag and text."""
+    return [
+        outcome(parse_category, text),
+        outcome(lf.parse_term, text),
+        *printed(parse_category, text, render_category, category_key),
+        *printed(lf.parse_term, text, lf.pretty_print),
+    ]
+
+
 def chunk_stream(text: str) -> list[list]:
     return [list(chunk) for chunk in lx._chunks(text)]
 
@@ -131,7 +153,7 @@ def rows(seed: int = 0) -> list[list]:
     rng = random.Random(seed)
     out: list[list] = []
     for text in reader_inputs(rng):
-        out.append(["reader", text, outcome(parse_category, text), outcome(lf.parse_term, text)])
+        out.append(["reader", text, *reader_row(text)])
     for text in lexicon_texts(rng):
         out.append(["lexicon", text, chunk_stream(text), [str(i) for i in lx.parse_lexicon(text)[1]]])
     return out

@@ -1,13 +1,11 @@
-"""The readers against the table pinned by tests/readertable.py."""
+"""The readers and printers against the table pinned by tests/readertable.py."""
 
 import json
 
 import pytest
 
-from ccgparse import logical_form as lf
-from ccgparse.category import parse_category
 from ccgparse.lexicon import parse_lexicon
-from readertable import TABLE, chunk_stream, outcome
+from readertable import TABLE, chunk_stream, reader_row
 
 
 def table(kind):
@@ -27,7 +25,7 @@ def test_table_has_rows(kind):
 
 def test_readers_match_the_table():
     want = table("reader")
-    got = [[outcome(parse_category, text), outcome(lf.parse_term, text)] for text, *_ in want]
+    got = [reader_row(text) for text, *_ in want]
     assert first_differences(got, want) == []
 
 
