@@ -243,6 +243,23 @@ def match_argument(spec: Category, category: Category, tokens: tuple[str, ...], 
     return unify(spec, category, bnd)
 
 
+#: Atom attributes computed from the span that fills a slot (match_argument's ``computed``), never stored.
+COMPUTED_ATTRS = ("lexc", "weight")
+
+
+def computed_attrs(c: Category) -> list[str]:
+    """The computed attributes that c itself carries.  Only a slot that an
+    edge fills has a span to compute them from, so a slot that carries one
+    is filled by application only: composing or substituting it away would
+    silently drop the constraint."""
+    return [a for a, _ in c.features if a in COMPUTED_ATTRS] if type(c) is Atom else []
+
+
+def misplaced_computed(c: Category, slots: list[Category]) -> list[tuple[Atom, list[str]]]:
+    """The parts of c that carry computed attributes but are none of slots, each with those attributes."""
+    return [(part, found) for part in category_parts(c) if (found := computed_attrs(part)) and not any(part is s for s in slots)]
+
+
 # ---------------------------------------------------------------------------
 # structural validation
 

@@ -13,10 +13,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .category import CategorySyntaxError, parse_category, render_category, validate_category
+from .category import CategorySyntaxError, misplaced_computed, parse_category, render_category, validate_category
 from . import logical_form as lf
-from .lexicon import Lexicon, case_folded, fold_strings, lexicon_notes, parse_lexicon, tokenize, validate_lexicon
-from .parser import ParserError, build_chart, misplaced_computed, parse
+from .lexicon import Lexicon, case_folded, fold_strings, lexicon_notes, parse_lexicon, tokenize, undeclared_atoms, validate_lexicon
+from .parser import ParserError, build_chart, parse
 from .derivation import document, render_ascii, render_json
 
 OK, NEGATIVE, ERROR = 0, 1, 2
@@ -64,13 +64,11 @@ def cmd_parse(args: argparse.Namespace) -> int:
             goal = parse_category(args.goal, lexicon.default_modality)
         except CategorySyntaxError as exc:
             raise CommandError(f"bad goal category: {exc}") from None
-        violations = validate_category(goal)
-        if violations:
-            raise CommandError(f"bad goal category: {violations[0]}")
-        misplaced = misplaced_computed(goal, [goal])  # the sentence fills the goal as one slot
-        if misplaced:
-            part, computed = misplaced[0]
-            raise CommandError(f"bad goal category: computed {', '.join(computed)} on {render_category(part)}, not the goal itself")
+        problems = [str(v) for v in validate_category(goal) + undeclared_atoms(lexicon, goal)]
+        # the sentence fills the goal as one slot
+        problems += [f"computed {', '.join(c)} on {render_category(p)}, not the goal itself" for p, c in misplaced_computed(goal, [goal])]
+        if problems:
+            raise CommandError(f"bad goal category: {problems[0]}")
         if args.case_fold:
             goal = fold_strings(goal)
     tokens = tokenize(args.sentence, args.case_fold)

@@ -26,9 +26,11 @@ from .category import (
     CategorySyntaxError,
     Functor,
     Modality,
+    SINGLETON_AS_RESULT,
     Singleton,
     Violation,
     category_parts,
+    misplaced_computed,
     parse_category,
     rebuild,
     render_category,
@@ -323,20 +325,28 @@ def _naming_source(where: Callable[[], str]):
         raise lf.BudgetExceeded(f"{where()}: input nested too deeply") from None
 
 
+def undeclared_atoms(lex: Lexicon, c: Category) -> list[Violation]:
+    """An UNDECLARED_ATOM violation for each atom name in c that lex neither declares nor builds in, by name."""
+    names = {part.name for part in category_parts(c) if type(part) is Atom} - lex.atom_declarations
+    return [Violation(UNDECLARED_ATOM, f"category symbol {name!r} is not declared") for name in sorted(names)]
+
+
 def validate_lexicon(lex: Lexicon) -> list[Violation]:
     """All structural violations across the lexicon (errors only).
 
-    Beyond per-category checks this verifies that each entry's logical
-    form carries one abstraction per argument slot, that every atom name
-    is declared or built in, that computed features stand only on the
-    entry's own arguments, and that every singleton's token string is
-    itself derivable from the lexicon, without which singleton application
-    could never fire.  Every logical form is normalized and keyed as in a
-    parse, under the lexicon's own settings.  A step budget or nesting depth
-    exhausted there raises BudgetExceeded naming the entry's line and, when
-    a singleton's derivation is at fault, the singleton.
+    Beyond per-category checks this verifies that an entry's own category
+    is a string category only when it spells the entry's own words, that
+    each entry's logical form carries one abstraction per argument slot,
+    that every atom name is declared or built in, that computed features
+    stand only on the entry's own arguments, and that every singleton's
+    token string is itself derivable from the lexicon, without which
+    singleton application could never fire.  Every logical form is
+    normalized and keyed as in a parse, under the lexicon's own settings.
+    A step budget or nesting depth exhausted there raises BudgetExceeded
+    naming the entry's line and, when a singleton's derivation is at
+    fault, the singleton.
     """
-    from .parser import ParserError, misplaced_computed, parse  # deferred: parser imports this module
+    from .parser import ParserError, parse  # deferred: parser imports this module
 
     out: list[Violation] = []
     for entry in lex.all_entries():
@@ -344,6 +354,9 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
             lf.alpha_key(lf.beta_normalize(entry.lf))
         for v in validate_category(entry.category):
             out.append(v.at_line(entry.source_line))
+        if type(entry.category) is Singleton and entry.category.tokens != entry.phon:  # not in validate_category: a goal may be one
+            detail = f"{entry}: a string category is an argument, or the category of its own words only"
+            out.append(Violation(SINGLETON_AS_RESULT, detail, entry.source_line))
         lambdas = len(_leading_lambdas(entry.lf)[0])
         arguments = _spine_arguments(entry.category)
         arity = len(arguments)
@@ -355,11 +368,8 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
                     entry.source_line,
                 )
             )
-        names = {part.name for part in category_parts(entry.category) if isinstance(part, Atom)}
-        for name in sorted(names - lex.atom_declarations):
-            out.append(
-                Violation(UNDECLARED_ATOM, f"{entry}: category symbol {name!r} is not declared", entry.source_line)
-            )
+        for v in undeclared_atoms(lex, entry.category):
+            out.append(replace(v, detail=f"{entry}: {v.detail}", line=entry.source_line))
         for part, computed in misplaced_computed(entry.category, arguments):
             detail = f"{entry}: computed {', '.join(computed)} on {render_category(part)}, not one of the entry's arguments"
             out.append(Violation(MISPLACED_COMPUTED_FEATURE, detail, entry.source_line))

@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .category import (
-    Atom,
+    COMPUTED_ATTRS,  # derived_features gives their values
     Bindings,
     Category,
     Direction,
@@ -27,7 +27,7 @@ from .category import (
     Singleton,
     apply_bindings,
     category_key,
-    category_parts,
+    computed_attrs,
     match_argument,
     rename_variables,
     unify,
@@ -36,23 +36,6 @@ from . import logical_form as lf
 from .lexicon import LexEntry, Lexicon, lookup
 
 MAX_TOKENS = 32  # longer sentences are refused
-
-#: Atom attributes whose values are computed from the substituting span
-#: rather than stored on derived categories.
-COMPUTED_ATTRS = ("lexc", "weight")
-
-
-def misplaced_computed(c: Category, slots: list[Category]) -> list[tuple[Atom, list[str]]]:
-    """The atoms of c that carry COMPUTED_ATTRS but are none of slots, each
-    with those attributes: only a slot that an edge fills has a span to
-    compute them from."""
-    out = []
-    for part in category_parts(c):
-        if isinstance(part, Atom):
-            computed = [a for a, _ in part.features if a in COMPUTED_ATTRS]
-            if computed and not any(part is slot for slot in slots):
-                out.append((part, computed))
-    return out
 
 
 class RuleId(Enum):
@@ -211,16 +194,6 @@ def _functor(edge: Edge | Node, direction: Direction) -> Functor | None:
     return None
 
 
-def _composable(*slots: Category) -> bool:
-    """Whether these slots may be filled by unification instead of by an edge.
-
-    Computed span predicates (weight, lexc) are only checkable when a slot
-    is filled by application; composing or substituting them away would
-    silently drop the constraint, so such slots are application-only.
-    """
-    return not any(isinstance(c, Atom) and any(a in COMPUTED_ATTRS for a, _ in c.features) for c in slots)
-
-
 class RuleRow(NamedTuple):
     """A row of the rule table: f is the primary functor, g the other neighbour.
 
@@ -285,7 +258,7 @@ def _category_step(row: RuleRow, f_edge: Edge | Node, g_edge: Edge | Node, chart
         ):
             return None
         head, slot, bnd = inner.result, inner.argument, unify(f.argument, g.argument)
-    if bnd is None or not _composable(f.argument, slot, g.result):
+    if bnd is None or any(computed_attrs(c) for c in (f.argument, slot, g.result)):  # application-only slots
         return None
     bnd = unify(slot, g.result, bnd)
     return None if bnd is None else (Functor(head, g.slash, g.argument), bnd)

@@ -487,6 +487,23 @@ CONTRACT = [
         'bad goal category: NON_STAR_SINGLETON_SLASH: (S\\NP)/"up" must use an application-only slash on its string argument\n',
     ),
     (
+        "undeclared goal atom",
+        {},
+        ["parse", "-l", FRAGMENT, "--goal", "Np", "the book"],
+        2,
+        "",
+        "bad goal category: UNDECLARED_ATOM: category symbol 'Np' is not declared\n",
+    ),
+    (
+        "string category of other words under validate",
+        {"x.ccg": 'a := "b" : x ;\nb := NP : y ;\n'},
+        ["validate", "-l", "{d}/x.ccg"],
+        1,
+        '{d}/x.ccg: SINGLETON_AS_RESULT: a := "b": a string category is an argument, '
+        "or the category of its own words only (line 1)\n",
+        "",
+    ),
+    (
         "repeated goal attribute",
         {},
         ["parse", "-l", FRAGMENT, "--goal", "NP[a=b,a=c]", "John"],

@@ -4,10 +4,12 @@ Each example draws a lexicon that passes ``validate_lexicon``: atoms with
 features and ``?var`` values, slashes of all four modalities, string
 arguments under ``/*``, the ``X`` coordination schema, ``[lexc+]`` entries,
 computed ``lexc`` and ``weight`` slots and a random weight threshold.  Its
-sentence has at most six tokens: the words of a derivation by application
-drawn top down, so that most sentences parse, among entries drawn at random.
-Most words have two entries of one category that differ in ``lexc``, so a
-chart that packs them together loses readings that the oracle finds.
+sentence has at most six tokens: the words of a derivation by application,
+composition and substitution drawn top down, so that most sentences parse,
+among entries drawn at random.  Most words have two entries of one category
+that differ in ``lexc``, so a chart that packs them together loses readings
+that the oracle finds.  The grammar's mirror image must derive the mirror
+image of each reading, since each rule row has a mirror row.
 """
 
 from dataclasses import replace
@@ -15,12 +17,24 @@ from dataclasses import replace
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ccgparse import logical_form as lf
-from ccgparse.category import Atom, Direction, Functor, Modality, Singleton, Slash, category_parts, parse_category
+from ccgparse.category import (
+    COMPUTED_ATTRS,
+    Atom,
+    Direction,
+    Functor,
+    Modality,
+    Singleton,
+    Slash,
+    category_key,
+    category_parts,
+    computed_attrs,
+    parse_category,
+)
 from ccgparse import lexicon as lx
 from ccgparse.lexicon import BUILTIN_ATOMS, LexEntry, Lexicon, parse_lexicon, render_lexicon, validate_lexicon
-from ccgparse.parser import COMPUTED_ATTRS, build_chart, chart_readings
+from ccgparse.parser import RuleId, build_chart, chart_readings
 
-from bruteforce import derivations, enumerate_readings
+from bruteforce import derivations
 from lfhelpers import has_redex
 
 ATOMS = ("S", "NP", "N", "Q")  # Q is declared by the lexicon
@@ -85,11 +99,33 @@ def _plain(c):
     return Atom(c.name, tuple((a, v) for a, v in c.features if a not in COMPUTED_ATTRS))
 
 
+def _composed(draw, category: Functor, budget: int) -> list[tuple[tuple[str, ...], object]]:
+    """The leaves of f and g, in surface order, that a rule admitted by category's slash makes
+    category X|Z from: harmonic or crossing composition of f X|Y and g Y|Z, or substitution of
+    f (X|Y)|Z and g Y|Z.  Y and a substituted Z carry no computed feature, since a slot that
+    does is filled by application only."""
+    slash, z = category.slash, category.argument
+    # substitution, the rarest row, comes first: Hypothesis leans towards a list's first choice
+    rows = {Modality.DIAMOND: ("S", "B"), Modality.CROSS: ("Bx",), Modality.DOT: ("S", "Bx", "B")}[slash.modality]
+    row = draw(st.sampled_from([r for r in rows if r != "S" or not computed_attrs(z)]))
+    admitted = st.sampled_from([Modality.CROSS if row == "Bx" else Modality.DIAMOND, Modality.DOT])
+    f_direction = next(d for d in Direction if d is not slash.direction) if row == "Bx" else slash.direction
+    y = draw(_atoms(False))
+    f = Functor(category.result, Slash(f_direction, draw(admitted)), y)
+    if row == "S":
+        f = Functor(f, Slash(f_direction, draw(admitted)), z)
+    left = draw(st.integers(1, budget - 1))
+    f_leaves, g_leaves = _leaves(draw, f, left), _leaves(draw, Functor(y, slash, z), budget - left)
+    return f_leaves + g_leaves if f_direction is Direction.FORWARD else g_leaves + f_leaves
+
+
 def _leaves(draw, category, budget: int) -> list[tuple[tuple[str, ...], object]]:
-    """(phon, category) pairs, at most budget tokens, that application may derive category from;
+    """(phon, category) pairs, at most budget tokens, that the rules may derive category from;
     the category of a coordinating "and" is None."""
     if budget < 2 or draw(st.integers(0, 3)) == 0:
         return [(draw(st.sampled_from([p for p in PHONS if len(p) <= budget])), category)]
+    if type(category) is Functor and category.slash.modality is not Modality.STAR and draw(st.integers(0, 3)):
+        return _composed(draw, category, budget)
     if budget >= 3 and draw(st.integers(0, 3)) == 0:
         left = draw(st.integers(1, budget - 2))
         return _leaves(draw, category, left) + [(("and",), None)] + _leaves(draw, category, budget - 1 - left)
@@ -108,8 +144,9 @@ def _leaves(draw, category, budget: int) -> list[tuple[tuple[str, ...], object]]
 @st.composite
 def grammars(draw) -> tuple[Lexicon, list[str]]:
     """A lexicon that passes validate_lexicon, read back from its own rendering, and a sentence
-    of its words: the leaves of a derivation by application, among entries drawn at random."""
-    derived = _leaves(draw, draw(_atoms(False)), 6)
+    of its words: the leaves of a derivation by the rules, among entries drawn at random."""
+    top = draw(_atoms(False))
+    derived = _leaves(draw, Functor(top, draw(_slashes), draw(_atoms(False))) if draw(st.booleans()) else top, 6)
     leaves = list(derived)
     for _ in range(draw(st.integers(0, 3))):
         category = draw(_atoms(False))
@@ -134,6 +171,25 @@ def grammars(draw) -> tuple[Lexicon, list[str]]:
     return lex, [t for phon, _ in derived for t in phon]
 
 
+def _mirrored(c):
+    """c with every slash turned round and every string reversed."""
+    if type(c) is Singleton:
+        return Singleton(c.tokens[::-1])
+    if type(c) is not Functor:
+        return c
+    direction = next(d for d in Direction if d is not c.slash.direction)
+    return Functor(_mirrored(c.result), Slash(direction, c.slash.modality), _mirrored(c.argument))
+
+
+def mirror(grammar):
+    """The grammar's mirror image: every entry's words and category, and the sentence, reversed."""
+    lex, tokens = grammar
+    out = replace(lex, entries={})
+    for e in lex.all_entries():
+        out.add(replace(e, phon=e.phon[::-1], category=_mirrored(e.category)))
+    return out, tokens[::-1]
+
+
 def shape(edge):
     """A derivation as its span, rule, reading key, lexc flag and children's shapes."""
     return (edge.span, edge.label, edge.reading_key(), edge.lexc, tuple(shape(c) for c in edge.children))
@@ -150,12 +206,30 @@ def subtrees(edge):
 def test_generated_grammars_parse_as_the_bruteforce_oracle_does(grammar):
     lex, tokens = grammar
     chart = build_chart(lex, tokens)
-    assert {e.reading_key() for e in chart.spanning()} == enumerate_readings(lex, tokens)
+    oracle = derivations(lex, tokens)
+    assert {e.reading_key() for e in chart.spanning()} == {e.reading_key() for e in oracle}
 
     every = chart_readings(chart, all_derivations=True)
     assert {e.reading_key() for e in every} == {e.reading_key() for e in chart_readings(chart)}
     # every derivation, in the order a chart without packing adds them
-    assert [shape(e) for e in every] == [shape(e) for e in derivations(lex, tokens)]
+    assert [shape(e) for e in every] == [shape(e) for e in oracle]
 
     for e in chart.all_edges() + [s for e in every for s in subtrees(e)]:
         assert not e.lf.free and not has_redex(e.lf), lf.pretty_print(e.lf)
+
+    mirrored = {(category_key(_mirrored(e.category)), lf.alpha_key(e.lf)) for e in chart.spanning()}
+    assert {e.reading_key() for e in build_chart(*mirror(grammar)).spanning()} == mirrored
+
+
+def test_generated_charts_fire_every_rule_row():
+    """Every row labels an edge of some drawn chart or of its mirror image, which the oracle test
+    checks too.  A row missing here is a row that the oracle test does not check."""
+    fired = set()
+
+    @settings(max_examples=100, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(grammars())
+    def collect(grammar):
+        fired.update(e.rule for g in (grammar, mirror(grammar)) for e in build_chart(*g).all_edges())
+
+    collect()
+    assert set(RuleId) <= fired

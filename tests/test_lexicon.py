@@ -58,6 +58,17 @@ def test_singleton_as_result_entry_is_a_violation():
     assert "SINGLETON_AS_RESULT" in codes
 
 
+@pytest.mark.parametrize(
+    "text, codes",
+    [
+        ('a := "b" : x ;\nb := NP : y ;', ["SINGLETON_AS_RESULT"]),
+        ('every which way := "every which way" : omniway ;', []),  # the string's own derivation
+    ],
+)
+def test_string_category_is_an_entry_category_only_for_its_own_words(text, codes):
+    assert [(v.code, v.line) for v in validate_lexicon(load(text))] == [(c, 1) for c in codes]
+
+
 def test_multi_token_phon():
     lex = load(r"every which way := (S\NP)\(S\NP) : \p\x. omni p x ;")
     (entry,) = lex.all_entries()
