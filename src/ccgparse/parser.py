@@ -128,7 +128,7 @@ class Chart:
         self.categories: dict[Category, Category] = {}
         self.category_keys: dict[int, str] = {}  # by the id of an interned category
         self.category_steps: dict[tuple, tuple] = {}  # see _category_steps
-        self.derivations: dict[tuple[Node, bool], list] = {}  # see _derivations
+        self.derivations: dict[tuple[Node, bool, tuple[int, ...]], list] = {}  # see _derivations
 
     def intern(self, c: Category) -> Category:
         """The chart's one category equal to c."""
@@ -358,24 +358,65 @@ def build_chart(lex: Lexicon, tokens: list[str] | tuple[str, ...], max_steps: in
     return chart
 
 
-def _derivations(node: Node, chart: Chart, every: bool) -> list[tuple[tuple, Edge]]:
-    """Node's derivations, each made by combine on its children's derivations,
-    with its key in the order a chart without packing adds edges: seeds in
-    lookup order, then (split, left key, right key, rule row).  Every one, or
-    the first for each reading key; made once per chart."""
-    found = chart.derivations.get((node, every))
+_ROW = {row.rule: row for row in RULES}
+
+# Two ways of one node that re-associate the same three child nodes A B C,
+# (A r1 B) row C and A row (B r2 C), as row's rule: (r1, r2).  Their logical
+# forms are beta-equal, as (\x. f (g x)) h = f (g h), and the second way, with
+# the smaller split, sorts first.
+_TWINS = {
+    RuleId.FWD_APP: (_ROW[RuleId.FWD_COMP_HARMONIC], _ROW[RuleId.FWD_APP]),
+    RuleId.FWD_COMP_HARMONIC: (_ROW[RuleId.FWD_COMP_HARMONIC], _ROW[RuleId.FWD_COMP_HARMONIC]),
+    RuleId.BWD_APP: (_ROW[RuleId.BWD_APP], _ROW[RuleId.BWD_COMP_HARMONIC]),
+    RuleId.BWD_COMP_HARMONIC: (_ROW[RuleId.BWD_COMP_HARMONIC], _ROW[RuleId.BWD_COMP_HARMONIC]),
+}
+
+
+def _twinned(node: Node, way: tuple) -> tuple[int, ...]:
+    """For node's way (row, left, C): the indices of left's ways (r1, A, B)
+    whose twin (see _TWINS) is a way of node too, (row, A, M) where M has the way (r2, B, C)."""
+    row, left, right = way
+    if row.rule not in _TWINS:
+        return ()
+    r1, r2 = _TWINS[row.rule]
+    twins = [(w[1], w[2].ways) for w in node.ways if w[0] is row]
+    return tuple(
+        i for i, (r, *children) in enumerate(left.ways)
+        if r is r1 and any(a is children[0] and (r2, children[1], right) in ways for a, ways in twins)
+    )
+
+
+def _derivations(node: Node, chart: Chart, every: bool, skipped: tuple[int, ...] = ()) -> list[tuple[tuple, Edge]]:
+    """Node's derivations but those of the ways at the indices skipped, each
+    made by combine on its children's derivations, with its key in the order
+    a chart without packing adds edges: seeds in lookup order, then (split,
+    left key, right key, rule row).  Every one, or the first for each reading
+    key; made once per chart.
+
+    Unless every one is asked for, a way's left child is walked without its
+    twinned ways (see _twinned), and a way whose left child has no other is
+    skipped: each derivation so left out has a twin of the same reading that
+    sorts before it, so the readings and the derivation each shows are those
+    of every derivation, and a child that feeds only twinned ways is never walked.
+    """
+    found = chart.derivations.get((node, every, skipped))
     if found is None:
         found = []
-        for way in node.ways:
+        for index, way in enumerate(node.ways):
             if len(way) == 2:
                 found.append(((-1, way[0]), way[1]))
                 continue
+            if index in skipped:
+                continue
             row, left, right = way
-            for lkey, l in _derivations(left, chart, every):
+            twinned = () if every else _twinned(node, way)
+            if len(twinned) == len(left.ways):
+                continue
+            for lkey, l in _derivations(left, chart, every, twinned):
                 for rkey, r in _derivations(right, chart, every):
                     found += [((left.end, lkey, rkey, i), e) for i, e in enumerate(combine(l, r, chart)) if e.rule is row.rule]
         found.sort(key=itemgetter(0))
-        found = chart.derivations[node, every] = found if every else _first_per_reading(found, chart)
+        found = chart.derivations[node, every, skipped] = found if every else _first_per_reading(found, chart)
     return found
 
 

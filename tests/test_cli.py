@@ -157,6 +157,17 @@ def test_max_steps_budget_surfaces_as_operational_error(capsys):
     assert "normal form" in err
 
 
+@pytest.mark.parametrize(
+    "sentence, max_steps, code",
+    [("to spill the bean", "1", 0), ("I picked the long very proverbial book up", "2", 1)],
+)
+def test_max_steps_bounds_each_normalization_not_a_parse(capsys, sentence, max_steps, code):
+    # the twin derivations that need more steps are skipped by the walk, so never normalized
+    default = run(capsys, "parse", "-l", FRAGMENT, sentence)
+    assert default[0] == code
+    assert run(capsys, "parse", "-l", FRAGMENT, "--max-steps", max_steps, sentence) == default
+
+
 def test_weight_threshold_override(capsys):
     code, _, _ = run(capsys, "parse", "-l", FRAGMENT, "--weight-threshold", "6", "I picked the very very very long book up")
     assert code == 0

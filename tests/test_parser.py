@@ -578,5 +578,94 @@ def test_logical_forms_are_made_only_by_the_walk_of_the_readings(fragment, monke
     chart = build_chart(fragment, tokenize(CHAIN_6))
     assert calls["combine"] == calls["_lf_step"] == 0
     assert len(document(chart).readings) == 42
-    assert calls["_lf_step"] <= 270  # 403 when every edge's logical form was made
+    assert calls["_lf_step"] <= 190  # 270 before twin ways were skipped, 403 when every edge's logical form was made
     assert calls["_category_step"] <= 1800  # 1360 either way
+
+
+# ---------------------------------------------------------------------------
+# twin ways: (A r1 B) row C beside A row (B r2 C) on one node
+
+# f >B g, then > r, beside f > (g > r)
+FORWARD_TWINS = r"""
+f := S/VP : \v. f v ;
+g := VP/NP : \x. g x ;
+r := NP : r ;
+"""
+
+
+# (a < b) < c beside a < (b <B c), which the slash or the slot of c may block
+def backward_twins(c):
+    return rf"""
+a := NP : a ;
+b := S\NP : \x. b x ;
+c := {c} : \p. c p ;
+"""
+
+
+def first_derivations(lex, tokens):
+    first = {}
+    for e in derivations(lex, tokens):
+        first.setdefault(e.reading_key(), e)
+    return [derivation_tree(e) for e in first.values()]
+
+
+@pytest.mark.parametrize(
+    "text, sentence",
+    [(FORWARD_TWINS, "f g r"), (backward_twins(r"S\S"), "a b c"), (backward_twins(r"S\.S"), "a b c")],
+    ids=["forward", "backward", "backward dot"],
+)
+def test_a_way_with_a_twin_is_not_walked(text, sentence, monkeypatch):
+    lex, tokens = load(text), sentence.split()
+    calls = counted_calls(monkeypatch, "_lf_step")
+    chart = build_chart(lex, tokens)
+    (node,) = chart.cells[0, 3].values()
+    assert [way[1].end for way in node.ways] == [1, 2]  # the twin with the larger split comes second
+    assert parser._twinned(node, node.ways[1]) == (0,)
+    shown = [derivation_tree(e) for e in chart_readings(chart)]
+    assert calls["_lf_step"] == 2  # the smaller split's two steps; the twin's left child is never walked
+    assert shown == first_derivations(lex, tokens)
+    assert len(chart_readings(build_chart(lex, tokens), all_derivations=True)) == 2
+
+
+# A star slash or a computed slot on c blocks b <B c, so (a < b) < c has no twin.  A forward
+# (f >B g) row r always has one: f >B g unifies f's argument with g's result, which carries
+# no computed attribute and no singleton, so g row r and f row (g row r) fire and bind as it does.
+@pytest.mark.parametrize("c", [r"S\*S", r"S\S[weight=-]"], ids=["star slash", "computed slot"])
+def test_a_way_without_a_twin_is_walked(c):
+    lex, tokens = load(backward_twins(c)), ["a", "b", "c"]
+    chart = build_chart(lex, tokens)
+    (node,) = chart.cells[0, 3].values()
+    assert [(way[0].rule, way[1].end) for way in node.ways] == [(RuleId.BWD_APP, 2)]
+    assert parser._twinned(node, node.ways[0]) == ()
+    readings = chart_readings(chart)
+    assert [derivation_tree(e) for e in readings] == first_derivations(lex, tokens)
+    assert [lf.pretty_print(e.lf) for e in readings] == ["c (b a)"]
+
+
+CHAIN_8 = (
+    "John kicked and Mary dragged and I cooked and You spilled and John kicked and Mary cooked "
+    "and John kicked and Mary dragged the bucket"
+)
+MODIFIERS_10 = " ".join(["long", "very", "proverbial"] * 3 + ["long"])
+
+
+@pytest.mark.parametrize(
+    "sentence, readings, most",
+    [
+        (CHAIN_8, 429, 1700),  # 2516 when twin ways were walked
+        (f"I picked the {MODIFIERS_10} book up", 0, 20),  # 456
+        (f"I picked up the {MODIFIERS_10} book", 1, 20),  # 292
+        (f"John kicked the {MODIFIERS_10} bucket", 1, 20),  # 456
+    ],
+    ids=["chain 8", "shifted", "particle first", "kick"],
+)
+def test_each_reading_is_derived_once_not_once_per_bracketing(fragment, monkeypatch, sentence, readings, most):
+    calls = counted_calls(monkeypatch, "_lf_step")
+    assert len(document(build_chart(fragment, tokenize(sentence))).readings) == readings
+    assert calls["_lf_step"] <= most
+
+
+def test_every_derivation_walks_the_twin_ways_too(fragment, monkeypatch):
+    calls = counted_calls(monkeypatch, "_lf_step")
+    assert len(chart_readings(build_chart(fragment, tokenize(CHAIN_6)), all_derivations=True)) == 84
+    assert calls["_lf_step"] == 270  # as many as before twin ways were skipped
