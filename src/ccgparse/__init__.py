@@ -40,7 +40,6 @@ from .parser import (
     SentenceTooLongError,
     UnknownTokenError,
     build_chart,
-    combine,
     derived_features,
     parse,
 )

@@ -88,10 +88,6 @@ class Var:
 Category = Atom | Functor | Singleton | Var
 
 
-def singleton(text: str) -> Singleton:
-    return Singleton(tuple(text.split()))
-
-
 def rebuild(c: Category, leaf: Callable[[Category, _D], Category], data: _D) -> Category:
     """c with every functor rebuilt from its rebuilt parts and every other
     part replaced by leaf(part, data).  This is the one walk that builds a

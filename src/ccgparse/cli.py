@@ -113,13 +113,15 @@ def cmd_test(args: argparse.Namespace) -> int:
     text = _read("suite", args.suite)
     passed = failed = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.rstrip()  # a leading tab opens an empty sentence field
+        if not line or line.lstrip().startswith("#"):
             continue
         parts = [p.strip() for p in line.split("\t")]
         if len(parts) != 3:
             raise CommandError(f"{args.suite}:{lineno}: expected 'sentence<TAB>count<TAB>lfs', got {len(parts)} field(s)")
         sentence, count_text, lf_text = parts
+        if not sentence:
+            raise CommandError(f"{args.suite}:{lineno}: empty sentence")
         try:
             count = int(count_text)
         except ValueError:

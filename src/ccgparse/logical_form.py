@@ -84,12 +84,6 @@ class App(_Node):
 Term = Var | Const | Abs | App
 
 
-def app(fun: Term, *args: Term) -> Term:
-    for a in args:
-        fun = App(fun, a)
-    return fun
-
-
 def absn(variables: list[str] | tuple[str, ...], body: Term) -> Term:
     for v in reversed(variables):
         body = Abs(v, body)
@@ -99,10 +93,6 @@ def absn(variables: list[str] | tuple[str, ...], body: Term) -> Term:
 # substitute, beta_normalize, alpha_key and pretty_print run once or more
 # per chart edge, so they dispatch on type(t) rather than with structural
 # pattern matching, which is several times slower.
-
-def free_vars(t: Term) -> frozenset[str]:
-    return t.free
-
 
 def fresh_name(base: str, avoid: frozenset[str]) -> str:
     name = base

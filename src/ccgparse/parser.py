@@ -146,26 +146,13 @@ class Chart:
         node.ways.append(way)
         return len(node.ways) == 1
 
-    def edges(self, start: int, end: int) -> list[Edge]:
-        """The first derivation of each (reading, lexc) over [start, end), in the order an unpacked chart adds them."""
-        return [e for _, e in _walk(self.cells.get((start, end), {}).values(), self, False)]
-
-    def spanning(self) -> list[Edge]:
-        return self.edges(0, len(self.tokens))
-
-    def all_edges(self) -> list[Edge]:
-        return [e for i, j in self.cells for e in self.edges(i, j)]
-
     def longest_partials(self) -> list[Edge]:
         """The first edge for each reading key over the longest spans holding
         edges, the whole sentence included: the near misses of a NO PARSE,
         which under a goal are the spanning readings that missed it."""
         n = len(self.tokens)
         for length in range(n, 0, -1):
-            found = [
-                e for (i, j), cell in self.cells.items() if j - i == length
-                for _, e in _first_per_reading(_walk(cell.values(), self, False), self)
-            ]
+            found = [e for (i, j), cell in self.cells.items() if j - i == length for e in _walk(cell.values(), self, False)]
             if found:
                 return found
         return []
@@ -420,9 +407,10 @@ def _derivations(node: Node, chart: Chart, every: bool, skipped: tuple[int, ...]
     return found
 
 
-def _walk(nodes: Iterable[Node], chart: Chart, every: bool) -> list[tuple[tuple, Edge]]:
-    """The derivations of nodes of one span (see _derivations), in one key order."""
-    return sorted((pair for node in nodes for pair in _derivations(node, chart, every)), key=itemgetter(0))
+def _walk(nodes: Iterable[Node], chart: Chart, every: bool) -> list[Edge]:
+    """The derivations of nodes of one span (see _derivations) in one key order: every one, or the first per reading key."""
+    found = sorted((pair for node in nodes for pair in _derivations(node, chart, every)), key=itemgetter(0))
+    return [e for _, e in (found if every else _first_per_reading(found, chart))]
 
 
 def chart_readings(chart: Chart, goal: Category | None = None, all_derivations: bool = False) -> list[Edge]:
@@ -430,8 +418,7 @@ def chart_readings(chart: Chart, goal: Category | None = None, all_derivations: 
     computed features included (None accepts any): the first for each reading
     key, or every derivation of each (see _derivations), in one add order."""
     cell = chart.cells.get((0, len(chart.tokens)), {})
-    found = _walk((v for v in cell.values() if goal is None or chart.fills(goal, v) is not None), chart, all_derivations)
-    return [e for _, e in (found if all_derivations else _first_per_reading(found, chart))]
+    return _walk((v for v in cell.values() if goal is None or chart.fills(goal, v) is not None), chart, all_derivations)
 
 
 def parse(

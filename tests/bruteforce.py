@@ -4,12 +4,17 @@ Shares seed_edges and combine with the chart parser, and its Chart only as
 the holder of the lexicon, the sentence and the step budget, but none of its control
 structure, memoization, or packing: no cell is ever filled.  Intended for
 short sentences only; the recursion deliberately recomputes sub-spans.
+
+Beside it, chart_edges and all_chart_edges read a filled chart's cells as
+edges, for tests that check every constituent rather than the readings.
 """
+
+from operator import itemgetter
 
 from ccgparse import logical_form as lf
 from ccgparse.category import category_key
 from ccgparse.lexicon import Lexicon
-from ccgparse.parser import Chart, Edge, combine, seed_edges
+from ccgparse.parser import Chart, Edge, _derivations, combine, seed_edges
 
 
 def derivations(lex: Lexicon, tokens: list[str], max_steps: int = lf.DEFAULT_STEP_BUDGET) -> list[Edge]:
@@ -36,3 +41,15 @@ def derivations(lex: Lexicon, tokens: list[str], max_steps: int = lf.DEFAULT_STE
 def enumerate_readings(lex: Lexicon, tokens: list[str], max_steps: int = lf.DEFAULT_STEP_BUDGET) -> set[tuple[str, str]]:
     """All (category key, lf alpha key) pairs derivable over the full span."""
     return {(category_key(e.category), lf.alpha_key(e.lf)) for e in derivations(lex, tokens, max_steps)}
+
+
+def chart_edges(chart: Chart, start: int, end: int) -> list[Edge]:
+    """The first derivation of each (reading, lexc) over [start, end) of a
+    built chart, one node's at a time, in the order an unpacked chart adds them."""
+    found = (pair for node in chart.cells.get((start, end), {}).values() for pair in _derivations(node, chart, False))
+    return [e for _, e in sorted(found, key=itemgetter(0))]
+
+
+def all_chart_edges(chart: Chart) -> list[Edge]:
+    """chart_edges of every cell of a built chart."""
+    return [e for i, j in chart.cells for e in chart_edges(chart, i, j)]

@@ -8,12 +8,19 @@ so give the same term, and an applicative-order one, which must agree up
 to alpha equivalence.
 """
 
+import functools
+
 from ccgparse import logical_form as lf
-from ccgparse.logical_form import Abs, App, Const, Term, Var, free_vars, fresh_name, spine, substitute
+from ccgparse.logical_form import Abs, App, Const, Term, Var, fresh_name, spine, substitute
 
 #: Logical-form heads that mark a reading as idiomatic in the shipped
 #: grammar's test corpus.
 IDIOM_HEADS = frozenset({"die", "divulge", "smalltalk", "omniway", "revulse", "pass"})
+
+
+def app(fun: Term, *args: Term) -> Term:
+    """fun applied to each of args in turn."""
+    return functools.reduce(App, args, fun)
 
 
 def reference_substitute(t: Term, v: str, s: Term) -> Term:
@@ -28,8 +35,8 @@ def reference_substitute(t: Term, v: str, s: Term) -> Term:
         case Abs(x, body):
             if x == v:
                 return t
-            if x in free_vars(s) and v in free_vars(body):
-                x2 = fresh_name(x, free_vars(s) | free_vars(body))
+            if x in s.free and v in body.free:
+                x2 = fresh_name(x, s.free | body.free)
                 body = reference_substitute(body, x, Var(x2))
                 return Abs(x2, reference_substitute(body, v, s))
             return Abs(x, reference_substitute(body, v, s))

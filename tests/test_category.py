@@ -21,7 +21,6 @@ from ccgparse.category import (
     parse_category,
     render_category,
     rename_variables,
-    singleton,
     unify,
     validate_category,
 )
@@ -31,6 +30,10 @@ from ccgparse.parser import RULES, RuleId
 
 def cat(text):
     return parse_category(text)
+
+
+def singleton(text):
+    return Singleton(tuple(text.split()))
 
 
 # ---------------------------------------------------------------------------

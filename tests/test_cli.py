@@ -611,6 +611,14 @@ CONTRACT = [
         "{d}/s.tsv:1: bad reading count 'x'\n",
     ),
     (
+        "empty suite sentence",
+        {"s.tsv": "\t1\t-\n"},
+        ["test", "-l", FRAGMENT, "{d}/s.tsv"],
+        2,
+        "",
+        "{d}/s.tsv:1: empty sentence\n",
+    ),
+    (
         "bad expected logical form",
         {"s.tsv": "John kicked the bucket\t2\tkick (\n"},
         ["test", "-l", FRAGMENT, "{d}/s.tsv"],

@@ -1,8 +1,10 @@
 """Fuzzed input: the readers raise only their own syntax errors, what they
 accept renders back to text they read as the same value, and the CLI maps
-whatever it is given to exit 0, 1 or 2 without a traceback.
+whatever it is given to exit 0, 1 or 2 without a traceback, input nested
+thousands deep included.
 
-Inputs are short and example counts small, so these run in about a second.
+Inputs are short, but for the nested forms, and example counts small, so
+each test runs in about a second.
 """
 
 import contextlib
@@ -118,3 +120,34 @@ def test_cli_exits_0_1_or_2(tmp_path, text, sentence, command, goal, count):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2)
+
+
+# One form nested to a drawn depth: (category, logical form) of an entry.
+_NESTED = {
+    "category parentheses": lambda n: ("(" * n + "NP" + ")" * n, "a"),
+    "logical-form parentheses": lambda n: ("NP", "(" * n + "a" + ")" * n),
+    "binder chain": lambda n: ("NP", "\\x. " * n + "x"),
+    "subscripts": lambda n: ("NP", "f_{" * n + "a" + "}" * n),
+    "left-nested application": lambda n: ("NP", "f" + " a" * n),
+}
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(_NESTED)), st.integers(1, 3000))
+def test_cli_survives_deep_nesting(tmp_path, form, depth):
+    category, term = _NESTED[form](depth)
+    lexicon = tmp_path / "deep.ccg"
+    lexicon.write_text(f"w := {category} : {term} ;\n", encoding="utf-8")
+    suite = tmp_path / "deep.tsv"
+    suite.write_text("w\t1\t-\n", encoding="utf-8")
+    for argv in (
+        ["parse", "-l", str(lexicon), "--goal", category, "w"],
+        ["validate", "-l", str(lexicon)],
+        ["test", "-l", str(lexicon), str(suite)],
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), (argv, err.getvalue())

@@ -34,8 +34,8 @@ from ccgparse import lexicon as lx
 from ccgparse.lexicon import BUILTIN_ATOMS, LexEntry, Lexicon, parse_lexicon, render_lexicon, validate_lexicon
 from ccgparse.parser import RuleId, build_chart, chart_readings
 
-from bruteforce import derivations
-from lfhelpers import has_redex
+from bruteforce import all_chart_edges, derivations
+from lfhelpers import app, has_redex
 
 ATOMS = ("S", "NP", "N", "Q")  # Q is declared by the lexicon
 PHONS = (("a",), ("b",), ("c",), ("b", "c"))
@@ -77,9 +77,9 @@ def _lf(draw, category) -> lf.Term:
     ]
     terms = draw(st.permutations(terms))
     subscripts = tuple(terms[:1]) if terms and draw(st.booleans()) else ()
-    body = lf.app(lf.Const(draw(st.sampled_from(CONSTANTS)), subscripts), *terms[len(subscripts):])
+    body = app(lf.Const(draw(st.sampled_from(CONSTANTS)), subscripts), *terms[len(subscripts):])
     if draw(st.booleans()):
-        body = lf.app(lf.Const("and"), body, lf.Const("e"))
+        body = app(lf.Const("and"), body, lf.Const("e"))
     return lf.absn(names, body)
 
 
@@ -207,7 +207,7 @@ def test_generated_grammars_parse_as_the_bruteforce_oracle_does(grammar):
     lex, tokens = grammar
     chart = build_chart(lex, tokens)
     oracle = derivations(lex, tokens)
-    assert {e.reading_key() for e in chart.spanning()} == {e.reading_key() for e in oracle}
+    assert {e.reading_key() for e in chart_readings(chart)} == {e.reading_key() for e in oracle}
 
     every = chart_readings(chart, all_derivations=True)
     assert {e.reading_key() for e in every} == {e.reading_key() for e in chart_readings(chart)}
@@ -219,11 +219,11 @@ def test_generated_grammars_parse_as_the_bruteforce_oracle_does(grammar):
     # every derivation, in the order a chart without packing adds them
     assert [shape(e) for e in every] == [shape(e) for e in oracle]
 
-    for e in chart.all_edges() + [s for e in every for s in subtrees(e)]:
+    for e in all_chart_edges(chart) + [s for e in every for s in subtrees(e)]:
         assert not e.lf.free and not has_redex(e.lf), lf.pretty_print(e.lf)
 
-    mirrored = {(category_key(_mirrored(e.category)), lf.alpha_key(e.lf)) for e in chart.spanning()}
-    assert {e.reading_key() for e in build_chart(*mirror(grammar)).spanning()} == mirrored
+    mirrored = {(category_key(_mirrored(e.category)), lf.alpha_key(e.lf)) for e in chart_readings(chart)}
+    assert {e.reading_key() for e in chart_readings(build_chart(*mirror(grammar)))} == mirrored
 
 
 def test_generated_charts_fire_every_rule_row():
@@ -234,7 +234,7 @@ def test_generated_charts_fire_every_rule_row():
     @settings(max_examples=100, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(grammars())
     def collect(grammar):
-        fired.update(e.rule for g in (grammar, mirror(grammar)) for e in build_chart(*g).all_edges())
+        fired.update(e.rule for g in (grammar, mirror(grammar)) for e in all_chart_edges(build_chart(*g)))
 
     collect()
     assert set(RuleId) <= fired

@@ -22,7 +22,7 @@ def test_substitute_into_subscript():
 
 
 def test_substitute_free_occurrence():
-    t = lf.Abs("y", lf.app(lf.Const("hit"), lf.Var("x"), lf.Var("y")))
+    t = lf.Abs("y", lfh.app(lf.Const("hit"), lf.Var("x"), lf.Var("y")))
     out = lf.substitute(t, "x", lf.Const("h"))
     assert lf.alpha_eq(out, p(r"\y. hit h y"))
 
@@ -56,14 +56,14 @@ def test_identity_reduction():
 
 def test_persuade_reduction():
     fun = p(r"\x\p\y. persuade (p x) x y")
-    term = lf.app(fun, lf.Const("m"), p(r"\y. hit h y"), lf.Const("j"))
+    term = lfh.app(fun, lf.Const("m"), p(r"\y. hit h y"), lf.Const("j"))
     assert lf.alpha_eq(lf.beta_normalize(term), p("persuade (hit h m) m j"))
 
 
 def test_particle_reduction():
     verb = p(r"\y\x\z. cause (init (hold_{x} y z)) z")
     up = p(r"\x\p\y. up (p y) x")
-    term = lf.app(verb, p("def book"), up, lf.Const("i"))
+    term = lfh.app(verb, p("def book"), up, lf.Const("i"))
     expected = p(r"cause (init (hold_{\x\p\y. up (p y) x} (def book) i)) i")
     assert lf.alpha_eq(lf.beta_normalize(term), expected)
 
@@ -93,17 +93,17 @@ def test_a_spine_that_grows_with_each_contraction_exhausts_the_budget():
 
 def test_a_long_normal_spine_comes_back_as_the_same_object():
     args = [lf.Const(f"a{i}") for i in range(3000)]
-    term = lf.app(lf.Const("f"), *args)
+    term = lfh.app(lf.Const("f"), *args)
     assert lf.beta_normalize(term) is term
     assert lf.beta_normalize(lf.App(p(r"\x. x"), term)) is term  # substitution walks the spine in a loop
     args[5] = lf.App(p(r"\x. x"), args[5])
-    assert lf.spine(lf.beta_normalize(lf.app(lf.Const("f"), *args))) == lf.spine(term)  # == itself recurses
+    assert lf.spine(lf.beta_normalize(lfh.app(lf.Const("f"), *args))) == lf.spine(term)  # == itself recurses
 
 
 def test_normal_subterms_are_shared():
     normal = p(r"\x. die_{def bucket} (hit x)")
     assert lf.beta_normalize(normal) is normal
-    out = lf.beta_normalize(lf.app(lf.Const("f"), normal, lf.App(p(r"\x. x"), lf.Const("a"))))
+    out = lf.beta_normalize(lfh.app(lf.Const("f"), normal, lf.App(p(r"\x. x"), lf.Const("a"))))
     assert out.fun.arg is normal
     assert lf.substitute(normal, "y", lf.Const("q")) is normal
 
@@ -111,7 +111,7 @@ def test_normal_subterms_are_shared():
 def test_normal_order_finds_normal_form_where_applicative_diverges():
     omega = lf.App(lf.Abs("x", lf.App(lf.Var("x"), lf.Var("x"))), lf.Abs("x", lf.App(lf.Var("x"), lf.Var("x"))))
     k = lf.Abs("a", lf.Abs("b", lf.Var("a")))
-    term = lf.app(k, lf.Const("ok"), omega)
+    term = lfh.app(k, lf.Const("ok"), omega)
     assert lf.beta_normalize(term, max_steps=100) == lf.Const("ok")
     with pytest.raises(lf.BudgetExceeded):
         lfh.applicative_normalize(term, max_steps=100)
@@ -163,7 +163,7 @@ def test_alpha_key_agrees_with_alpha_eq():
 # printing and reading
 
 def test_print_left_associative_application():
-    t = lf.app(lf.Const("persuade"), p("hit h m"), lf.Const("m"), lf.Const("j"))
+    t = lfh.app(lf.Const("persuade"), p("hit h m"), lf.Const("m"), lf.Const("j"))
     assert lf.pretty_print(t) == "persuade (hit h m) m j"
 
 
@@ -264,7 +264,7 @@ def collapse_binders(t: lf.Term, env: dict[str, str] | None = None) -> lf.Term:
         case lf.App(f, a):
             return lf.App(collapse_binders(f, env), collapse_binders(a, env))
         case lf.Abs(v, body):
-            taken = {env.get(n, n) for n in lf.free_vars(t)}
+            taken = {env.get(n, n) for n in t.free}
             name = next(n for n in COLLAPSED_NAMES + (v,) if n not in taken)
             return lf.Abs(name, collapse_binders(body, {**env, v: name}))
     raise TypeError(f"not a term: {t!r}")
@@ -273,10 +273,10 @@ def collapse_binders(t: lf.Term, env: dict[str, str] | None = None) -> lf.Term:
 # capture-avoiding renames, and a divergent argument that normal order drops
 HAND_CASES = [
     lf.App(p(r"\x\y. x y"), lf.Var("y")),
-    lf.app(p(r"\x\y\y'. x y y'"), lf.Var("y"), lf.Var("y'")),
+    lfh.app(p(r"\x\y\y'. x y y'"), lf.Var("y"), lf.Var("y'")),
     lf.App(p(r"\f. \x. f (f x)"), p(r"\y. \x. hit x y")),
     lf.App(lf.Abs("x", lf.Abs("u0", lf.Const("die", (lf.Var("x"), lf.Var("u0"))))), lf.Var("u0")),
-    lf.app(p(r"\a\b. a"), lf.Const("ok"), lf.App(p(r"\x. x x"), p(r"\x. x x"))),
+    lfh.app(p(r"\a\b. a"), lf.Const("ok"), lf.App(p(r"\x. x x"), p(r"\x. x x"))),
 ]
 
 
@@ -315,7 +315,7 @@ def test_strategies_agree_on_generated_terms(pair):
     normal = lf.beta_normalize(term)
     applicative = lfh.applicative_normalize(term)
     assert lf.alpha_eq(normal, applicative)
-    assert lf.free_vars(normal) <= lf.free_vars(term)
+    assert normal.free <= term.free
 
 
 # ---------------------------------------------------------------------------

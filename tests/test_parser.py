@@ -31,7 +31,7 @@ from ccgparse.parser import (
     seed_edges,
 )
 
-from bruteforce import derivations, enumerate_readings
+from bruteforce import all_chart_edges, chart_edges, derivations, enumerate_readings
 
 
 def load(text):
@@ -210,7 +210,7 @@ def test_rule_gate_blocks(gate, rule, left, right):
 def stub_chart_edge(fragment, text):
     tokens = tokenize(text)
     chart = build_chart(fragment, tokens)
-    for e in chart.edges(0, len(tokens)):
+    for e in chart_edges(chart, 0, len(tokens)):
         return e
     raise AssertionError(f"no edge over {text!r}")
 
@@ -325,9 +325,9 @@ def corpus_charts(fragment, corpus):
 
 def test_edges_are_beta_normal(fragment, corpus):
     for chart in corpus_charts(fragment, corpus):
-        for edge in chart.all_edges():
+        for edge in all_chart_edges(chart):
             assert lf.alpha_eq(lf.beta_normalize(edge.lf), edge.lf)
-            assert not lf.free_vars(edge.lf)
+            assert not edge.lf.free
 
 
 def test_lexical_edges_are_beta_normal():
@@ -348,8 +348,8 @@ def test_chart_logical_forms_are_closed(fragment, corpus):
     charts += [build_chart(fragment, tokenize(s)) for s in (COORD_CHAIN,) + MODSTACK]
     assert len(charts) >= 24 + 4
     for chart in charts:
-        for edge in chart.all_edges():
-            assert lf.free_vars(edge.lf) == frozenset(), lf.pretty_print(edge.lf)
+        for edge in all_chart_edges(chart):
+            assert edge.lf.free == frozenset(), lf.pretty_print(edge.lf)
 
 
 def test_no_composition_or_substitution_over_star(fragment, corpus):
@@ -363,7 +363,7 @@ def test_no_composition_or_substitution_over_star(fragment, corpus):
     }
     seen = 0
     for chart in corpus_charts(fragment, corpus):
-        for edge in chart.all_edges():
+        for edge in all_chart_edges(chart):
             if edge.rule not in composing:
                 continue
             seen += 1
@@ -378,7 +378,7 @@ def test_no_composition_or_substitution_over_star(fragment, corpus):
 def test_edge_lexc_flags_a_lexc_plus_leaf(fragment, corpus):
     flagged = unflagged = 0
     for chart in corpus_charts(fragment, corpus):
-        for edge in chart.all_edges():
+        for edge in all_chart_edges(chart):
             assert edge.lexc == any(e.lexc for e in leaf_entries(edge))
             flagged += edge.lexc
             unflagged += not edge.lexc
@@ -389,7 +389,7 @@ def test_no_edge_category_has_singleton_result(fragment, corpus):
     from ccgparse.category import validate_category
 
     for chart in corpus_charts(fragment, corpus):
-        for edge in chart.all_edges():
+        for edge in all_chart_edges(chart):
             assert not [v for v in validate_category(edge.category) if v.code == "SINGLETON_AS_RESULT"]
 
 
@@ -398,7 +398,7 @@ def test_the_weight_threshold_is_the_lexicons_whatever_the_settings():
     assert lex.weight_threshold == 1
     for sentence in ("I picked the book up", "John picked up the book"):
         tokens = tokenize(sentence)
-        packed = {e.reading_key() for e in build_chart(lex, tokens).spanning()}
+        packed = {e.reading_key() for e in chart_readings(build_chart(lex, tokens))}
         assert packed == {e.reading_key() for e in chart_readings(build_chart(lex, tokens), all_derivations=True)}
         assert bool(packed) is (sentence == "John picked up the book")  # "the book" is heavy at threshold 1
 
@@ -413,9 +413,9 @@ def test_cky_matches_bruteforce_on_short_sentences(fragment, corpus, weight_thre
         if len(tokens) > 7:
             continue
         checked += 1
-        cky = {e.reading_key() for e in build_chart(lex, tokens).spanning()}
+        cky = {e.reading_key() for e in chart_readings(build_chart(lex, tokens))}
         assert cky == enumerate_readings(lex, tokens), sentence
-        differ += cky != {e.reading_key() for e in build_chart(fragment, tokens).spanning()}
+        differ += cky != {e.reading_key() for e in chart_readings(build_chart(fragment, tokens))}
     assert checked >= 10
     # a non-default threshold must change some readings, or it checks nothing new
     assert (differ > 0) is (weight_threshold != 4)
@@ -432,7 +432,7 @@ def test_packing_keeps_edges_that_differ_in_lexc(entries):
     # application reads lexc, so packing the lexc+ edge into the plain one loses a reading
     lex = load("\n".join(entries + (r"f := S/N[lexc=+] : \x. f x ;",)) + "\n")
     chart = build_chart(lex, ["f", "a"])
-    assert {e.reading_key() for e in chart.spanning()} == enumerate_readings(lex, ["f", "a"])
+    assert {e.reading_key() for e in chart_readings(chart)} == enumerate_readings(lex, ["f", "a"])
     (edge,) = chart_readings(chart)
     assert lf.pretty_print(edge.lf) == "f a"
 
@@ -440,7 +440,7 @@ def test_packing_keeps_edges_that_differ_in_lexc(entries):
 def test_readings_list_one_edge_per_reading_key():
     lex = load("\n".join(LEXC_ENTRIES + ("b := NP : b ;",)) + "\n")
     chart = build_chart(lex, ["a"])
-    assert [e.lexc for e in chart.spanning()] == [False, True]
+    assert [e.lexc for e in chart_edges(chart, 0, 1)] == [False, True]
     assert [e.lexc for e in chart_readings(chart)] == [False]
     assert [e.lexc for e in chart_readings(chart, all_derivations=True)] == [False, True]
     # so do the near misses of a NO PARSE
@@ -544,8 +544,8 @@ def test_memoized_combine_equals_the_direct_rule_steps(fragment, corpus):
             for split_, end in chart.cells:
                 if split_ != split:
                     continue
-                for left in chart.edges(start, split):
-                    for right in chart.edges(split, end):
+                for left in chart_edges(chart, start, split):
+                    for right in chart_edges(chart, split, end):
                         assert summary(combine(left, right, chart)) == direct_combine(left, right, chart), sentence
                         pairs += 1
     assert pairs == 1376
@@ -568,7 +568,7 @@ def counted_calls(monkeypatch, *names):
 def test_the_memo_takes_one_category_step_per_distinct_input(fragment, monkeypatch):
     calls = counted_calls(monkeypatch, "_category_step", "category_key")
     chart = build_chart(fragment, tokenize(CHAIN_6))
-    assert len(chart.all_edges()) == 364
+    assert len(all_chart_edges(chart)) == 364
     assert calls["_category_step"] <= 1800  # 9104 without the memo
     assert calls["category_key"] <= 40  # 433 without interning: one per edge
 

@@ -10,7 +10,9 @@ k clauses); modifier stacks run in the three frames of the modstack
 workload, every fourth stack depth and the deepest that fits.  Each size
 reports its token count, the median of three ``perf_counter`` timings of
 ``document(build_chart(...))`` under the shipped fragment (rendering
-excluded), the chart's edge count and its spanning-reading count.
+excluded), the chart's node count (one per category and lexc flag of a
+span), the count of the ways those nodes were made (a seed, or a rule and
+two child nodes) and its spanning-reading count.
 
 Every size is checked outside the timed region: its ASCII rendering goes
 through the oracles of ``perfbench/workloads.py`` (Catalan(k-1) readings for
@@ -56,7 +58,8 @@ def measure(lexicon, sentence: str) -> tuple[dict, str, int]:
     row = {
         "tokens": len(tokens),
         "median_s": float(f"{statistics.median(times):.4g}"),
-        "edges": len(chart.all_edges()),
+        "nodes": sum(len(cell) for cell in chart.cells.values()),
+        "ways": sum(len(node.ways) for cell in chart.cells.values() for node in cell.values()),
         "readings": len(doc.readings),
     }
     return row, render_ascii(doc), 0 if doc.readings else 1
