@@ -42,7 +42,7 @@ def is_feature_variable(value: str) -> bool:
 
 
 def variable_display_name(name: str) -> str:
-    """Strip the per-edge freshness suffix from a variable name."""
+    """Strip the suffix that standardize gives a variable name."""
     return name.split("#", 1)[0]
 
 
@@ -89,11 +89,12 @@ Category = Atom | Functor | Singleton | Var
 
 
 def rebuild(c: Category, leaf: Callable[[Category, _D], Category], data: _D) -> Category:
-    """c with every functor rebuilt from its rebuilt parts and every other
-    part replaced by leaf(part, data).  This is the one walk that builds a
-    category, as category_parts is the one that reads one."""
-    if isinstance(c, Functor):
-        return Functor(rebuild(c.result, leaf, data), c.slash, rebuild(c.argument, leaf, data))
+    """c with every other part than a functor replaced by leaf(part, data), and every functor whose
+    parts changed rebuilt from them (one whose parts did not is kept).  This is the one walk
+    that builds a category, as category_parts is the one that reads one."""
+    if type(c) is Functor:
+        result, argument = rebuild(c.result, leaf, data), rebuild(c.argument, leaf, data)
+        return c if result is c.result and argument is c.argument else Functor(result, c.slash, argument)
     return leaf(c, data)
 
 
@@ -190,25 +191,30 @@ def apply_bindings(c: Category, bnd: Bindings) -> Category:
 def _bound(c: Category, bnd: Bindings) -> Category:
     # a bound Var is walked first, so that what it is bound to is substituted in too
     c = _walk_category(c, bnd)
-    if isinstance(c, Atom):
-        return Atom(c.name, tuple((a, _walk_feature(v, bnd)) for a, v in c.features))
-    return rebuild(c, _bound, bnd) if isinstance(c, Functor) else c
+    if type(c) is Atom:
+        features = tuple([(a, _walk_feature(v, bnd)) for a, v in c.features])
+        return c if features == c.features else Atom(c.name, features)
+    return rebuild(c, _bound, bnd) if type(c) is Functor else c
 
 
-def rename_variables(c: Category, suffix: str) -> Category:
-    """Freshen every variable name with a per-edge suffix.
+def standardize(c: Category, mark: str = "") -> tuple[Category, int]:
+    """c with its variables renamed base#<mark><n>, base the display name and n
+    counted in order of first occurrence, and that count: categories equal up to
+    a renaming that keeps display names standardize to one value, and a mark
+    renames a standardized category apart from every unmarked one."""
+    names: dict[str, str] = {}
 
-    Co-referring occurrences inside one category stay co-referring; the
-    suffix only prevents capture across separately instantiated entries.
-    """
-    return rebuild(c, _renamed, suffix)
+    def name(v: str) -> str:
+        return names.setdefault(v, f"{variable_display_name(v)}#{mark}{len(names)}")
+
+    return rebuild(c, _standard, name), len(names)
 
 
-def _renamed(c: Category, suffix: str) -> Category:
-    if isinstance(c, Atom):
-        fresh = tuple((a, f"{variable_display_name(v)}#{suffix}" if is_feature_variable(v) else v) for a, v in c.features)
-        return Atom(c.name, fresh)
-    return Var(f"{variable_display_name(c.name)}#{suffix}") if isinstance(c, Var) else c
+def _standard(c: Category, name: Callable[[str], str]) -> Category:
+    if type(c) is Atom:
+        features = tuple([(a, name(v) if is_feature_variable(v) else v) for a, v in c.features])
+        return c if features == c.features else Atom(c.name, features)
+    return Var(name(c.name)) if type(c) is Var else c
 
 
 # ---------------------------------------------------------------------------
@@ -406,18 +412,10 @@ def parse_category(text: str, default_modality: Modality = Modality.DIAMOND) -> 
     return cat
 
 
-def _slash_text(slash: Slash) -> str:
-    mark = slash.modality.value
-    text = slash.direction.value + mark
-    if slash.modality is Modality.CROSS:
-        text += " "
-    return text
-
-
 def render_category(c: Category, name: Callable[[str], str] = variable_display_name) -> str:
     """Deterministic rendering that re-parses to an equal category.
 
-    ``name`` spells each variable; the default strips freshness suffixes.
+    ``name`` spells each variable; the default strips standardize's suffixes.
     """
     return _render(c, name)
 
@@ -439,7 +437,10 @@ def _render(c: Category, name: Callable[[str], str]) -> str:
     right = _render(c.argument, name)
     if type(c.argument) is Functor:
         right = f"({right})"
-    return f"{left}{_slash_text(c.slash)}{right}"
+    modality = c.slash.modality
+    # a space keeps a crossing mark off the argument, and a bare slash off an x that would read as one
+    space = modality is Modality.CROSS or modality is Modality.DIAMOND and right[:1] == "x" and re.match(r"x(?![A-Za-z0-9])", right)
+    return f"{left}{c.slash.direction.value}{modality.value}{' ' if space else ''}{right}"
 
 
 def category_key(c: Category) -> str:

@@ -11,11 +11,10 @@ nodes asked for, so a node that no reading uses costs none.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, TypeGuard
 
 from .category import (
     COMPUTED_ATTRS,  # derived_features gives their values
@@ -29,7 +28,7 @@ from .category import (
     category_key,
     computed_attrs,
     match_argument,
-    rename_variables,
+    standardize,
     unify,
 )
 from . import logical_form as lf
@@ -116,8 +115,8 @@ class Node:
 class Chart:
     """The cells of one parse, with the lexicon, the sentence and the step budget they are built under.
 
-    Equal categories made in the chart are one object, hashed and keyed
-    once, so the category steps of two nodes or edges are looked up by identity.
+    Categories made in the chart are standardized, and equal ones are one object, hashed
+    and keyed once, so the category steps of two nodes or edges are looked up by identity.
     """
 
     def __init__(self, lexicon: Lexicon, tokens: list[str] | tuple[str, ...], max_steps: int):
@@ -127,14 +126,18 @@ class Chart:
         self.cells: dict[tuple[int, int], dict[tuple[str, bool], Node]] = {}
         self.categories: dict[Category, Category] = {}
         self.category_keys: dict[int, str] = {}  # by the id of an interned category
+        self.open: set[int] = set()  # the ids of interned categories that carry variables
         self.category_steps: dict[tuple, tuple] = {}  # see _category_steps
         self.derivations: dict[tuple[Node, bool, tuple[int, ...]], list] = {}  # see _derivations
 
     def intern(self, c: Category) -> Category:
-        """The chart's one category equal to c."""
+        """The chart's one category equal to c standardized."""
+        c, variables = standardize(c)
         found = self.categories.setdefault(c, c)
         if id(found) not in self.category_keys:
             self.category_keys[id(found)] = category_key(found)
+            if variables:
+                self.open.add(id(found))
         return found
 
     def add(self, start: int, end: int, category: Category, lexc: bool, way: tuple) -> bool:
@@ -174,11 +177,9 @@ def _first_per_reading(found: list[tuple[tuple, Edge]], chart: Chart) -> list[tu
 # ---------------------------------------------------------------------------
 # the rules
 
-def _functor(edge: Edge | Node, direction: Direction) -> Functor | None:
-    c = edge.category
-    if isinstance(c, Functor) and c.slash.direction is direction:
-        return c
-    return None
+def _gated(c: Category, direction: Direction, admits: tuple[Modality, ...]) -> TypeGuard[Functor]:
+    """Whether c is a functor whose slash has this direction and one of these modalities."""
+    return type(c) is Functor and c.slash.direction is direction and c.slash.modality in admits
 
 
 class RuleRow(NamedTuple):
@@ -225,25 +226,19 @@ def _category_step(row: RuleRow, f_edge: Edge | Node, g_edge: Edge | Node, chart
     argument against g's edge, so a string-valued argument needs no rule
     of its own; composition and substitution unify category structure.
     """
-    f = _functor(f_edge, row.f_direction)
-    if f is None or f.slash.modality not in row.admits:
+    f, g = f_edge.category, g_edge.category
+    if not _gated(f, row.f_direction, row.admits):
         return None
     if row.shape == "A":
         bnd = chart.fills(f.argument, g_edge)
         return None if bnd is None else (f.result, bnd)
-    g = _functor(g_edge, row.g_direction)
-    if g is None or g.slash.modality not in row.admits:
+    if not _gated(g, row.g_direction, row.admits):
         return None
     if row.shape == "B":
         head, slot, bnd = f.result, f.argument, {}
-    else:  # f is (X/Y)/Z: its inner slash shares f's direction and is gated too
-        inner = f.result
-        if not (
-            isinstance(inner, Functor)
-            and inner.slash.direction is row.f_direction
-            and inner.slash.modality in row.admits
-        ):
-            return None
+    elif not _gated(inner := f.result, row.f_direction, row.admits):  # f is (X/Y)/Z: its inner slash is gated too
+        return None
+    else:
         head, slot, bnd = inner.result, inner.argument, unify(f.argument, g.argument)
     if bnd is None or any(computed_attrs(c) for c in (f.argument, slot, g.result)):  # application-only slots
         return None
@@ -281,6 +276,8 @@ def _category_steps(left: Edge | Node, right: Edge | Node, chart: Chart) -> list
     )
     found = chart.category_steps.get(key)
     if found is None:
+        if id(lc) in chart.open and id(rc) in chart.open:  # rename apart, as both are standardized alike
+            right = Node(right.start, right.end, standardize(rc, "r")[0], right.lexc)
         rows = []
         for row in RULES:
             step = _category_step(row, *((left, right) if row.f_direction is _FWD else (right, left)), chart)
@@ -309,12 +306,10 @@ def seed_edges(chart: Chart) -> list[Edge]:
     lex, tokens, max_steps = chart.lexicon, chart.tokens, chart.max_steps
     edges: list[Edge] = []
     covered = [False] * len(tokens)
-    fresh = itertools.count()
     for start in range(len(tokens)):
         for entry, length in lookup(lex, tokens, start):
-            category = chart.intern(rename_variables(entry.category, str(next(fresh))))
             term = lf.beta_normalize(entry.lf, max_steps=max_steps)
-            edges.append(Edge(start, start + length, category, term, entry=entry, lexc=entry.lexc))
+            edges.append(Edge(start, start + length, chart.intern(entry.category), term, entry=entry, lexc=entry.lexc))
             for i in range(start, start + length):
                 covered[i] = True
     unknown = sorted({tokens[i] for i, c in enumerate(covered) if not c})

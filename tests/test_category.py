@@ -20,7 +20,7 @@ from ccgparse.category import (
     match_argument,
     parse_category,
     render_category,
-    rename_variables,
+    standardize,
     unify,
     validate_category,
 )
@@ -315,22 +315,27 @@ def test_default_modality_configurable():
     assert isinstance(c, Functor) and c.slash.modality is Modality.STAR
 
 
-def test_rename_variables_keeps_entry_internal_coreference():
+def test_standardize_keeps_entry_internal_coreference():
     c = cat("NP[head=?h]/N[head=?h]")
-    renamed = rename_variables(c, "7")
-    assert isinstance(renamed, Functor)
-    assert dict(renamed.result.features)["head"] == dict(renamed.argument.features)["head"]
-    assert dict(renamed.result.features)["head"] != "?h"
+    renamed, count = standardize(c, "r")
+    assert isinstance(renamed, Functor) and count == 1
+    assert dict(renamed.result.features)["head"] == dict(renamed.argument.features)["head"] == "?h#r0"
     assert category_key(renamed) == category_key(c)
+    # categories equal up to a renaming that keeps display names standardize to one value, and again to the same
+    seeded = Functor(Atom("NP", (("head", "?h#5"),)), c.slash, Atom("N", (("head", "?h#5"),)))
+    assert standardize(seeded)[0] == standardize(c)[0] == standardize(standardize(c)[0])[0]
+    two, count = standardize(cat("NP[head=?h]/N[head=?g]"))
+    assert render_category(two, str) == "NP[head=?h#0]/N[head=?g#1]" and count == 2
+    assert standardize(cat("NP[head=b]/N"))[1] == 0
 
 
 def test_category_key_numbers_feature_and_category_variables_together():
     c = cat(r"((X\NP[agr=?a])/Y)/(Y/N[agr=?a, head=?h])")
     expected = r"((V0\NP[agr=?v1])/V2)/(V2/N[agr=?v1, head=?v3])"
     assert category_key(c) == expected
-    assert category_key(rename_variables(c, "4")) == expected
+    assert category_key(standardize(c, "r")[0]) == expected
     assert category_key(cat(r"((Y\NP[agr=?b])/X)/(X/N[agr=?b, head=?z])")) == expected
-    assert render_category(rename_variables(c, "4")) == render_category(c)
+    assert render_category(standardize(c, "r")[0]) == render_category(c)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +402,7 @@ def test_feature_pairs_come_out_sorted_and_unique(atom_texts, pairs, a, b):
     # an Atom takes its pairs as given, so every way of making one must sort them
     c = parse_category("/".join(atom_texts))
     assert_pairs_sorted_and_unique(c)
-    assert_pairs_sorted_and_unique(rename_variables(c, "7"))
+    assert_pairs_sorted_and_unique(standardize(c, "r")[0])
     assert_pairs_sorted_and_unique(cat(render_category(Atom("NP", tuple(pairs)))))
     bnd = unify(a, b)
     if bnd is not None:

@@ -10,7 +10,7 @@ each test runs in about a second.
 import contextlib
 import io
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ccgparse import logical_form as lf
 from ccgparse.category import CategorySyntaxError, parse_category, render_category
@@ -83,6 +83,9 @@ def test_accepted_logical_form_round_trips(text):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_spliced(CATEGORIES, CATEGORY_CHARS), st.text(alphabet=CATEGORY_CHARS, max_size=24)))
+@example(r"0\ x")  # a bare slash must not run into an x argument: that reads as a crossing slash
+@example("A/ x[f=a]")
+@example("A/ x'")
 def test_accepted_category_round_trips(text):
     try:
         c = parse_category(text)

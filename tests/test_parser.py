@@ -13,6 +13,7 @@ from ccgparse.category import (
     apply_bindings,
     parse_category,
     render_category,
+    standardize,
 )
 from ccgparse.lexicon import Lexicon, parse_lexicon, tokenize
 from ccgparse.parser import (
@@ -521,8 +522,10 @@ def summary(edges):
 
 
 def direct_combine(left, right, chart):
-    """combine's outputs summarized, each row's step computed afresh: no memo, no interning."""
+    """combine's outputs summarized, each row's step computed afresh: no memo, no interning,
+    and the right edge's variables always renamed apart."""
     out = []
+    right = replace(right, category=standardize(right.category, "r")[0])
     for row in RULES:
         f_edge, g_edge = (left, right) if row.f_direction is Direction.FORWARD else (right, left)
         step = parser._category_step(row, f_edge, g_edge, chart)
@@ -669,3 +672,41 @@ def test_every_derivation_walks_the_twin_ways_too(fragment, monkeypatch):
     calls = counted_calls(monkeypatch, "_lf_step")
     assert len(chart_readings(build_chart(fragment, tokenize(CHAIN_6)), all_derivations=True)) == 84
     assert calls["_lf_step"] == 270  # as many as before twin ways were skipped
+
+
+# ---------------------------------------------------------------------------
+# standardized categories: one value per category, renamed apart where two meet
+
+# a's ?v and b's ?v are two variables that standardize to one name
+SHARED_BASE = r"""
+atoms A, B, C ;
+a := A[f=?v]/B[g=c1] : \x. a x ;
+b := B[g=?v]/C[h=?v] : \x. b x ;
+c := C[h=c1] : c ;
+"""
+
+
+def test_variables_that_share_a_base_are_renamed_apart():
+    # a >B b binds b's ?v to c1 and leaves a's free: a >B b that captured a's too would add A[f=c1]
+    chart = build_chart(load(SHARED_BASE), ["a", "b", "c"])
+    assert [render_category(e.category) for e in chart_readings(chart)] == ["A[f=?v]"]
+    (composed,) = chart.cells[0, 2].values()
+    assert render_category(composed.category) == "A[f=?v]/C[h=c1]"
+
+
+@pytest.mark.parametrize(
+    "sentence, steps, categories",
+    [
+        (f"I picked the {MODIFIERS_10} book up", 82, 15),  # 356 and 54 when each seed was renamed on its own
+        (f"I picked up the {MODIFIERS_10} book", 84, 17),  # 320 and 46
+        (f"John kicked the {MODIFIERS_10} bucket", 90, 14),  # 356 and 53
+    ],
+    ids=["shifted", "particle first", "kick"],
+)
+def test_equal_categories_are_one_object_and_share_their_category_steps(fragment, sentence, steps, categories):
+    tokens = tokenize(sentence)
+    chart = build_chart(fragment, tokens)
+    longs = [node.category for i, t in enumerate(tokens) if t == "long" for node in chart.cells[i, i + 1].values()]
+    assert len(longs) == 4 and all(c is longs[0] for c in longs)
+    assert render_category(longs[0], str) == "N[head=?h#0]/N[head=?h#0]"
+    assert (len(chart.category_steps), len(chart.categories)) == (steps, categories)

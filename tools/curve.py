@@ -12,7 +12,9 @@ reports its token count, the median of three ``perf_counter`` timings of
 ``document(build_chart(...))`` under the shipped fragment (rendering
 excluded), the chart's node count (one per category and lexc flag of a
 span), the count of the ways those nodes were made (a seed, or a rule and
-two child nodes) and its spanning-reading count.
+two child nodes), its distinct category steps (``steps``: the entries of its
+memo of the rule rows that fire on a pair of categories), its distinct
+categories (``categories``) and its spanning-reading count.
 
 Every size is checked outside the timed region: its ASCII rendering goes
 through the oracles of ``perfbench/workloads.py`` (Catalan(k-1) readings for
@@ -60,6 +62,8 @@ def measure(lexicon, sentence: str) -> tuple[dict, str, int]:
         "median_s": float(f"{statistics.median(times):.4g}"),
         "nodes": sum(len(cell) for cell in chart.cells.values()),
         "ways": sum(len(node.ways) for cell in chart.cells.values() for node in cell.values()),
+        "steps": len(chart.category_steps),
+        "categories": len(chart.categories),
         "readings": len(doc.readings),
     }
     return row, render_ascii(doc), 0 if doc.readings else 1
