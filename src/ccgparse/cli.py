@@ -125,7 +125,9 @@ def cmd_test(args: argparse.Namespace) -> int:
         try:
             count = int(count_text)
         except ValueError:
-            raise CommandError(f"{args.suite}:{lineno}: bad reading count {count_text!r}") from None
+            count = -1
+        if count < 0:
+            raise CommandError(f"{args.suite}:{lineno}: bad reading count {count_text!r}")
         lf_specs: list[lf.Term] = []
         if lf_text != "-":
             try:

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, is_dataclass
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from typing import Iterable
 
 from .category import Category, render_category
 from . import logical_form as lf
-from .parser import Chart, Edge, RuleId, chart_readings
-
-RULE_LABELS = ("LEX",) + tuple(rule.value for rule in RuleId)
+from .parser import Chart, Edge, chart_readings
 
 
 @dataclass(frozen=True)
@@ -89,16 +87,6 @@ def _label(n: TreeNode) -> str:
     return "" if n.rule == "LEX" else n.rule
 
 
-def _row(offset: dict[int, int], pieces: Iterable[tuple[tuple[int, int], str]], underline: bool = False) -> str:
-    """One line of pieces; column i starts at offset[i], and a span's piece
-    fills its columns and the separators between them."""
-    line = ""
-    for (start, end), text in pieces:
-        w = offset[end] - offset[start] - _SEP
-        line = line.ljust(offset[start]) + (text.rjust(w, "-") if underline else text.ljust(w))
-    return line.rstrip()
-
-
 def _render_tree(sentence: tuple[str, ...], node: TreeNode) -> list[str]:
     nodes, stack = [], [node]
     while stack:
@@ -108,23 +96,25 @@ def _render_tree(sentence: tuple[str, ...], node: TreeNode) -> list[str]:
     # that holds it.  Spans of one length in one tree are disjoint.
     nodes.sort(key=lambda n: (n.span[1] - n.span[0], n.span[0]))
     leaves = sorted((n for n in nodes if n.rule == "LEX"), key=lambda n: n.span)
-    cols = range(leaves[0].span[0], leaves[-1].span[1])
-    widths = {i: len(sentence[i]) for i in cols}
+    first = leaves[0].span[0]
+    words = sentence[first : leaves[-1].span[1]]
+    widths = [len(w) + _SEP for w in words]  # each column with the separator after it
     for n in nodes:
-        start, end = n.span
-        need = max(len(_label(n)) + 2, len(n.category), len(n.lf) + 2)
-        have = sum(widths[i] for i in range(start, end)) + _SEP * (end - start - 1)
-        if have < need:
-            widths[end - 1] += need - have
-    offset = {cols.start: 0}
-    for i in cols:
-        offset[i + 1] = offset[i] + widths[i] + _SEP
+        start, end = n.span[0] - first, n.span[1] - first
+        short = max(len(_label(n)) + 2, len(n.category), len(n.lf) + 2) + _SEP - sum(widths[start:end])
+        if short > 0:
+            widths[end - 1] += short
+    offset = [0, *accumulate(widths)]
 
-    lines = [_row(offset, (((i, i + 1), sentence[i]) for i in cols))]
+    lines = ["".join(map(str.ljust, words[:-1], widths)) + words[-1]]
     for group in [leaves] + [[n] for n in nodes if n.rule != "LEX"]:
-        lines.append(_row(offset, ((n.span, _label(n)) for n in group), underline=True))
-        lines.append(_row(offset, ((n.span, n.category) for n in group)))
-        lines.append(_row(offset, ((n.span, ": " + n.lf) for n in group)))
+        rule = category = form = ""
+        for n in group:
+            start, end = offset[n.span[0] - first], offset[n.span[1] - first] - _SEP
+            rule += " " * (start - len(rule)) + _label(n).rjust(end - start, "-")
+            category += " " * (start - len(category)) + n.category
+            form += " " * (start - len(form)) + ": " + n.lf
+        lines += (rule, category, form)
     return lines
 
 
@@ -159,27 +149,27 @@ def _node_from(obj: dict) -> TreeNode:
     )
 
 
-def _lay_out(value: object, depth: int, parts: list) -> None:
-    """Append value's JSON text at nesting depth ``depth`` to parts, as
-    json.dumps(..., indent=2) lays it out, leaving a dataclass value as a
-    (value, depth) reference."""
+def _lay_out(value: object, depth: int, runs: list) -> None:
+    """Append value's JSON text at nesting depth ``depth`` to the last run,
+    as json.dumps(..., indent=2) lays it out; a dataclass value becomes a
+    (value, depth) reference followed by a fresh run."""
     if is_dataclass(value):
-        parts.append((value, depth))
+        runs += [(value, depth), ""]
     elif type(value) is str:
-        parts.append(encode_basestring_ascii(value))
+        runs[-1] += encode_basestring_ascii(value)
     elif type(value) is int:
-        parts.append(int.__repr__(value))
+        runs[-1] += int.__repr__(value)
     elif type(value) is tuple:
         if not value:
-            parts.append("[]")
+            runs[-1] += "[]"
             return
         inner = "\n" + "  " * (depth + 1)
         sep = "[" + inner
         for item in value:
-            parts.append(sep)
-            _lay_out(item, depth + 1, parts)
+            runs[-1] += sep
+            _lay_out(item, depth + 1, runs)
             sep = "," + inner
-        parts.append("\n" + "  " * depth + "]")
+        runs[-1] += "\n" + "  " * depth + "]"
     else:
         raise TypeError(f"not in the document schema: {value!r}")
 
@@ -187,23 +177,14 @@ def _lay_out(value: object, depth: int, parts: list) -> None:
 def _own_text(obj: object, depth: int) -> list:
     """A dataclass's JSON text at nesting depth ``depth`` as runs of text
     between the (value, depth) references to its nested dataclasses."""
-    parts: list = []
+    runs: list = [""]
     inner = "\n" + "  " * (depth + 1)
     sep = "{" + inner
     for f in fields(obj):
-        parts.append(sep + encode_basestring_ascii(f.name) + ": ")
-        _lay_out(getattr(obj, f.name), depth + 1, parts)
+        runs[-1] += sep + encode_basestring_ascii(f.name) + ": "
+        _lay_out(getattr(obj, f.name), depth + 1, runs)
         sep = "," + inner
-    parts.append("\n" + "  " * depth + "}")
-    runs, text = [], []
-    for part in parts:
-        if type(part) is str:
-            text.append(part)
-        else:
-            runs.append("".join(text))
-            runs.append(part)
-            text = []
-    runs.append("".join(text))
+    runs[-1] += "\n" + "  " * depth + "}"
     return runs
 
 

@@ -126,7 +126,7 @@ class Chart:
         self.cells: dict[tuple[int, int], dict[tuple[str, bool], Node]] = {}
         self.categories: dict[Category, Category] = {}
         self.category_keys: dict[int, str] = {}  # by the id of an interned category
-        self.open: set[int] = set()  # the ids of interned categories that carry variables
+        self.closed: set[int] = set()  # the ids of interned categories that carry no variables
         self.category_steps: dict[tuple, tuple] = {}  # see _category_steps
         self.derivations: dict[tuple[Node, bool, tuple[int, ...]], list] = {}  # see _derivations
 
@@ -136,8 +136,8 @@ class Chart:
         found = self.categories.setdefault(c, c)
         if id(found) not in self.category_keys:
             self.category_keys[id(found)] = category_key(found)
-            if variables:
-                self.open.add(id(found))
+            if not variables:
+                self.closed.add(id(found))
         return found
 
     def add(self, start: int, end: int, category: Category, lexc: bool, way: tuple) -> bool:
@@ -276,7 +276,7 @@ def _category_steps(left: Edge | Node, right: Edge | Node, chart: Chart) -> list
     )
     found = chart.category_steps.get(key)
     if found is None:
-        if id(lc) in chart.open and id(rc) in chart.open:  # rename apart, as both are standardized alike
+        if id(lc) not in chart.closed and id(rc) not in chart.closed:  # both may share variable names
             right = Node(right.start, right.end, standardize(rc, "r")[0], right.lexc)
         rows = []
         for row in RULES:

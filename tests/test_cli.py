@@ -611,6 +611,14 @@ CONTRACT = [
         "{d}/s.tsv:1: bad reading count 'x'\n",
     ),
     (
+        "negative reading count",
+        {"s.tsv": "the book\t-1\t-\n"},
+        ["test", "-l", FRAGMENT, "{d}/s.tsv"],
+        2,
+        "",
+        "{d}/s.tsv:1: bad reading count '-1'\n",
+    ),
+    (
         "empty suite sentence",
         {"s.tsv": "\t1\t-\n"},
         ["test", "-l", FRAGMENT, "{d}/s.tsv"],

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from ccgparse.category import parse_category
 from ccgparse.derivation import (
-    RULE_LABELS,
     DerivationDoc,
     NearMiss,
     Reading,
@@ -18,7 +17,9 @@ from ccgparse.derivation import (
 )
 from ccgparse.lexicon import case_folded, tokenize
 from ccgparse import parser
-from ccgparse.parser import build_chart, chart_readings, combine
+from ccgparse.parser import RuleId, build_chart, chart_readings, combine
+
+RULE_LABELS = ("LEX",) + tuple(rule.value for rule in RuleId)
 
 
 def doc_for(fragment, sentence, goal=None):
@@ -116,6 +117,33 @@ def test_ascii_block_structure(fragment):
     # the final two lines carry the goal category and logical form
     assert lines[-2] == "S"
     assert lines[-1] == ": persuade (hit h m) m j"
+
+
+def test_ascii_column_widths_count_the_rule_label_and_not_lex():
+    # a step's column is at least its label plus two wide: >Bx widens "b" to 5;
+    # a leaf's label is empty, so "a" is only as wide as ": p"
+    b = TreeNode((1, 2), "B", "q", "LEX")
+    bx = TreeNode((1, 2), "S", "a", ">Bx", (b,))
+    cde = TreeNode((2, 5), "C", "r", "LEX")
+    right = TreeNode((1, 5), "D", "s", ">", (bx, cde))
+    root = TreeNode((0, 5), "E", "t", "<", (TreeNode((0, 1), "A", "p", "LEX"), right))
+    doc = DerivationDoc(tuple("abcde"), (Reading("E", "t", root),))
+    assert render_ascii(doc).splitlines() == [
+        "reading 1: E : t",
+        "a    b      c  d  e",
+        "---  -----  -------",
+        "A    B      C",
+        ": p  : q    : r",
+        "     -->Bx",
+        "     S",
+        "     : a",
+        "     ------------->",
+        "     D",
+        "     : s",
+        "------------------<",
+        "E",
+        ": t",
+    ]
 
 
 def test_ascii_no_parse_lists_near_misses(fragment):

@@ -694,6 +694,22 @@ def test_variables_that_share_a_base_are_renamed_apart():
     assert render_category(composed.category) == "A[f=?v]/C[h=c1]"
 
 
+# f's X and g's X are two variables of one name, in the lexicon and on edges built by hand
+SAME_NAME = r"""
+f := X/X : \x. x ;
+g := NP/X : \y. c ;
+"""
+
+
+def test_edges_the_chart_did_not_intern_are_renamed_apart_as_seeds_are():
+    # f > g binds f's X to NP/X; had g's X been taken for f's, f >B g alone would fire, as NP/NP
+    chart = Chart(load(SAME_NAME), ["f", "g"], lf.DEFAULT_STEP_BUDGET)
+    built = [edge_for("f", "X/X", r"\x. x"), edge_for("g", "NP/X", r"\y. c", start=1)]
+    for left, right in (seed_edges(chart), built):
+        got = [(e.rule, render_category(e.category)) for e in combine(left, right, chart)]
+        assert got == [(RuleId.FWD_APP, "NP/X"), (RuleId.FWD_COMP_HARMONIC, "NP/X")]
+
+
 @pytest.mark.parametrize(
     "sentence, steps, categories",
     [

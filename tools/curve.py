@@ -9,8 +9,10 @@ from two clauses up to the longest that fits in MAX_TOKENS (3k+1 tokens for
 k clauses); modifier stacks run in the three frames of the modstack
 workload, every fourth stack depth and the deepest that fits.  Each size
 reports its token count, the median of three ``perf_counter`` timings of
-``document(build_chart(...))`` under the shipped fragment (rendering
-excluded), the chart's node count (one per category and lexc flag of a
+``document(build_chart(...))`` under the shipped fragment (``median_s``,
+rendering excluded), the medians of the same runs' ``build_chart``,
+``render_ascii`` and ``render_json`` (``chart_s``, ``ascii_s``,
+``json_s``), the chart's node count (one per category and lexc flag of a
 span), the count of the ways those nodes were made (a seed, or a rule and
 two child nodes), its distinct category steps (``steps``: the entries of its
 memo of the rule rows that fire on a pair of categories), its distinct
@@ -39,7 +41,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 from ccgparse import fragment_path  # noqa: E402
-from ccgparse.derivation import document, render_ascii  # noqa: E402
+from ccgparse.derivation import document, render_ascii, render_json  # noqa: E402
 from ccgparse.lexicon import parse_lexicon, tokenize  # noqa: E402
 from ccgparse.parser import MAX_TOKENS, build_chart  # noqa: E402
 
@@ -50,23 +52,31 @@ STACK_STEP = 4
 def measure(lexicon, sentence: str) -> tuple[dict, str, int]:
     """The curve row for one sentence, with its ASCII rendering and the CLI's exit code."""
     tokens = tokenize(sentence)
-    times = []
+    times: dict[str, list[float]] = {"median_s": [], "chart_s": [], "ascii_s": [], "json_s": []}
     for _ in range(TIMINGS):
-        chart = doc = None  # free the last chart before building the next
+        chart = doc = ascii_text = json_text = None  # free the last run's results before the next
         start = perf_counter()
         chart = build_chart(lexicon, tokens)
+        charted = perf_counter()
         doc = document(chart)
-        times.append(perf_counter() - start)
+        documented = perf_counter()
+        ascii_text = render_ascii(doc)
+        drawn = perf_counter()
+        json_text = render_json(doc)
+        times["median_s"].append(documented - start)
+        times["chart_s"].append(charted - start)
+        times["ascii_s"].append(drawn - documented)
+        times["json_s"].append(perf_counter() - drawn)
     row = {
         "tokens": len(tokens),
-        "median_s": float(f"{statistics.median(times):.4g}"),
+        **{name: float(f"{statistics.median(t):.4g}") for name, t in times.items()},
         "nodes": sum(len(cell) for cell in chart.cells.values()),
         "ways": sum(len(node.ways) for cell in chart.cells.values() for node in cell.values()),
         "steps": len(chart.category_steps),
         "categories": len(chart.categories),
         "readings": len(doc.readings),
     }
-    return row, render_ascii(doc), 0 if doc.readings else 1
+    return row, ascii_text, 0 if doc.readings else 1
 
 
 def coord_sizes(max_tokens: int) -> list[tuple[tuple[str, str], ...]]:
@@ -114,7 +124,8 @@ def main(argv: list[str] | None = None) -> int:
         {
             "command": f"python tools/curve.py {args.max_tokens}",
             "host": f"Python {platform.python_version()}, {platform.machine()}",
-            "method": f"median of {TIMINGS} perf_counter timings of document(build_chart(...)) per size, rendering excluded",
+            "method": f"median of {TIMINGS} perf_counter timings of document(build_chart(...)) per size, rendering excluded"
+            " (median_s); chart_s, ascii_s and json_s are the medians of build_chart, render_ascii and render_json",
             "coord": coord,
             "modstack": modstack,
             "misses": misses,
