@@ -335,7 +335,7 @@ class CategorySyntaxError(ValueError):
 
 _CATEGORY_SCANNER = re.compile(
     r"""\s*(?: (?P<slash>[/\\](?:[*.]|x(?![A-Za-z0-9]))?)
-    | (?P<string>"[^"]*") | (?P<unterminated>")
+    | (?P<string>"[^"\n]*") | (?P<unterminated>")
     | (?P<punct>[()\[\],=+-])
     | (?P<var>\?[A-Za-z0-9][A-Za-z0-9']*) | (?P<bad_var>\?)
     | (?P<word>[A-Za-z0-9][A-Za-z0-9']*)

@@ -1,6 +1,6 @@
 """Exhaustive CKY chart parsing over the fixed combinatory rule inventory.
 
-Eight binary rules, one row each of the table RULES, plus lexical seeding:
+Eight binary rules, each a member of the rule table RuleId, plus lexical seeding:
 forward and backward application (which also perform string-category
 substitution), harmonic and crossing composition, and substitution.
 Every rule is gated by the modalities of the slashes it consumes.  The
@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, NamedTuple, TypeGuard
+from typing import Iterable, TypeGuard
 
 from .category import (
-    COMPUTED_ATTRS,  # derived_features gives their values
     Bindings,
     Category,
     Direction,
@@ -36,18 +35,44 @@ from .lexicon import LexEntry, Lexicon, lookup
 
 MAX_TOKENS = 32  # longer sentences are refused
 
+_FWD, _BWD = Direction.FORWARD, Direction.BACKWARD
+_ANY = tuple(Modality)
+_HARMONIC = (Modality.DIAMOND, Modality.DOT)
+_CROSSING = (Modality.CROSS, Modality.DOT)
+
 
 class RuleId(Enum):
-    """The fixed binary rule inventory. Values double as display labels."""
+    """The rule table: the fixed binary rule inventory, one member per rule,
+    each with its display label as its value.
 
-    FWD_APP = ">"
-    BWD_APP = "<"
-    FWD_COMP_HARMONIC = ">B"
-    BWD_COMP_HARMONIC = "<B"
-    FWD_COMP_CROSSING = ">Bx"
-    BWD_COMP_CROSSING = "<Bx"
-    FWD_SUBST = ">S"
-    BWD_SUBST = "<S"
+    f is the primary functor and g the other neighbour.  f's slash points at
+    g, so f is the left neighbour exactly when f_direction is FORWARD.
+    Shapes, with f's slash written forward and | for g's slash:
+      A  application   X/Y      Y    => X    f g
+      B  composition   X/Y      Y|Z  => X|Z  \\x. f (g x)
+      S  substitution  (X/Y)/Z  Y|Z  => X|Z  \\x. f x (g x)
+    Every slash a rule consumes must have one of its ``admits`` modalities.
+    Rules are tried in order.  _derivations keeps the first derivation for
+    each reading, so the order decides which derivation a packed reading shows.
+    """
+
+    FWD_APP = (">", _FWD, None, "A", _ANY)
+    BWD_APP = ("<", _BWD, None, "A", _ANY)
+    FWD_COMP_HARMONIC = (">B", _FWD, _FWD, "B", _HARMONIC)
+    BWD_COMP_HARMONIC = ("<B", _BWD, _BWD, "B", _HARMONIC)
+    FWD_COMP_CROSSING = (">Bx", _FWD, _BWD, "B", _CROSSING)
+    BWD_COMP_CROSSING = ("<Bx", _BWD, _FWD, "B", _CROSSING)
+    FWD_SUBST = (">S", _FWD, _FWD, "S", _HARMONIC)
+    BWD_SUBST = ("<S", _BWD, _BWD, "S", _HARMONIC)
+
+    def __new__(cls, label: str, f_direction: Direction, g_direction: Direction | None, shape: str, admits: tuple[Modality, ...]):
+        rule = object.__new__(cls)
+        rule._value_ = label
+        rule.f_direction, rule.g_direction, rule.shape, rule.admits = f_direction, g_direction, shape, admits
+        return rule
+
+
+RULES = tuple(RuleId)  # a tuple, iterated on every category-step memo miss
 
 
 class ParserError(Exception):
@@ -91,19 +116,24 @@ class Edge:
         return (category_text or category_key(self.category), lf.alpha_key(self.lf))
 
 
+def _light(edge: Edge | Node, weight_threshold: int) -> bool:
+    """Whether the edge's span covers at most weight_threshold tokens: its weight is "-"."""
+    return edge.end - edge.start <= weight_threshold
+
+
 def derived_features(edge: Edge | Node, weight_threshold: int) -> dict[str, str]:
-    """The values of COMPUTED_ATTRS for an edge, never stored on its category.
+    """The values of category.COMPUTED_ATTRS for an edge, never stored on its category.
 
     ``lexc`` is "+" when the edge's lexc flag is set; ``weight`` is "-" when
-    the span covers at most weight_threshold tokens.
+    the edge is light.
     """
-    return {"lexc": "+" if edge.lexc else "-", "weight": "-" if edge.end - edge.start <= weight_threshold else "+"}
+    return {"lexc": "+" if edge.lexc else "-", "weight": "-" if _light(edge, weight_threshold) else "+"}
 
 
 @dataclass(eq=False)
 class Node:
     """The derivations of one category and lexc flag over tokens [start, end), as the ways
-    they were made, in order: (seed index, seed edge) or (rule row, left node, right node)."""
+    they were made, in order: (seed index, seed edge) or (rule, left node, right node)."""
 
     start: int
     end: int
@@ -182,44 +212,7 @@ def _gated(c: Category, direction: Direction, admits: tuple[Modality, ...]) -> T
     return type(c) is Functor and c.slash.direction is direction and c.slash.modality in admits
 
 
-class RuleRow(NamedTuple):
-    """A row of the rule table: f is the primary functor, g the other neighbour.
-
-    f's slash points at g, so f is the left neighbour exactly when f_direction is FORWARD.
-    """
-
-    rule: RuleId
-    f_direction: Direction
-    g_direction: Direction | None
-    shape: str
-    admits: tuple[Modality, ...]
-
-
-_FWD, _BWD = Direction.FORWARD, Direction.BACKWARD
-_ANY = tuple(Modality)
-_HARMONIC = (Modality.DIAMOND, Modality.DOT)
-_CROSSING = (Modality.CROSS, Modality.DOT)
-
-# Shapes, with f's slash written forward and | for g's slash:
-#   A  application   X/Y      Y    => X    f g
-#   B  composition   X/Y      Y|Z  => X|Z  \x. f (g x)
-#   S  substitution  (X/Y)/Z  Y|Z  => X|Z  \x. f x (g x)
-# Every slash a rule consumes must have one of the row's ``admits`` modalities.
-# Rows are tried in order.  _derivations keeps the first derivation for each
-# reading, so the order decides which derivation a packed reading shows.
-RULES = (
-    RuleRow(RuleId.FWD_APP, _FWD, None, "A", _ANY),
-    RuleRow(RuleId.BWD_APP, _BWD, None, "A", _ANY),
-    RuleRow(RuleId.FWD_COMP_HARMONIC, _FWD, _FWD, "B", _HARMONIC),
-    RuleRow(RuleId.BWD_COMP_HARMONIC, _BWD, _BWD, "B", _HARMONIC),
-    RuleRow(RuleId.FWD_COMP_CROSSING, _FWD, _BWD, "B", _CROSSING),
-    RuleRow(RuleId.BWD_COMP_CROSSING, _BWD, _FWD, "B", _CROSSING),
-    RuleRow(RuleId.FWD_SUBST, _FWD, _FWD, "S", _HARMONIC),
-    RuleRow(RuleId.BWD_SUBST, _BWD, _BWD, "S", _HARMONIC),
-)
-
-
-def _category_step(row: RuleRow, f_edge: Edge | Node, g_edge: Edge | Node, chart: Chart) -> tuple[Category, Bindings] | None:
+def _category_step(row: RuleId, f_edge: Edge | Node, g_edge: Edge | Node, chart: Chart) -> tuple[Category, Bindings] | None:
     """The result category of one rule with its bindings, or None if a gate blocks it.
 
     Every slash the rule consumes must admit it.  Application matches f's
@@ -259,8 +252,8 @@ def _lf_step(shape: str, f: lf.Term, g: lf.Term, max_steps: int) -> lf.Term:
     return lf.beta_normalize(term, max_steps=max_steps)
 
 
-def _category_steps(left: Edge | Node, right: Edge | Node, chart: Chart) -> list[tuple[RuleRow, Category]]:
-    """The rows of RULES that fire on two adjacent edges, each with its
+def _category_steps(left: Edge | Node, right: Edge | Node, chart: Chart) -> list[tuple[RuleId, Category]]:
+    """The rules that fire on two adjacent edges, each with its
     interned result category, computed once per distinct input: both
     categories, both lexc flags and weights, and a span's words when the
     other side applies to a string."""
@@ -270,7 +263,7 @@ def _category_steps(left: Edge | Node, right: Edge | Node, chart: Chart) -> list
         return []  # no row has a primary functor here
     threshold = chart.lexicon.weight_threshold
     key = (
-        id(lc), id(rc), left.lexc, right.lexc, left.end - left.start <= threshold, right.end - right.start <= threshold,
+        id(lc), id(rc), left.lexc, right.lexc, _light(left, threshold), _light(right, threshold),
         l_functor and type(lc.argument) is Singleton and chart.tokens[right.start : right.end],
         r_functor and type(rc.argument) is Singleton and chart.tokens[left.start : left.end],
     )
@@ -294,7 +287,7 @@ def combine(left: Edge, right: Edge, chart: Chart) -> list[Edge]:
     for row, category in _category_steps(left, right, chart):
         f_edge, g_edge = (left, right) if row.f_direction is _FWD else (right, left)
         term = _lf_step(row.shape, f_edge.lf, g_edge.lf, chart.max_steps)
-        out.append(Edge(left.start, right.end, category, term, row.rule, (left, right), lexc=left.lexc or right.lexc))
+        out.append(Edge(left.start, right.end, category, term, row, (left, right), lexc=left.lexc or right.lexc))
     return out
 
 
@@ -340,17 +333,15 @@ def build_chart(lex: Lexicon, tokens: list[str] | tuple[str, ...], max_steps: in
     return chart
 
 
-_ROW = {row.rule: row for row in RULES}
-
 # Two ways of one node that re-associate the same three child nodes A B C,
-# (A r1 B) row C and A row (B r2 C), as row's rule: (r1, r2).  Their logical
+# (A r1 B) row C and A row (B r2 C), as _TWINS[row] = (r1, r2).  Their logical
 # forms are beta-equal, as (\x. f (g x)) h = f (g h), and the second way, with
 # the smaller split, sorts first.
 _TWINS = {
-    RuleId.FWD_APP: (_ROW[RuleId.FWD_COMP_HARMONIC], _ROW[RuleId.FWD_APP]),
-    RuleId.FWD_COMP_HARMONIC: (_ROW[RuleId.FWD_COMP_HARMONIC], _ROW[RuleId.FWD_COMP_HARMONIC]),
-    RuleId.BWD_APP: (_ROW[RuleId.BWD_APP], _ROW[RuleId.BWD_COMP_HARMONIC]),
-    RuleId.BWD_COMP_HARMONIC: (_ROW[RuleId.BWD_COMP_HARMONIC], _ROW[RuleId.BWD_COMP_HARMONIC]),
+    RuleId.FWD_APP: (RuleId.FWD_COMP_HARMONIC, RuleId.FWD_APP),
+    RuleId.FWD_COMP_HARMONIC: (RuleId.FWD_COMP_HARMONIC, RuleId.FWD_COMP_HARMONIC),
+    RuleId.BWD_APP: (RuleId.BWD_APP, RuleId.BWD_COMP_HARMONIC),
+    RuleId.BWD_COMP_HARMONIC: (RuleId.BWD_COMP_HARMONIC, RuleId.BWD_COMP_HARMONIC),
 }
 
 
@@ -358,9 +349,9 @@ def _twinned(node: Node, way: tuple) -> tuple[int, ...]:
     """For node's way (row, left, C): the indices of left's ways (r1, A, B)
     whose twin (see _TWINS) is a way of node too, (row, A, M) where M has the way (r2, B, C)."""
     row, left, right = way
-    if row.rule not in _TWINS:
+    if row not in _TWINS:
         return ()
-    r1, r2 = _TWINS[row.rule]
+    r1, r2 = _TWINS[row]
     twins = [(w[1], w[2].ways) for w in node.ways if w[0] is row]
     return tuple(
         i for i, (r, *children) in enumerate(left.ways)
@@ -396,7 +387,7 @@ def _derivations(node: Node, chart: Chart, every: bool, skipped: tuple[int, ...]
                 continue
             for lkey, l in _derivations(left, chart, every, twinned):
                 for rkey, r in _derivations(right, chart, every):
-                    found += [((left.end, lkey, rkey, i), e) for i, e in enumerate(combine(l, r, chart)) if e.rule is row.rule]
+                    found += [((left.end, lkey, rkey, i), e) for i, e in enumerate(combine(l, r, chart)) if e.rule is row]
         found.sort(key=itemgetter(0))
         found = chart.derivations[node, every, skipped] = found if every else _first_per_reading(found, chart)
     return found

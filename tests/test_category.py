@@ -243,7 +243,7 @@ def test_validate_lists_violations_in_pre_order():
     ],
 )
 def test_modality_admits(rule, modality, expected):
-    (row,) = [row for row in RULES if row.rule is rule]
+    (row,) = [row for row in RULES if row is rule]
     assert (modality in row.admits) is expected
 
 

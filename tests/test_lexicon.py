@@ -183,6 +183,15 @@ def test_a_semicolon_inside_quotes_is_one_error_on_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"{path}: line 1: error: ';' inside quotes: a string category cannot hold one\n"
 
 
+def test_a_quote_left_open_at_the_end_of_its_line_is_one_error_on_that_line():
+    # the closing quote on the next line does not close it, so the '#' starts no token
+    lex, issues = parse_lexicon('w := S/*"a # note\nb" : \\x. w ;\ny := NP : y ;\n')
+    assert [str(i) for i in issues] == [
+        "line 1: error: bad category: unterminated string category in ' S/*\"a # note\\nb\" '"
+    ]
+    assert [e.phon for e in lex.all_entries()] == [("y",)]
+
+
 def test_crlf_input():
     text = "John := NP : j ;\r\nMary := NP : m ;\r\n"
     lex, issues = parse_lexicon(text)

@@ -8,6 +8,7 @@ from ccgparse import logical_form as lf
 from ccgparse import parser
 from ccgparse.derivation import document
 from ccgparse.category import (
+    COMPUTED_ATTRS,
     Direction,
     Functor,
     apply_bindings,
@@ -17,7 +18,6 @@ from ccgparse.category import (
 )
 from ccgparse.lexicon import Lexicon, parse_lexicon, tokenize
 from ccgparse.parser import (
-    COMPUTED_ATTRS,
     RULES,
     Chart,
     Edge,
@@ -371,7 +371,7 @@ def test_no_composition_or_substitution_over_star(fragment, corpus):
             for child in edge.children:
                 cat = child.category
                 if isinstance(cat, Functor):
-                    (row,) = [row for row in RULES if row.rule is edge.rule]
+                    (row,) = [row for row in RULES if row is edge.rule]
                     assert cat.slash.modality in row.admits, render_category(cat)
     assert seen > 0
 
@@ -402,6 +402,14 @@ def test_the_weight_threshold_is_the_lexicons_whatever_the_settings():
         packed = {e.reading_key() for e in chart_readings(build_chart(lex, tokens))}
         assert packed == {e.reading_key() for e in chart_readings(build_chart(lex, tokens), all_derivations=True)}
         assert bool(packed) is (sentence == "John picked up the book")  # "the book" is heavy at threshold 1
+
+
+def test_a_span_at_the_threshold_is_light_and_one_past_it_heavy():
+    # the category-step memo keys on lightness, so a key that split spans apart from
+    # derived_features would hand the light "a"'s step to the heavy "a b"
+    lex = load(r"set weight_threshold 1 ; f := S/NP[weight=-] : \x. f x ; a := NP : a ; b := NP\NP : \x. b x ;")
+    assert [lf.pretty_print(e.lf) for e in parse(lex, ["f", "a"])] == ["f a"]
+    assert parse(lex, ["f", "a", "b"]) == []
 
 
 @pytest.mark.parametrize("weight_threshold", [4, 1])
@@ -531,7 +539,7 @@ def direct_combine(left, right, chart):
         step = parser._category_step(row, f_edge, g_edge, chart)
         if step is not None:
             term = parser._lf_step(row.shape, f_edge.lf, g_edge.lf, chart.max_steps)
-            out.append((row.rule, render_category(apply_bindings(*step)), lf.alpha_key(term), left.lexc or right.lexc))
+            out.append((row, render_category(apply_bindings(*step)), lf.alpha_key(term), left.lexc or right.lexc))
     return out
 
 
@@ -638,7 +646,7 @@ def test_a_way_without_a_twin_is_walked(c):
     lex, tokens = load(backward_twins(c)), ["a", "b", "c"]
     chart = build_chart(lex, tokens)
     (node,) = chart.cells[0, 3].values()
-    assert [(way[0].rule, way[1].end) for way in node.ways] == [(RuleId.BWD_APP, 2)]
+    assert [(way[0], way[1].end) for way in node.ways] == [(RuleId.BWD_APP, 2)]
     assert parser._twinned(node, node.ways[0]) == ()
     readings = chart_readings(chart)
     assert [derivation_tree(e) for e in readings] == first_derivations(lex, tokens)
