@@ -455,3 +455,40 @@ def category_key(c: Category) -> str:
         return mapping.setdefault(v, f"?v{len(mapping)}" if is_feature_variable(v) else f"V{len(mapping)}")
 
     return render_category(c, name)
+
+
+# ---------------------------------------------------------------------------
+# the category table
+
+class CategoryTable:
+    """The categories of the charts built over one lexicon, hash-consed, and what is kept about them.
+
+    Categories are standardized, and equal ones are one object, hashed and keyed once, so the
+    rest is looked up by the id of an interned category.  The table holds every object whose id
+    it keys by, which keeps that id the object's own.  Entries are only added, and each write
+    stores what any other would, so charts built at once over one table agree.
+    """
+
+    def __init__(self) -> None:
+        self.categories: dict[Category, Category] = {}
+        self.category_keys: dict[int, str] = {}  # by the id of an interned category
+        self.closed: set[int] = set()  # the ids of interned categories that carry no variables
+        self.category_steps: dict[tuple, tuple] = {}  # see parser._category_steps
+        self.seeds: dict[int, tuple[Category, Category]] = {}  # see seed
+
+    def intern(self, c: Category) -> Category:
+        """The table's one category equal to c standardized."""
+        c, variables = standardize(c)
+        found = self.categories.setdefault(c, c)
+        if id(found) not in self.category_keys:
+            if not variables:  # before the key, so that a keyed category's closedness is known
+                self.closed.add(id(found))
+            self.category_keys[id(found)] = category_key(found)
+        return found
+
+    def seed(self, c: Category) -> Category:
+        """intern(c), taken once per category object, such as an entry's."""
+        found = self.seeds.get(id(c))
+        if found is None:
+            found = self.seeds[id(c)] = (self.intern(c), c)
+        return found[0]

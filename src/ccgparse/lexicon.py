@@ -24,6 +24,7 @@ from .category import (
     Atom,
     Category,
     CategorySyntaxError,
+    CategoryTable,
     Functor,
     Modality,
     SINGLETON_AS_RESULT,
@@ -64,12 +65,22 @@ class LexEntry:
 
 @dataclass
 class Lexicon:
-    """Immutable after load; concurrent lookups are safe.  Owns the settings of its ``set`` lines."""
+    """A lexicon's entries and the settings of its ``set`` lines, unchanged after load.
+
+    Every chart built over one Lexicon object shares its ``category_table``, which fills as
+    charts are built: the distinct categories they make, one seed per entry category, and one
+    category step per pair of categories and the few span facts the rules read of it (does it
+    spell a string argument, its lexc flag and lightness).  So it is bounded by the categories
+    the grammar derives, never by sentence text.  Charts may be built over one lexicon at once:
+    the table is only added to, and a race costs at most a step taken twice.  A copy made by
+    ``dataclasses.replace``, such as ``case_folded``, starts an empty table.
+    """
 
     entries: dict[str, list[LexEntry]] = field(default_factory=dict)
     atom_declarations: frozenset[str] = BUILTIN_ATOMS
     weight_threshold: int = DEFAULT_WEIGHT_THRESHOLD
     default_modality: Modality = Modality.DIAMOND
+    category_table: CategoryTable = field(default_factory=CategoryTable, init=False, repr=False, compare=False)
 
     def add(self, entry: LexEntry) -> None:
         self.entries.setdefault(entry.phon[0], []).append(entry)

@@ -145,8 +145,9 @@ class Node:
 class Chart:
     """The cells of one parse, with the lexicon, the sentence and the step budget they are built under.
 
-    Categories made in the chart are standardized, and equal ones are one object, hashed
-    and keyed once, so the category steps of two nodes or edges are looked up by identity.
+    The categories made in the chart are interned in its lexicon's category table, which
+    every chart over that lexicon shares, so the category steps of two nodes or edges
+    are looked up by identity.
     """
 
     def __init__(self, lexicon: Lexicon, tokens: list[str] | tuple[str, ...], max_steps: int):
@@ -154,27 +155,13 @@ class Chart:
         self.tokens = tuple(tokens)
         self.max_steps = max_steps
         self.cells: dict[tuple[int, int], dict[tuple[str, bool], Node]] = {}
-        self.categories: dict[Category, Category] = {}
-        self.category_keys: dict[int, str] = {}  # by the id of an interned category
-        self.closed: set[int] = set()  # the ids of interned categories that carry no variables
-        self.category_steps: dict[tuple, tuple] = {}  # see _category_steps
         self.derivations: dict[tuple[Node, bool, tuple[int, ...]], list] = {}  # see _derivations
-
-    def intern(self, c: Category) -> Category:
-        """The chart's one category equal to c standardized."""
-        c, variables = standardize(c)
-        found = self.categories.setdefault(c, c)
-        if id(found) not in self.category_keys:
-            self.category_keys[id(found)] = category_key(found)
-            if not variables:
-                self.closed.add(id(found))
-        return found
 
     def add(self, start: int, end: int, category: Category, lexc: bool, way: tuple) -> bool:
         """File way under the node of its span, category and lexc flag; whether that node is new."""
         cell = self.cells.setdefault((start, end), {})
         # application reads lexc, so derivations that differ in it are not packed together
-        key = (self.category_keys[id(category)], lexc)
+        key = (self.lexicon.category_table.category_keys[id(category)], lexc)
         node = cell.get(key) or cell.setdefault(key, Node(start, end, category, lexc))
         node.ways.append(way)
         return len(node.ways) == 1
@@ -199,8 +186,9 @@ class Chart:
 def _first_per_reading(found: list[tuple[tuple, Edge]], chart: Chart) -> list[tuple[tuple, Edge]]:
     """The first (key, edge) pair of found for each reading key of its edge, in order."""
     first: dict[tuple[str, str], tuple[tuple, Edge]] = {}
+    keys = chart.lexicon.category_table.category_keys
     for key, e in found:
-        first.setdefault(e.reading_key(chart.category_keys.get(id(e.category))), (key, e))
+        first.setdefault(e.reading_key(keys.get(id(e.category))), (key, e))
     return list(first.values())
 
 
@@ -252,31 +240,38 @@ def _lf_step(shape: str, f: lf.Term, g: lf.Term, max_steps: int) -> lf.Term:
     return lf.beta_normalize(term, max_steps=max_steps)
 
 
+def _application_reads(f: Category, direction: Direction, g_edge: Edge | Node, chart: Chart) -> bool | tuple[bool, bool] | None:
+    """What application of f in this direction reads of g_edge: whether it spells f's string
+    argument, or its lexc flag and lightness when f's argument carries a computed attribute.
+    Composition and substitution refuse computed slots, so they read nothing of it."""
+    if type(f) is not Functor or f.slash.direction is not direction:
+        return None
+    if type(f.argument) is Singleton:
+        return chart.tokens[g_edge.start : g_edge.end] == f.argument.tokens
+    if computed_attrs(f.argument):
+        return (g_edge.lexc, _light(g_edge, chart.lexicon.weight_threshold))
+    return None
+
+
 def _category_steps(left: Edge | Node, right: Edge | Node, chart: Chart) -> list[tuple[RuleId, Category]]:
-    """The rules that fire on two adjacent edges, each with its
-    interned result category, computed once per distinct input: both
-    categories, both lexc flags and weights, and a span's words when the
-    other side applies to a string."""
+    """The rules that fire on two adjacent edges, each with its interned result
+    category, computed once per lexicon for each distinct input: both categories,
+    and what application reads of each span (see _application_reads)."""
     lc, rc = left.category, right.category
-    l_functor, r_functor = type(lc) is Functor, type(rc) is Functor
-    if not (l_functor and lc.slash.direction is _FWD or r_functor and rc.slash.direction is _BWD):
+    if not (type(lc) is Functor and lc.slash.direction is _FWD or type(rc) is Functor and rc.slash.direction is _BWD):
         return []  # no row has a primary functor here
-    threshold = chart.lexicon.weight_threshold
-    key = (
-        id(lc), id(rc), left.lexc, right.lexc, _light(left, threshold), _light(right, threshold),
-        l_functor and type(lc.argument) is Singleton and chart.tokens[right.start : right.end],
-        r_functor and type(rc.argument) is Singleton and chart.tokens[left.start : left.end],
-    )
-    found = chart.category_steps.get(key)
+    table = chart.lexicon.category_table
+    key = (id(lc), id(rc), _application_reads(lc, _FWD, right, chart), _application_reads(rc, _BWD, left, chart))
+    found = table.category_steps.get(key)
     if found is None:
-        if id(lc) not in chart.closed and id(rc) not in chart.closed:  # both may share variable names
+        if id(lc) not in table.closed and id(rc) not in table.closed:  # both may share variable names
             right = Node(right.start, right.end, standardize(rc, "r")[0], right.lexc)
         rows = []
         for row in RULES:
             step = _category_step(row, *((left, right) if row.f_direction is _FWD else (right, left)), chart)
             if step is not None:
-                rows.append((row, chart.intern(apply_bindings(*step))))
-        found = chart.category_steps[key] = (rows, lc, rc)  # holding lc and rc keeps their ids theirs
+                rows.append((row, table.intern(apply_bindings(*step))))
+        found = table.category_steps[key] = (rows, lc, rc)  # holding lc and rc keeps their ids theirs
     return found[0]
 
 
@@ -297,12 +292,13 @@ def combine(left: Edge, right: Edge, chart: Chart) -> list[Edge]:
 def seed_edges(chart: Chart) -> list[Edge]:
     """Lexical edges for each match of the chart's lexicon in its sentence; raises when a token is uncovered."""
     lex, tokens, max_steps = chart.lexicon, chart.tokens, chart.max_steps
+    seed = lex.category_table.seed
     edges: list[Edge] = []
     covered = [False] * len(tokens)
     for start in range(len(tokens)):
         for entry, length in lookup(lex, tokens, start):
             term = lf.beta_normalize(entry.lf, max_steps=max_steps)
-            edges.append(Edge(start, start + length, chart.intern(entry.category), term, entry=entry, lexc=entry.lexc))
+            edges.append(Edge(start, start + length, seed(entry.category), term, entry=entry, lexc=entry.lexc))
             for i in range(start, start + length):
                 covered[i] = True
     unknown = sorted({tokens[i] for i, c in enumerate(covered) if not c})

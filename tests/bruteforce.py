@@ -1,14 +1,18 @@
 """Brute-force derivation oracle: enumerate every binary bracketing.
 
-Shares seed_edges and combine with the chart parser, and its Chart only as
-the holder of the lexicon, the sentence and the step budget, but none of its control
-structure, memoization, or packing: no cell is ever filled.  Intended for
-short sentences only; the recursion deliberately recomputes sub-spans.
+Shares seed_edges and combine with the chart parser, and through combine the
+memo of category steps, but over a copy of the lexicon whose category table
+starts empty: the oracle never reads a step that the parser under test
+stored.  Its Chart is only the holder of the lexicon, the sentence and the
+step budget; none of the parser's control structure or packing is shared,
+and no cell is ever filled.  Intended for short sentences only; the
+recursion deliberately recomputes sub-spans.
 
 Beside it, chart_edges and all_chart_edges read a filled chart's cells as
 edges, for tests that check every constituent rather than the readings.
 """
 
+from dataclasses import replace
 from operator import itemgetter
 
 from ccgparse import logical_form as lf
@@ -21,7 +25,7 @@ def derivations(lex: Lexicon, tokens: list[str], max_steps: int = lf.DEFAULT_STE
     """Every derivation over the full span, in the order an unpacked chart
     adds them: seeds in lookup order, then by split, left derivation, right
     derivation and rule row."""
-    chart = Chart(lex, tokens, max_steps)
+    chart = Chart(replace(lex), tokens, max_steps)
     lexical: dict[tuple[int, int], list[Edge]] = {}
     for edge in seed_edges(chart):
         lexical.setdefault(edge.span, []).append(edge)

@@ -9,9 +9,11 @@ composition and substitution drawn top down, so that most sentences parse,
 among entries drawn at random.  Most words have two entries of one category
 that differ in ``lexc``, so a chart that packs them together loses readings
 that the oracle finds.  The grammar's mirror image must derive the mirror
-image of each reading, since each rule row has a mirror row.
+image of each reading, since each rule row has a mirror row.  The category
+steps that one lexicon's charts share must be those a fresh table computes.
 """
 
+from contextlib import suppress
 from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -32,7 +34,7 @@ from ccgparse.category import (
 )
 from ccgparse import lexicon as lx
 from ccgparse.lexicon import BUILTIN_ATOMS, LexEntry, Lexicon, parse_lexicon, render_lexicon, validate_lexicon
-from ccgparse.parser import RuleId, build_chart, chart_readings
+from ccgparse.parser import Chart, RuleId, UnknownTokenError, _category_steps, build_chart, chart_readings
 
 from bruteforce import all_chart_edges, derivations
 from lfhelpers import app, has_redex
@@ -238,3 +240,36 @@ def test_generated_charts_fire_every_rule_row():
 
     collect()
     assert set(RuleId) <= fired
+
+
+def assert_shared_steps_are_cold_ones(charts: list[Chart]) -> None:
+    """Check every pair of adjacent nodes in each of charts, all built over one lexicon first: the
+    category steps that the lexicon's table gives them, written by any of the charts, must be
+    those that a copy of the lexicon, whose table starts empty, computes, by rule and category key."""
+    for chart in charts:
+        for (i, k), lefts in chart.cells.items():
+            for (start, j), rights in chart.cells.items():
+                if start != k:
+                    continue
+                for left in lefts.values():
+                    for right in rights.values():
+                        cold = Chart(replace(chart.lexicon), chart.tokens, chart.max_steps)
+                        got = [(row, category_key(c)) for row, c in _category_steps(left, right, chart)]
+                        assert got == [(row, category_key(c)) for row, c in _category_steps(left, right, cold)], (
+                            chart.tokens, (i, k, j), left.category, right.category,
+                        )
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grammars())
+def test_generated_charts_share_the_category_steps_a_fresh_table_computes(grammar):
+    lex, tokens = grammar
+    charts = [build_chart(lex, tokens)]
+    with suppress(UnknownTokenError):  # reversed, a word of several tokens leaves its tokens uncovered
+        charts.append(build_chart(lex, tokens[::-1]))
+    assert_shared_steps_are_cold_ones(charts)
+
+
+def test_corpus_charts_share_the_category_steps_a_fresh_table_computes(fragment, corpus):
+    for lex in (replace(fragment), replace(fragment, weight_threshold=2)):
+        assert_shared_steps_are_cold_ones([build_chart(lex, lx.tokenize(sentence)) for sentence, _, _ in corpus])

@@ -1,3 +1,5 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -16,7 +18,7 @@ from ccgparse.category import (
     render_category,
     standardize,
 )
-from ccgparse.lexicon import Lexicon, parse_lexicon, tokenize
+from ccgparse.lexicon import Lexicon, case_folded, parse_lexicon, tokenize
 from ccgparse.parser import (
     RULES,
     Chart,
@@ -721,16 +723,48 @@ def test_edges_the_chart_did_not_intern_are_renamed_apart_as_seeds_are():
 @pytest.mark.parametrize(
     "sentence, steps, categories",
     [
-        (f"I picked the {MODIFIERS_10} book up", 82, 15),  # 356 and 54 when each seed was renamed on its own
-        (f"I picked up the {MODIFIERS_10} book", 84, 17),  # 320 and 46
-        (f"John kicked the {MODIFIERS_10} bucket", 90, 14),  # 356 and 53
+        # 82, 84 and 90 steps when the memo was the chart's and keyed both spans' lexc, lightness and words
+        (f"I picked the {MODIFIERS_10} book up", 24, 15),  # 356 and 54 when each seed was renamed on its own
+        (f"I picked up the {MODIFIERS_10} book", 36, 17),  # 320 and 46
+        (f"John kicked the {MODIFIERS_10} bucket", 22, 14),  # 356 and 53
     ],
     ids=["shifted", "particle first", "kick"],
 )
 def test_equal_categories_are_one_object_and_share_their_category_steps(fragment, sentence, steps, categories):
-    tokens = tokenize(sentence)
-    chart = build_chart(fragment, tokens)
+    lex, tokens = replace(fragment), tokenize(sentence)  # a copy starts an empty category table
+    table = lex.category_table
+    chart = build_chart(lex, tokens)
     longs = [node.category for i, t in enumerate(tokens) if t == "long" for node in chart.cells[i, i + 1].values()]
     assert len(longs) == 4 and all(c is longs[0] for c in longs)
     assert render_category(longs[0], str) == "N[head=?h#0]/N[head=?h#0]"
-    assert (len(chart.category_steps), len(chart.categories)) == (steps, categories)
+    assert (len(table.category_steps), len(table.categories)) == (steps, categories)
+    # the charts of one lexicon share its table, and a view of the lexicon starts its own
+    again = build_chart(lex, tokens)
+    assert (len(table.category_steps), len(table.categories)) == (steps, categories)
+    assert all(a.category is b.category for a, b in zip(again.cells[0, 1].values(), chart.cells[0, 1].values(), strict=True))
+    for view in (replace(lex, weight_threshold=6), case_folded(lex)):
+        assert not (view.category_table.category_steps or view.category_table.categories or view.category_table.seeds)
+
+
+def test_charts_built_at_once_over_one_lexicon_read_as_charts_built_alone(fragment, corpus):
+    sentences = [tokenize(sentence) for sentence, _, _ in corpus]
+    alone = [[e.reading_key() for e in chart_readings(build_chart(replace(fragment), tokens))] for tokens in sentences]
+
+    def build_all(lex):
+        charts = [build_chart(lex, tokens) for tokens in sentences]
+        return charts, [[e.reading_key() for e in chart_readings(chart)] for chart in charts]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the table's reads and writes
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            for _ in range(8):  # a race shows in some rounds only
+                lex = replace(fragment)
+                results = list(pool.map(build_all, [lex] * 4, timeout=120))
+                categories = lex.category_table.categories
+                for charts, readings in results:
+                    assert readings == alone
+                    # equal categories stay one object, whichever thread interned them first
+                    assert all(categories[n.category] is n.category for chart in charts for cell in chart.cells.values() for n in cell.values())
+    finally:
+        sys.setswitchinterval(interval)

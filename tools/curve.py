@@ -14,9 +14,12 @@ rendering excluded), the medians of the same runs' ``build_chart``,
 ``render_ascii`` and ``render_json`` (``chart_s``, ``ascii_s``,
 ``json_s``), the chart's node count (one per category and lexc flag of a
 span), the count of the ways those nodes were made (a seed, or a rule and
-two child nodes), its distinct category steps (``steps``: the entries of its
+two child nodes), its distinct category steps (``steps``: the entries of the
 memo of the rule rows that fire on a pair of categories), its distinct
-categories (``categories``) and its spanning-reading count.
+categories (``categories``) and its spanning-reading count.  Each timed
+chart is built over a fresh copy of the fragment, whose category table
+starts empty, so the timings are of a chart that shares no table with
+another, and ``steps`` and ``categories`` count that one chart's.
 
 Every size is checked outside the timed region: its ASCII rendering goes
 through the oracles of ``perfbench/workloads.py`` (Catalan(k-1) readings for
@@ -33,6 +36,7 @@ import json
 import platform
 import statistics
 import sys
+from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
 
@@ -55,8 +59,9 @@ def measure(lexicon, sentence: str) -> tuple[dict, str, int]:
     times: dict[str, list[float]] = {"median_s": [], "chart_s": [], "ascii_s": [], "json_s": []}
     for _ in range(TIMINGS):
         chart = doc = ascii_text = json_text = None  # free the last run's results before the next
+        fresh = replace(lexicon)
         start = perf_counter()
-        chart = build_chart(lexicon, tokens)
+        chart = build_chart(fresh, tokens)
         charted = perf_counter()
         doc = document(chart)
         documented = perf_counter()
@@ -72,8 +77,8 @@ def measure(lexicon, sentence: str) -> tuple[dict, str, int]:
         **{name: float(f"{statistics.median(t):.4g}") for name, t in times.items()},
         "nodes": sum(len(cell) for cell in chart.cells.values()),
         "ways": sum(len(node.ways) for cell in chart.cells.values() for node in cell.values()),
-        "steps": len(chart.category_steps),
-        "categories": len(chart.categories),
+        "steps": len(chart.lexicon.category_table.category_steps),
+        "categories": len(chart.lexicon.category_table.categories),
         "readings": len(doc.readings),
     }
     return row, ascii_text, 0 if doc.readings else 1
@@ -125,7 +130,8 @@ def main(argv: list[str] | None = None) -> int:
             "command": f"python tools/curve.py {args.max_tokens}",
             "host": f"Python {platform.python_version()}, {platform.machine()}",
             "method": f"median of {TIMINGS} perf_counter timings of document(build_chart(...)) per size, rendering excluded"
-            " (median_s); chart_s, ascii_s and json_s are the medians of build_chart, render_ascii and render_json",
+            " (median_s); chart_s, ascii_s and json_s are the medians of build_chart, render_ascii and render_json;"
+            " each chart is built over a fresh copy of the lexicon, so its category table starts empty",
             "coord": coord,
             "modstack": modstack,
             "misses": misses,
