@@ -3,13 +3,15 @@
 Exit codes partition outcomes: 0 success, 1 linguistic negative (no parse,
 violations found, suite failures), 2 operational error (unreadable files,
 bad usage, lexicon syntax errors, unknown tokens, an exhausted reduction
-budget, input nested too deeply).
+budget, input nested too deeply, a failed write to stdout).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -189,10 +191,26 @@ def main(argv: list[str] | None = None) -> int:
         message = str(exc)
     except RecursionError:
         message = "input nested too deeply"
+    except OSError as exc:  # every file is read by _read, so this is a write to stdout
+        return _output_failed(exc)
     if message:
         print(message, file=sys.stderr)
     return ERROR
 
 
+def _output_failed(exc: OSError) -> int:
+    """Report a failed write to stdout on stderr, once stdout's file is os.devnull, so that the
+    interpreter's final flush of the text still held cannot fail again; ERROR."""
+    with suppress(AttributeError, OSError, ValueError), open(os.devnull, "w") as devnull:  # a stdout with no file holds no text for it
+        os.dup2(devnull.fileno(), sys.stdout.fileno())
+    print(f"cannot write output: {exc}", file=sys.stderr)
+    return ERROR
+
+
 def entry_point() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()  # here, not at exit, where a failed write would print a traceback
+    except OSError as exc:
+        code = _output_failed(exc)
+    sys.exit(code)

@@ -144,8 +144,7 @@ def case_folded(lex: Lexicon) -> Lexicon:
 # ---------------------------------------------------------------------------
 # parsing the file format
 
-_CODE_RE = re.compile(r'(?:[^"#]|"[^"]*"?)*')  # a line up to a '#' outside quotes
-_SEMICOLON_RE = re.compile(r'"[^"]*"|;')  # quoted text, or a ';' that no pair of quotes encloses
+_MARK_RE = re.compile(r'"[^"]*"|"|[#;]')  # quoted text, a quote left open, or a '#' or ';' outside quotes
 
 
 def _chunks(text: str) -> Iterator[tuple[int, str, bool]]:
@@ -154,13 +153,21 @@ def _chunks(text: str) -> Iterator[tuple[int, str, bool]]:
     Chunks end at a ';' that no pair of quotes on its line encloses.  A
     chunk that runs into a second ':=' on a later line ends before that
     line, unterminated, and so does a tail without ';'.  ``line`` is where
-    the chunk's text begins; a quote does not span lines.
+    the chunk's text begins; a quote does not span lines.  A quote left open
+    hides the '#'s after it on its line, but not the ';'s.
     """
     parts: list[str] = []  # the chunk's text, line by line
     start = entry = 0  # the lines of its first text and of its ':=', 0 while none
-    for number, raw in enumerate(text.splitlines(), 1):
-        code = _CODE_RE.match(raw).group()
-        ends = [-1] + [m.start() for m in _SEMICOLON_RE.finditer(code) if m.group() == ";"] + [len(code)]
+    for number, code in enumerate(text.splitlines(), 1):
+        ends, opened = [-1], False
+        for m in _MARK_RE.finditer(code):
+            if m[0] == "#" and not opened:
+                code = code[: m.start()]
+                break
+            if m[0] == ";":
+                ends.append(m.start())
+            opened = opened or m[0] == '"'
+        ends.append(len(code))
         for i, piece in enumerate(code[a + 1 : b] for a, b in zip(ends, ends[1:])):
             if i:
                 if start:
@@ -252,9 +259,10 @@ def parse_lexicon(text: str) -> tuple[Lexicon, list[LexiconIssue]]:
         pending.append((line, phon, cat_text, lf_text, lexc))
 
     lexicon.atom_declarations = frozenset(declared)
+    categories: dict[str, Category] = {}  # by text, so that entries spelled alike share one category
     for line, phon, cat_text, lf_text, lexc in pending:
         try:
-            category = parse_category(cat_text, lexicon.default_modality)
+            category = categories.get(cat_text) or categories.setdefault(cat_text, parse_category(cat_text, lexicon.default_modality))
         except CategorySyntaxError as exc:
             issues.append(LexiconIssue(line, f"bad category: {exc}"))
             continue

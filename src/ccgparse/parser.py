@@ -71,6 +71,8 @@ class RuleId(Enum):
         rule.f_direction, rule.g_direction, rule.shape, rule.admits = f_direction, g_direction, shape, admits
         return rule
 
+    __hash__ = object.__hash__  # by identity, as members compare, and without Enum's Python-level hash
+
 
 RULES = tuple(RuleId)  # a tuple, iterated on every category-step memo miss
 
@@ -341,18 +343,19 @@ _TWINS = {
 }
 
 
-def _twinned(node: Node, way: tuple) -> tuple[int, ...]:
-    """For node's way (row, left, C): the indices of left's ways (r1, A, B)
-    whose twin (see _TWINS) is a way of node too, (row, A, M) where M has the way (r2, B, C)."""
+def _twin_index(node: Node) -> set[tuple]:
+    """(row, A, B, C) for each way (row, A, M) of node and way (r2, B, C) of M (see _TWINS)."""
+    return {(w[0], w[1], *m[1:]) for w in node.ways if w[0] in _TWINS for m in w[2].ways if m[0] is _TWINS[w[0]][1]}
+
+
+def _twinned(node: Node, way: tuple, index: set[tuple] | None = None) -> tuple[int, ...]:
+    """For node's way (row, left, C): the indices of left's ways (r1, A, B) whose twin (see _TWINS)
+    is a way of node too, (row, A, M) where M has the way (r2, B, C), looked up in node's _twin_index."""
     row, left, right = way
     if row not in _TWINS:
         return ()
-    r1, r2 = _TWINS[row]
-    twins = [(w[1], w[2].ways) for w in node.ways if w[0] is row]
-    return tuple(
-        i for i, (r, *children) in enumerate(left.ways)
-        if r is r1 and any(a is children[0] and (r2, children[1], right) in ways for a, ways in twins)
-    )
+    index = _twin_index(node) if index is None else index
+    return tuple(i for i, (r, *children) in enumerate(left.ways) if r is _TWINS[row][0] and (row, *children, right) in index)
 
 
 def _derivations(node: Node, chart: Chart, every: bool, skipped: tuple[int, ...] = ()) -> list[tuple[tuple, Edge]]:
@@ -371,6 +374,7 @@ def _derivations(node: Node, chart: Chart, every: bool, skipped: tuple[int, ...]
     found = chart.derivations.get((node, every, skipped))
     if found is None:
         found = []
+        twins = None if every else _twin_index(node)
         for index, way in enumerate(node.ways):
             if len(way) == 2:
                 found.append(((-1, way[0]), way[1]))
@@ -378,7 +382,7 @@ def _derivations(node: Node, chart: Chart, every: bool, skipped: tuple[int, ...]
             if index in skipped:
                 continue
             row, left, right = way
-            twinned = () if every else _twinned(node, way)
+            twinned = () if every else _twinned(node, way, twins)
             if len(twinned) == len(left.ways):
                 continue
             for lkey, l in _derivations(left, chart, every, twinned):

@@ -1,11 +1,14 @@
+import errno
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 import ccgparse
-from ccgparse.cli import main
+from ccgparse.cli import entry_point, main
 
 FRAGMENT = str(ccgparse.fragment_path())
 CORPUS = str(ccgparse.corpus_path())
@@ -431,6 +434,74 @@ def test_depth_error_names_the_singleton_whose_derivation_nests_too_deeply(capsy
     assert code == 2
     assert out == ""
     assert err == 'line 2: derivation of "w w": input nested too deeply\n'
+
+
+NO_SPACE = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+BROKEN_PIPE = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+COMMANDS = {
+    "parse": ["parse", "-l", FRAGMENT, "the book"],
+    "validate": ["validate", "-l", FRAGMENT],
+    "test": ["test", "-l", FRAGMENT, CORPUS],
+}
+
+
+class FailingStdout(io.StringIO):
+    """A stdout whose writes raise error, or, when held, whose flush does, as buffered output's do."""
+
+    def __init__(self, error, held=False):
+        super().__init__()
+        self.error, self.held = error, held
+
+    def write(self, text):
+        if not self.held:
+            raise self.error
+        return super().write(text)
+
+    def flush(self):
+        if self.held:
+            raise self.error
+
+
+@pytest.mark.parametrize("error", [NO_SPACE, BROKEN_PIPE], ids=["no space", "broken pipe"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_failed_write_to_stdout_is_an_operational_error(capsys, monkeypatch, command, error):
+    monkeypatch.setattr(sys, "stdout", FailingStdout(error))
+    assert main(COMMANDS[command]) == 2
+    assert capsys.readouterr().err == f"cannot write output: {error}\n"
+
+
+@pytest.mark.parametrize("error", [NO_SPACE, BROKEN_PIPE], ids=["no space", "broken pipe"])
+def test_the_console_script_flushes_stdout_before_exit(capsys, monkeypatch, error):
+    monkeypatch.setattr(sys, "argv", ["ccgparse", *COMMANDS["parse"]])
+    monkeypatch.setattr(sys, "stdout", FailingStdout(error, held=True))
+    with pytest.raises(SystemExit) as exit_:
+        entry_point()
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err == f"cannot write output: {error}\n"
+
+
+def buffered_run(argv, stdout):
+    """python -m ccgparse with block-buffered stdout, as when it is not a terminal."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.Popen([sys.executable, "-m", "ccgparse", *argv], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", COMMANDS)
+def test_output_to_a_full_device_exits_2_without_a_traceback(command):
+    with open("/dev/full", "w") as full:
+        proc = buffered_run(COMMANDS[command], full)
+        err = proc.communicate()[1]
+    assert proc.returncode == 2
+    assert err == f"cannot write output: {NO_SPACE}\n"
+
+
+def test_output_to_a_closed_pipe_exits_2_without_a_traceback():
+    proc = buffered_run(COMMANDS["test"], subprocess.PIPE)
+    proc.stdout.close()  # before the child writes: no reader is left
+    err = proc.communicate()[1]
+    assert proc.returncode == 2
+    assert err == f"cannot write output: {BROKEN_PIPE}\n"
 
 
 # ---------------------------------------------------------------------------

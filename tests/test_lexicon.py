@@ -1,7 +1,10 @@
+import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import ccgparse
 from ccgparse import logical_form as lf
 from ccgparse.category import Modality, Singleton, parse_category
 from ccgparse.cli import main
@@ -10,6 +13,7 @@ from ccgparse.lexicon import (
     LEXICAL_WRAP,
     UNDECLARED_ATOM,
     UNDERIVABLE_SINGLETON,
+    _chunks,
     case_folded,
     lexicon_notes,
     lookup,
@@ -18,7 +22,7 @@ from ccgparse.lexicon import (
     tokenize,
     validate_lexicon,
 )
-from ccgparse.parser import Chart, seed_edges
+from ccgparse.parser import Chart, parse, seed_edges
 
 MINI = r"""
 # a small but derivable grammar
@@ -165,6 +169,23 @@ def test_duplicate_entry_is_warning():
     assert [i.severity for i in issues] == ["warning"]
 
 
+def test_entries_spelled_alike_share_one_category(fragment):
+    entries = fragment.all_entries()
+    # 65 objects when each entry's category text was read on its own
+    assert (len(entries), len({id(e.category) for e in entries})) == (65, 48)
+    assert len({e.category for e in entries}) == 48
+
+
+def test_the_table_seeds_each_shared_category_once(corpus):
+    lex, _ = parse_lexicon(ccgparse.fragment_path().read_text(encoding="utf-8"))
+    assert not validate_lexicon(lex)
+    for sentence, _, _ in corpus:
+        parse(lex, tokenize(sentence))
+    table = lex.category_table
+    # 65 seeds when each entry's category text was read on its own
+    assert (len(table.seeds), len(table.categories), len(table.category_steps)) == (48, 96, 261)
+
+
 def test_comment_hash_inside_singleton_quotes():
     lex = load('tag := (S\\NP)/*"the # sign" : \\x\\y. tag_{x} y ;  # trailing comment\nthe := NP/N : \\x. def x ;\nsign := N : sign ;\n# whole-line comment\n')
     entry = lex.all_entries()[0]
@@ -190,6 +211,42 @@ def test_a_quote_left_open_at_the_end_of_its_line_is_one_error_on_that_line():
         "line 1: error: bad category: unterminated string category in ' S/*\"a # note\\nb\" '"
     ]
     assert [e.phon for e in lex.all_entries()] == [("y",)]
+
+
+_CODE_RE = re.compile(r'(?:[^"#]|"[^"]*"?)*')  # a line up to a '#' outside quotes
+_SEMICOLON_RE = re.compile(r'"[^"]*"|;')  # quoted text, or a ';' that no pair of quotes encloses
+
+
+def two_pass_chunks(text):
+    """_chunks as it read each line in two scans: its code up to a '#' outside quotes, then the ';'s in that code."""
+    parts = []
+    start = entry = 0
+    for number, raw in enumerate(text.splitlines(), 1):
+        code = _CODE_RE.match(raw).group()
+        ends = [-1] + [m.start() for m in _SEMICOLON_RE.finditer(code) if m.group() == ";"] + [len(code)]
+        for i, piece in enumerate(code[a + 1 : b] for a, b in zip(ends, ends[1:])):
+            if i:
+                if start:
+                    yield start, "\n".join(parts), True
+                parts, start, entry = [], 0, 0
+            if ":=" in piece:
+                if entry and entry < number:
+                    yield start, "\n".join(parts) + "\n", False
+                    parts, start = [], number
+                entry = number
+            parts.append(piece)
+            if not start and piece.strip():
+                start = number
+    if start:
+        yield start, "\n".join(parts), False
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from([";", "#", '"', ":=", "w", "ab", " ", "\n", "\r\n"]), max_size=40).map("".join))
+@example('w := "a ; b # c\nv := x ;')  # a quote left open: the ';' after it splits, the '#' is text
+@example('w := "a;b" "c # d" ; # e ; f')
+def test_chunks_read_lines_as_the_two_pass_reader(text):
+    assert list(_chunks(text)) == list(two_pass_chunks(text))
 
 
 def test_crlf_input():

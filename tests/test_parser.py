@@ -655,6 +655,35 @@ def test_a_way_without_a_twin_is_walked(c):
     assert [lf.pretty_print(e.lf) for e in readings] == ["c (b a)"]
 
 
+def nested_twinned(node, way):
+    """_twinned as it scanned node's ways, left's ways and each middle node's ways for every way."""
+    row, left, right = way
+    if row not in parser._TWINS:
+        return ()
+    r1, r2 = parser._TWINS[row]
+    twins = [(w[1], w[2].ways) for w in node.ways if w[0] is row]
+    return tuple(
+        i for i, (r, *children) in enumerate(left.ways)
+        if r is r1 and any(a is children[0] and (r2, children[1], right) in ways for a, ways in twins)
+    )
+
+
+def test_the_twin_index_finds_the_twins_the_nested_scan_finds(fragment, corpus):
+    clauses = COORD_CHAIN.removesuffix(" the bucket").split(" and ")
+    chains = [" and ".join(clauses[:k]) + " the bucket" for k in range(1, len(clauses) + 1)]
+    charts = list(corpus_charts(fragment, corpus)) + [build_chart(fragment, tokenize(s)) for s in chains + list(MODSTACK)]
+    ways = twinned = 0
+    for chart in charts:
+        for node in (node for cell in chart.cells.values() for node in cell.values()):
+            index = parser._twin_index(node)
+            for way in node.ways:
+                if len(way) == 3:
+                    found = nested_twinned(node, way)
+                    assert parser._twinned(node, way, index) == parser._twinned(node, way) == found
+                    ways, twinned = ways + 1, twinned + bool(found)
+    assert (len(clauses), ways, twinned) == (6, 2005, 1214)
+
+
 CHAIN_8 = (
     "John kicked and Mary dragged and I cooked and You spilled and John kicked and Mary cooked "
     "and John kicked and Mary dragged the bucket"
