@@ -208,7 +208,10 @@ def _output_failed(exc: OSError) -> int:
 
 
 def entry_point() -> None:
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse, after --help or a usage error, whose message it has written
+        code = exc.code
     try:
         sys.stdout.flush()  # here, not at exit, where a failed write would print a traceback
     except OSError as exc:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
@@ -54,26 +54,35 @@ def document(chart: Chart, goal: Category | None = None, all_derivations: bool =
     the spanning readings that missed it.
     """
     nodes: dict[Edge, TreeNode] = {}  # Edge hashes by identity
-    roots = (_tree_node(e, nodes) for e in chart_readings(chart, goal, all_derivations))
+    texts: dict[int, str] = {}  # by the id of an interned category, which the chart holds
+    roots = (_tree_node(e, nodes, texts) for e in chart_readings(chart, goal, all_derivations))
     readings = tuple(sorted((Reading(t.category, t.lf, t) for t in roots), key=lambda r: (r.category, r.lf)))
     near: tuple[NearMiss, ...] = ()
     if not readings:
         near = tuple(
             sorted(
-                (NearMiss(e.span, render_category(e.category), lf.pretty_print(e.lf)) for e in chart.longest_partials()),
+                (NearMiss(e.span, _category_text(e.category, texts), lf.pretty_print(e.lf)) for e in chart.longest_partials()),
                 key=lambda m: (m.span, m.category, m.lf),
             )
         )
     return DerivationDoc(chart.tokens, readings, near)
 
 
-def _tree_node(edge: Edge, nodes: dict[Edge, TreeNode]) -> TreeNode:
+def _category_text(c: Category, texts: dict[int, str]) -> str:
+    """c rendered, once per document: texts holds the text of each category rendered so far, by id."""
+    text = texts.get(id(c))
+    if text is None:
+        text = texts[id(c)] = render_category(c)
+    return text
+
+
+def _tree_node(edge: Edge, nodes: dict[Edge, TreeNode], texts: dict[int, str]) -> TreeNode:
     """The node of edge, built once; a module-level function so that no
     walk holds a reference to itself and every chart is freed by reference
     count."""
     if edge not in nodes:
-        children = tuple(_tree_node(child, nodes) for child in edge.children)
-        nodes[edge] = TreeNode(edge.span, render_category(edge.category), lf.pretty_print(edge.lf), edge.label, children)
+        children = tuple(_tree_node(child, nodes, texts) for child in edge.children)
+        nodes[edge] = TreeNode(edge.span, _category_text(edge.category, texts), lf.pretty_print(edge.lf), edge.label, children)
     return nodes[edge]
 
 
@@ -149,11 +158,18 @@ def _node_from(obj: dict) -> TreeNode:
     )
 
 
+# each document dataclass's fields in order, as JSON object keys with their separator
+_KEYS = {
+    cls: tuple((f.name, encode_basestring_ascii(f.name) + ": ") for f in fields(cls))
+    for cls in (TreeNode, Reading, NearMiss, DerivationDoc)
+}
+
+
 def _lay_out(value: object, depth: int, runs: list) -> None:
     """Append value's JSON text at nesting depth ``depth`` to the last run,
     as json.dumps(..., indent=2) lays it out; a dataclass value becomes a
     (value, depth) reference followed by a fresh run."""
-    if is_dataclass(value):
+    if type(value) in _KEYS:
         runs += [(value, depth), ""]
     elif type(value) is str:
         runs[-1] += encode_basestring_ascii(value)
@@ -180,9 +196,9 @@ def _own_text(obj: object, depth: int) -> list:
     runs: list = [""]
     inner = "\n" + "  " * (depth + 1)
     sep = "{" + inner
-    for f in fields(obj):
-        runs[-1] += sep + encode_basestring_ascii(f.name) + ": "
-        _lay_out(getattr(obj, f.name), depth + 1, runs)
+    for name, key in _KEYS[type(obj)]:
+        runs[-1] += sep + key
+        _lay_out(getattr(obj, name), depth + 1, runs)
         sep = "," + inner
     runs[-1] += "\n" + "  " * depth + "}"
     return runs

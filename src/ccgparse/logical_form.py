@@ -23,9 +23,10 @@ class BudgetExceeded(Exception):
 class _Node:
     """Facts a term node computes once, when it is made: ``free``, its free
     variables, and ``normal``, whether it holds no redex.  A closed node
-    keeps its alpha key in ``key`` once alpha_key has made it."""
+    keeps its alpha key in ``key`` once alpha_key has made it, and every
+    node its fingerprint in ``fp`` once fingerprint has made it."""
 
-    __slots__ = ("free", "normal", "key")
+    __slots__ = ("free", "normal", "key", "fp")
 
 
 _CLOSED: frozenset[str] = frozenset()
@@ -40,7 +41,7 @@ class Var(_Node):
     name: str
 
     def __init__(self, name: str):
-        self.name, self.free, self.normal, self.key = name, frozenset((name,)), True, None
+        self.name, self.free, self.normal, self.key, self.fp = name, frozenset((name,)), True, None, None
 
 
 @dataclass(init=False, unsafe_hash=True, slots=True)
@@ -54,7 +55,7 @@ class Const(_Node):
         for c in contingencies:
             free = free | c.free if free else c.free
             normal = normal and c.normal
-        self.free, self.normal, self.key = free, normal, None
+        self.free, self.normal, self.key, self.fp = free, normal, None, None
 
 
 @dataclass(init=False, unsafe_hash=True, slots=True)
@@ -65,7 +66,8 @@ class Abs(_Node):
     def __init__(self, var: str, body: "Term"):
         self.var, self.body = var, body
         free = body.free
-        self.free, self.normal, self.key = free - {var} if var in free else free, body.normal, None
+        self.free, self.normal = free - {var} if var in free else free, body.normal
+        self.key = self.fp = None
 
 
 @dataclass(init=False, unsafe_hash=True, slots=True)
@@ -78,7 +80,7 @@ class App(_Node):
         f, a = fun.free, arg.free
         self.free = f | a if f and a and f is not a else f or a
         self.normal = fun.normal and arg.normal and type(fun) is not Abs
-        self.key = None
+        self.key = self.fp = None
 
 
 Term = Var | Const | Abs | App
@@ -142,8 +144,12 @@ def _substitute(t: Term, v: str, s: Term, s_free: frozenset[str]) -> Term:
 def substitute(t: Term, v: str, s: Term) -> Term:
     """Capture-avoiding substitution of s for free occurrences of v.
 
-    Subterms without a free v come back as the same objects.
+    Subterms without a free v come back as the same objects, and so does t
+    itself when s is the variable v: no binder can capture v there, so the
+    result would only be a copy.
     """
+    if type(s) is Var and s.name == v:
+        return t
     return _substitute(t, v, s, s.free)
 
 
@@ -247,6 +253,33 @@ def alpha_key(t: Term) -> str:
             return "".join(out)
         t.key = "".join(out)
     return t.key
+
+
+_FP_VAR, _FP_ABS, _FP_APP = 0, 1, 2  # the tags of the nodes that carry no name
+
+
+def fingerprint(t: Term) -> int:
+    """A hash shared by alpha-equivalent terms: every variable hashes alike,
+    a constant by its name and subscripts, and any other node by its
+    structure.  Terms that differ only in which variable stands where share
+    one too, so equal fingerprints call for an alpha_key comparison.  Each
+    node keeps its own."""
+    fp = t.fp
+    if fp is None:
+        cls = type(t)
+        if cls is App:
+            fp = hash((_FP_APP, fingerprint(t.fun), fingerprint(t.arg)))
+        elif cls is Abs:
+            fp = hash((_FP_ABS, fingerprint(t.body)))
+        elif cls is Var:
+            fp = _FP_VAR
+        else:
+            subs = []
+            for c in t.contingencies:
+                subs.append(fingerprint(c))
+            fp = hash((t.name, *subs))
+        t.fp = fp
+    return fp
 
 
 def spine(t: Term) -> tuple[Term, list[Term]]:

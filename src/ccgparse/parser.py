@@ -194,6 +194,31 @@ def _first_per_reading(found: list[tuple[tuple, Edge]], chart: Chart) -> list[tu
     return list(first.values())
 
 
+def _first_per_form(found: list[tuple[tuple, Edge]], chart: Chart) -> list[tuple[tuple, Edge]]:
+    """_first_per_reading of the derivations of one node, which share its category and lexc
+    flag: an edge is keyed only when an earlier one has its logical form's fingerprint."""
+    if len(found) < 2:
+        return found
+    text = chart.lexicon.category_table.category_keys.get(id(found[0][1].category))
+    first: dict[int, Edge | None] = {}  # fingerprint -> its first edge, or None once that is keyed
+    keys: set[tuple[str, str]] = set()
+    out = []
+    for pair in found:
+        e = pair[1]
+        fp = lf.fingerprint(e.lf)
+        other = first.setdefault(fp, e)
+        if other is not e:
+            if other is not None:  # the fingerprint's first collision: key its first edge too
+                keys.add(other.reading_key(text))
+                first[fp] = None
+            key = e.reading_key(text)
+            if key in keys:
+                continue
+            keys.add(key)
+        out.append(pair)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the rules
 
@@ -389,7 +414,7 @@ def _derivations(node: Node, chart: Chart, every: bool, skipped: tuple[int, ...]
                 for rkey, r in _derivations(right, chart, every):
                     found += [((left.end, lkey, rkey, i), e) for i, e in enumerate(combine(l, r, chart)) if e.rule is row]
         found.sort(key=itemgetter(0))
-        found = chart.derivations[node, every, skipped] = found if every else _first_per_reading(found, chart)
+        found = chart.derivations[node, every, skipped] = found if every else _first_per_form(found, chart)
     return found
 
 

@@ -9,13 +9,17 @@ and no cell is ever filled.  Intended for short sentences only; the
 recursion deliberately recomputes sub-spans.
 
 Beside it, chart_edges and all_chart_edges read a filled chart's cells as
-edges, for tests that check every constituent rather than the readings.
+edges, for tests that check every constituent rather than the readings, and
+node_duplicates checks each node's deduplication against first_per_reading,
+which keys every derivation.
 """
 
 from dataclasses import replace
 from operator import itemgetter
+from unittest import mock
 
 from ccgparse import logical_form as lf
+from ccgparse import parser
 from ccgparse.category import category_key
 from ccgparse.lexicon import Lexicon
 from ccgparse.parser import Chart, Edge, _derivations, combine, seed_edges
@@ -57,3 +61,35 @@ def chart_edges(chart: Chart, start: int, end: int) -> list[Edge]:
 def all_chart_edges(chart: Chart) -> list[Edge]:
     """chart_edges of every cell of a built chart."""
     return [e for i, j in chart.cells for e in chart_edges(chart, i, j)]
+
+
+def first_per_reading(found: list[tuple[tuple, Edge]]) -> list[tuple[tuple, Edge]]:
+    """The first (key, edge) pair of found for each reading key of its edge, in order, every edge keyed."""
+    first: dict[tuple[str, str], tuple[tuple, Edge]] = {}
+    for key, e in found:
+        first.setdefault(e.reading_key(), (key, e))
+    return list(first.values())
+
+
+def node_duplicates(chart: Chart) -> tuple[int, int]:
+    """Walk every node of a chart that no walk has visited yet, checking that each keeps the
+    derivations first_per_reading keeps of those it made; the counts of derivations dropped,
+    and of those kept though an earlier one of their node has their logical form's fingerprint."""
+    dropped = collided = 0
+    deduplicate = parser._first_per_form
+
+    def checked(found: list[tuple[tuple, Edge]], chart: Chart) -> list[tuple[tuple, Edge]]:
+        nonlocal dropped, collided
+        kept = deduplicate(found, chart)
+        assert kept == first_per_reading(found), (chart.tokens, [lf.pretty_print(e.lf) for _, e in found])
+        fingerprints = [lf.fingerprint(e.lf) for _, e in kept]
+        dropped += len(found) - len(kept)
+        collided += len(fingerprints) - len(set(fingerprints))
+        return kept
+
+    assert not chart.derivations
+    with mock.patch.object(parser, "_first_per_form", checked):
+        for cell in chart.cells.values():
+            for node in cell.values():
+                _derivations(node, chart, False)
+    return dropped, collided

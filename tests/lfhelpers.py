@@ -11,7 +11,7 @@ to alpha equivalence.
 import functools
 
 from ccgparse import logical_form as lf
-from ccgparse.logical_form import Abs, App, Const, Term, Var, fresh_name, spine, substitute
+from ccgparse.logical_form import Abs, App, Const, Term, Var, fresh_name, spine
 
 #: Logical-form heads that mark a reading as idiomatic in the shipped
 #: grammar's test corpus.
@@ -108,7 +108,7 @@ def _step_applicative(t: Term) -> Term | None:
             if rf is not None:
                 return App(rf, a)
             if isinstance(f, Abs):
-                return substitute(f.body, f.var, a)
+                return reference_substitute(f.body, f.var, a)
             return None
         case Abs(v, body):
             rb = _step_applicative(body)

@@ -496,6 +496,33 @@ def test_output_to_a_full_device_exits_2_without_a_traceback(command):
     assert err == f"cannot write output: {NO_SPACE}\n"
 
 
+HELP = {"help": ["--help"], "parse help": ["parse", "--help"]}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", HELP)
+def test_help_to_a_full_device_exits_2_without_a_traceback(command):
+    # argparse writes the help and raises SystemExit before main's own error handling
+    with open("/dev/full", "w") as full:
+        proc = buffered_run(HELP[command], full)
+        err = proc.communicate()[1]
+    assert proc.returncode == 2
+    assert err == f"cannot write output: {NO_SPACE}\n"
+
+
+@pytest.mark.parametrize("argv, code", [*((argv, 0) for argv in HELP.values()), (["parse"], 2)], ids=[*HELP, "usage error"])
+def test_the_console_script_keeps_argparse_exits(argv, code):
+    proc = buffered_run(argv, subprocess.PIPE)
+    out, err = proc.communicate()
+    assert proc.returncode == code
+    usage = "usage: ccgparse" + (" parse" if argv[0] == "parse" else "")
+    if code == 0:
+        assert out.startswith(usage) and err == ""
+    else:
+        assert out == "" and err.startswith(usage)
+        assert err.splitlines()[-1] == "ccgparse parse: error: the following arguments are required: -l/--lexicon, sentence"
+
+
 def test_output_to_a_closed_pipe_exits_2_without_a_traceback():
     proc = buffered_run(COMMANDS["test"], subprocess.PIPE)
     proc.stdout.close()  # before the child writes: no reader is left

@@ -10,7 +10,8 @@ among entries drawn at random.  Most words have two entries of one category
 that differ in ``lexc``, so a chart that packs them together loses readings
 that the oracle finds.  The grammar's mirror image must derive the mirror
 image of each reading, since each rule row has a mirror row.  The category
-steps that one lexicon's charts share must be those a fresh table computes.
+steps that one lexicon's charts share must be those a fresh table computes,
+and each node must keep the first of its derivations per reading key.
 """
 
 from contextlib import suppress
@@ -36,7 +37,7 @@ from ccgparse import lexicon as lx
 from ccgparse.lexicon import BUILTIN_ATOMS, LexEntry, Lexicon, parse_lexicon, render_lexicon, validate_lexicon
 from ccgparse.parser import Chart, RuleId, UnknownTokenError, _category_steps, build_chart, chart_readings
 
-from bruteforce import all_chart_edges, derivations
+from bruteforce import all_chart_edges, derivations, node_duplicates
 from lfhelpers import app, has_redex
 
 ATOMS = ("S", "NP", "N", "Q")  # Q is declared by the lexicon
@@ -226,6 +227,13 @@ def test_generated_grammars_parse_as_the_bruteforce_oracle_does(grammar):
 
     mirrored = {(category_key(_mirrored(e.category)), lf.alpha_key(e.lf)) for e in chart_readings(chart)}
     assert {e.reading_key() for e in chart_readings(build_chart(*mirror(grammar)))} == mirrored
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grammars())
+def test_generated_nodes_keep_the_first_derivation_per_reading_key(grammar):
+    for lex, tokens in (grammar, mirror(grammar)):
+        node_duplicates(build_chart(lex, tokens))
 
 
 def test_generated_charts_fire_every_rule_row():

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,11 +41,25 @@ def test_substitute_avoids_capture():
     assert lf.alpha_eq(out, lf.Abs("z", lf.App(lf.Var("y"), lf.Var("z"))))
 
 
-@given(st.sampled_from(sample(97, 40)))
+def bound_names(t: lf.Term) -> set[str]:
+    """The names that some abstraction in t binds."""
+    match t:
+        case lf.Abs(v, body):
+            return {v} | bound_names(body)
+        case lf.App(f, a):
+            return bound_names(f) | bound_names(a)
+        case lf.Const(_, cs):
+            return set().union(*map(bound_names, cs))
+    return set()
+
+
+@given(st.sampled_from(sample(97, 200)))
 def test_substitute_identity(pair):
-    term, free = pair
-    for name in free or ["x"]:
-        assert lf.alpha_eq(lf.substitute(term, name, lf.Var(name)), term)
+    """A variable substituted for itself, free, bound or absent, gives back the term itself."""
+    term, _ = pair
+    for name in sorted(term.free) + sorted(bound_names(term)) + ["absent"]:
+        assert lfh.reference_substitute(term, name, lf.Var(name)) == term  # binder names included
+        assert lf.substitute(term, name, lf.Var(name)) is term
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +334,39 @@ def test_strategies_agree_on_generated_terms(pair):
 
 
 # ---------------------------------------------------------------------------
+# fingerprints
+
+def renamed_apart(t: lf.Term, names: dict[str, str], fresh) -> lf.Term:
+    """A copy of t made of new nodes whose every binder takes the next name of fresh;
+    names maps each name bound in scope to its new one."""
+    match t:
+        case lf.Var(name):
+            return lf.Var(names.get(name, name))
+        case lf.Const(name, cs):
+            return lf.Const(name, tuple(renamed_apart(c, names, fresh) for c in cs))
+        case lf.Abs(v, body):
+            new = next(fresh)
+            return lf.Abs(new, renamed_apart(body, {**names, v: new}, fresh))
+        case lf.App(f, a):
+            return lf.App(renamed_apart(f, names, fresh), renamed_apart(a, names, fresh))
+    raise TypeError(f"not a term: {t!r}")
+
+
+@given(st.sampled_from(sample(3141, 200)))
+def test_alpha_equivalent_terms_share_a_fingerprint(pair):
+    term, _ = pair
+    for t in (term, lf.beta_normalize(term)):
+        copy = renamed_apart(t, {}, (f"w{i}" for i in itertools.count()))  # generated names are u and v ones
+        assert (copy == t) is not bound_names(t) and lf.alpha_eq(copy, t)
+        assert lf.fingerprint(copy) == lf.fingerprint(t)
+
+
+def test_a_fingerprint_reads_constants_but_no_variable_name():
+    assert lf.fingerprint(p(r"\x\y. r x y")) == lf.fingerprint(p(r"\x\y. r y x"))
+    assert lf.fingerprint(p("r a")) != lf.fingerprint(p("r b"))
+
+
+# ---------------------------------------------------------------------------
 # facts each term node computes once
 
 def plain_free_vars(t: lf.Term, memo: dict[int, frozenset[str]]) -> frozenset[str]:
@@ -372,8 +420,9 @@ def subterms(t: lf.Term, seen: set[int]):
 def test_cached_term_facts_agree_with_plain_walks():
     """On every subterm of the generated terms, their binder-collapsed
     variants and the normal forms of both: the free variables, the normal
-    flag, and the alpha key, which only a closed subterm keeps, made after
-    those of its subterms so that it reuses theirs, against a rebuilt copy's."""
+    flag, and the alpha key, which only a closed subterm keeps, and the
+    fingerprint, which every subterm keeps, each made after those of its
+    subterms so that it reuses theirs, against a rebuilt copy's."""
     generated = generated_terms() + sample(4242, 150) + sample(97, 40)
     for i, (term, _) in enumerate(generated):
         seen: set[int] = set()
@@ -386,3 +435,4 @@ def test_cached_term_facts_agree_with_plain_walks():
                     key = lf.alpha_key(sub)
                     assert key == lf.alpha_key(rebuilt(sub)), f"term {i}: {lf.pretty_print(sub)}"
                     assert sub.key == (None if sub.free else key), f"term {i}: {lf.pretty_print(sub)}"
+                    assert lf.fingerprint(sub) == sub.fp == lf.fingerprint(rebuilt(sub)), f"term {i}: {lf.pretty_print(sub)}"

@@ -34,7 +34,7 @@ from ccgparse.parser import (
     seed_edges,
 )
 
-from bruteforce import all_chart_edges, chart_edges, derivations, enumerate_readings
+from bruteforce import all_chart_edges, chart_edges, derivations, enumerate_readings, node_duplicates
 
 
 def load(text):
@@ -711,6 +711,40 @@ def test_every_derivation_walks_the_twin_ways_too(fragment, monkeypatch):
     calls = counted_calls(monkeypatch, "_lf_step")
     assert len(chart_readings(build_chart(fragment, tokenize(CHAIN_6)), all_derivations=True)) == 84
     assert calls["_lf_step"] == 270  # as many as before twin ways were skipped
+
+
+# ---------------------------------------------------------------------------
+# one node's derivations: keyed only when their logical forms' fingerprints collide
+
+def test_nodes_keep_the_first_derivation_per_reading_key(fragment, corpus):
+    clauses = COORD_CHAIN.removesuffix(" the bucket").split(" and ")
+    chains = [" and ".join(clauses[:k]) + " the bucket" for k in range(1, len(clauses) + 1)]
+    dropped = 0
+    for lex in (replace(fragment), replace(fragment, weight_threshold=2)):
+        for chart in corpus_charts(lex, corpus):
+            dropped += node_duplicates(chart)[0]
+    for sentence in chains + list(MODSTACK):
+        dropped += node_duplicates(build_chart(replace(fragment), tokenize(sentence)))[0]
+    assert (len(clauses), dropped > 0) == (6, True)  # the nodes hold alpha-equal derivations to drop
+
+
+# the second entry permutes the first's arguments, the third renames its binders
+COLLIDING = r"""
+f := (S/NP)/NP : \x\y. r x y ;
+f := (S/NP)/NP : \x\y. r y x ;
+f := (S/NP)/NP : \u\v. r u v ;
+"""
+
+
+def test_a_fingerprint_collision_is_settled_by_the_alpha_key():
+    lex = load(COLLIDING)
+    chart = build_chart(lex, ["f"])
+    (node,) = chart.cells[0, 1].values()
+    seeds = [way[1] for way in node.ways]
+    assert len({lf.fingerprint(e.lf) for e in seeds}) == 1
+    assert node_duplicates(chart) == (1, 1)  # the third dropped, the second kept
+    assert [e for _, e in parser._derivations(node, chart, False)] == seeds[:2]
+    assert [lf.pretty_print(e.lf) for e in parse(lex, ["f"])] == [r"\x\y. r x y", r"\x\y. r y x"]
 
 
 # ---------------------------------------------------------------------------
