@@ -11,9 +11,8 @@ builds one.  Per-edge walks dispatch on type(c); pattern matching is slower.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .cursor import Cursor
 
@@ -52,34 +51,29 @@ def variable_display_name(name: str) -> str:
 Features = tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     name: str
     features: Features = ()
 
 
-@dataclass(frozen=True)
-class Slash:
+class Slash(NamedTuple):
     direction: Direction
     modality: Modality = Modality.DIAMOND
 
 
-@dataclass(frozen=True)
-class Functor:
+class Functor(NamedTuple):
     result: "Category"
     slash: Slash
     argument: "Category"
 
 
-@dataclass(frozen=True)
-class Singleton:
+class Singleton(NamedTuple):
     """A category exactly one surface token string can substitute for."""
 
     tokens: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     """A schema variable over whole categories (coordination's X)."""
 
     name: str
@@ -270,14 +264,13 @@ NON_STAR_SINGLETON_SLASH = "NON_STAR_SINGLETON_SLASH"
 EMPTY_SINGLETON = "EMPTY_SINGLETON"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     detail: str
     line: int | None = None
 
     def at_line(self, line: int) -> "Violation":
-        return replace(self, line=line)
+        return self._replace(line=line)
 
     def __str__(self) -> str:
         where = f" (line {self.line})" if self.line is not None else ""

@@ -12,7 +12,6 @@ import argparse
 import os
 import sys
 from contextlib import suppress
-from dataclasses import replace
 from pathlib import Path
 
 from .category import CategorySyntaxError, misplaced_computed, parse_category, render_category, validate_category
@@ -52,7 +51,7 @@ def _parse_setup(args: argparse.Namespace) -> Lexicon:
     if violations:
         raise CommandError("\n".join(f"{args.lexicon}: {v}" for v in violations))
     if args.weight_threshold is not None:
-        lexicon = replace(lexicon, weight_threshold=args.weight_threshold)
+        lexicon = lexicon.copy(weight_threshold=args.weight_threshold)
     if args.case_fold:
         lexicon = case_folded(lexicon)
     return lexicon
@@ -147,8 +146,14 @@ def cmd_test(args: argparse.Namespace) -> int:
     return OK if failed == 0 else NEGATIVE
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:
+        """As argparse's, except that a failed write is raised, not ignored, so that main reports it."""
+        (file or sys.stdout).write(self.format_help())
+
+
 def make_arg_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="ccgparse", description=__doc__)
+    top = _ArgumentParser(prog="ccgparse", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, settings: bool = True) -> None:
@@ -179,9 +184,8 @@ def make_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_arg_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_arg_parser().parse_args(argv)  # SystemExit after --help or a usage error passes through
         for name in ("weight_threshold", "max_steps"):
             value = getattr(args, name, None)
             if value is not None and value < 1:

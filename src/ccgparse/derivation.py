@@ -1,19 +1,21 @@
-"""Derivation documents: proof-style ASCII display and stable JSON."""
+"""Derivation documents: proof-style ASCII display and stable JSON.
+
+A document is made of NamedTuple records, whose fields are its JSON schema.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .category import Category, render_category
 from . import logical_form as lf
 from .parser import Chart, Edge, chart_readings
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     span: tuple[int, int]
     category: str
     lf: str
@@ -21,22 +23,19 @@ class TreeNode:
     children: tuple["TreeNode", ...] = ()
 
 
-@dataclass(frozen=True)
-class Reading:
+class Reading(NamedTuple):
     category: str
     lf: str
     tree: TreeNode
 
 
-@dataclass(frozen=True)
-class NearMiss:
+class NearMiss(NamedTuple):
     span: tuple[int, int]
     category: str
     lf: str
 
 
-@dataclass(frozen=True)
-class DerivationDoc:
+class DerivationDoc(NamedTuple):
     sentence: tuple[str, ...]
     readings: tuple[Reading, ...]
     near_misses: tuple[NearMiss, ...] = ()
@@ -158,18 +157,18 @@ def _node_from(obj: dict) -> TreeNode:
     )
 
 
-# each document dataclass's fields in order, as JSON object keys with their separator
+# each document record's fields in order, as JSON object keys with their separator
 _KEYS = {
-    cls: tuple((f.name, encode_basestring_ascii(f.name) + ": ") for f in fields(cls))
+    cls: tuple((name, encode_basestring_ascii(name) + ": ") for name in cls._fields)
     for cls in (TreeNode, Reading, NearMiss, DerivationDoc)
 }
 
 
 def _lay_out(value: object, depth: int, runs: list) -> None:
     """Append value's JSON text at nesting depth ``depth`` to the last run,
-    as json.dumps(..., indent=2) lays it out; a dataclass value becomes a
+    as json.dumps(..., indent=2) lays it out; a record value becomes a
     (value, depth) reference followed by a fresh run."""
-    if type(value) in _KEYS:
+    if type(value) in _KEYS:  # before plain tuples: a record is a tuple too
         runs += [(value, depth), ""]
     elif type(value) is str:
         runs[-1] += encode_basestring_ascii(value)
@@ -191,8 +190,8 @@ def _lay_out(value: object, depth: int, runs: list) -> None:
 
 
 def _own_text(obj: object, depth: int) -> list:
-    """A dataclass's JSON text at nesting depth ``depth`` as runs of text
-    between the (value, depth) references to its nested dataclasses."""
+    """A record's JSON text at nesting depth ``depth`` as runs of text
+    between the (value, depth) references to its nested records."""
     runs: list = [""]
     inner = "\n" + "  " * (depth + 1)
     sep = "{" + inner
@@ -217,9 +216,9 @@ def _emit(obj: object, depth: int, memo: dict[tuple[int, int], list], out: list[
 
 
 def render_json(doc: DerivationDoc) -> str:
-    """Stable JSON for the document: the text json.dumps(asdict(doc), indent=2)
-    writes, each dataclass's fields in order and tuples as lists; read_json
-    restores an equal value.
+    """Stable JSON for the document: the text json.dumps(..., indent=2) writes
+    for it with each record an object of its fields in order and each other
+    tuple a list; read_json restores an equal value.
 
     A node that readings share is laid out once per nesting depth and its
     text copied wherever it recurs.

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .category import (
     Atom,
@@ -51,19 +50,29 @@ _MODALITY_NAMES = {m.name.lower(): m for m in Modality}
 DEFAULT_WEIGHT_THRESHOLD = 4
 
 
-@dataclass(frozen=True)
-class LexEntry:
+class LexEntry(NamedTuple):
+    """A lexicon entry.  Entries compare and hash without their ``source_line``,
+    so a duplicate on another line is equal to the first."""
+
     phon: tuple[str, ...]
     category: Category
     lf: lf.Term
     lexc: bool = False  # marked [lexc+]
-    source_line: int = field(default=0, compare=False)
+    source_line: int = 0
+
+    def __eq__(self, other: object) -> bool:
+        return self[:4] == other[:4] if type(other) is LexEntry else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        return self[:4] != other[:4] if type(other) is LexEntry else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[:4])
 
     def __str__(self) -> str:
         return f"{' '.join(self.phon)} := {render_category(self.category)}"
 
 
-@dataclass
 class Lexicon:
     """A lexicon's entries and the settings of its ``set`` lines, unchanged after load.
 
@@ -73,14 +82,25 @@ class Lexicon:
     spell a string argument, its lexc flag and lightness).  So it is bounded by the categories
     the grammar derives, never by sentence text.  Charts may be built over one lexicon at once:
     the table is only added to, and a race costs at most a step taken twice.  A copy made by
-    ``dataclasses.replace``, such as ``case_folded``, starts an empty table.
+    ``copy``, such as ``case_folded``, starts an empty table.
     """
 
-    entries: dict[str, list[LexEntry]] = field(default_factory=dict)
-    atom_declarations: frozenset[str] = BUILTIN_ATOMS
-    weight_threshold: int = DEFAULT_WEIGHT_THRESHOLD
-    default_modality: Modality = Modality.DIAMOND
-    category_table: CategoryTable = field(default_factory=CategoryTable, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        entries: dict[str, list[LexEntry]] | None = None,
+        atom_declarations: frozenset[str] = BUILTIN_ATOMS,
+        weight_threshold: int = DEFAULT_WEIGHT_THRESHOLD,
+        default_modality: Modality = Modality.DIAMOND,
+    ):
+        self.entries = {} if entries is None else entries
+        self.atom_declarations, self.weight_threshold, self.default_modality = atom_declarations, weight_threshold, default_modality
+        self.category_table = CategoryTable()
+
+    def copy(self, **changes) -> Lexicon:
+        """A shallow copy with the named constructor fields changed, as ``dataclasses.replace``
+        makes one: it shares the entries dict unless given ``entries``, and starts an empty table."""
+        fields = {name: value for name, value in vars(self).items() if name != "category_table"}
+        return Lexicon(**(fields | changes))
 
     def add(self, entry: LexEntry) -> None:
         self.entries.setdefault(entry.phon[0], []).append(entry)
@@ -91,8 +111,7 @@ class Lexicon:
         return out
 
 
-@dataclass(frozen=True)
-class LexiconIssue:
+class LexiconIssue(NamedTuple):
     line: int
     message: str
     severity: str = "error"  # "error" or "warning"
@@ -135,9 +154,9 @@ def _folded(c: Category, _: None) -> Category:
 def case_folded(lex: Lexicon) -> Lexicon:
     """The lexicon as a lower-cased sentence reads it: each entry's phon and every
     string category in its category lower-cased; atoms and settings shared."""
-    folded = replace(lex, entries={})
+    folded = lex.copy(entries={})
     for entry in lex.all_entries():
-        folded.add(replace(entry, phon=tuple(t.lower() for t in entry.phon), category=fold_strings(entry.category)))
+        folded.add(entry._replace(phon=tuple(t.lower() for t in entry.phon), category=fold_strings(entry.category)))
     return folded
 
 
@@ -388,7 +407,7 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
                 )
             )
         for v in undeclared_atoms(lex, entry.category):
-            out.append(replace(v, detail=f"{entry}: {v.detail}", line=entry.source_line))
+            out.append(v._replace(detail=f"{entry}: {v.detail}", line=entry.source_line))
         for part, computed in misplaced_computed(entry.category, arguments):
             detail = f"{entry}: computed {', '.join(computed)} on {render_category(part)}, not one of the entry's arguments"
             out.append(Violation(MISPLACED_COMPUTED_FEATURE, detail, entry.source_line))

@@ -9,7 +9,6 @@ binder feeds the predicate's contingency, not its argument structure).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .cursor import Cursor
 
@@ -24,30 +23,39 @@ class _Node:
     """Facts a term node computes once, when it is made: ``free``, its free
     variables, and ``normal``, whether it holds no redex.  A closed node
     keeps its alpha key in ``key`` once alpha_key has made it, and every
-    node its fingerprint in ``fp`` once fingerprint has made it."""
+    node its fingerprint in ``fp`` once fingerprint has made it.
+
+    A node is a value: equality, hashing and repr read the fields each class
+    names in ``__match_args__``, as a frozen dataclass's would.  Each class
+    writes its own __init__, which sets the facts beside the fields."""
 
     __slots__ = ("free", "normal", "key", "fp")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join([f'{f}={getattr(self, f)!r}' for f in self.__match_args__])})"
 
 
 _CLOSED: frozenset[str] = frozenset()
 
-# Equality, hashing and repr are generated as for a frozen dataclass.  Each
-# class writes its own __init__: a frozen dataclass's sets every field
-# through object.__setattr__, several times slower.
 
-
-@dataclass(init=False, unsafe_hash=True, slots=True)
 class Var(_Node):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
     def __init__(self, name: str):
         self.name, self.free, self.normal, self.key, self.fp = name, frozenset((name,)), True, None, None
 
 
-@dataclass(init=False, unsafe_hash=True, slots=True)
 class Const(_Node):
-    name: str
-    contingencies: tuple["Term", ...]
+    __slots__ = __match_args__ = ("name", "contingencies")
 
     def __init__(self, name: str, contingencies: tuple["Term", ...] = ()):
         self.name, self.contingencies = name, contingencies
@@ -58,10 +66,8 @@ class Const(_Node):
         self.free, self.normal, self.key, self.fp = free, normal, None, None
 
 
-@dataclass(init=False, unsafe_hash=True, slots=True)
 class Abs(_Node):
-    var: str
-    body: "Term"
+    __slots__ = __match_args__ = ("var", "body")
 
     def __init__(self, var: str, body: "Term"):
         self.var, self.body = var, body
@@ -70,10 +76,8 @@ class Abs(_Node):
         self.key = self.fp = None
 
 
-@dataclass(init=False, unsafe_hash=True, slots=True)
 class App(_Node):
-    fun: "Term"
-    arg: "Term"
+    __slots__ = __match_args__ = ("fun", "arg")
 
     def __init__(self, fun: "Term", arg: "Term"):
         self.fun, self.arg = fun, arg

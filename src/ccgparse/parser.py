@@ -11,7 +11,6 @@ nodes asked for, so a node that no reading uses costs none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 from typing import Iterable, TypeGuard
@@ -91,19 +90,20 @@ class SentenceTooLongError(ParserError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
 class Edge:
     """A chart constituent over tokens [start, end) of its chart's sentence;
-    logical forms are closed and beta-normal on construction."""
+    logical forms are closed and beta-normal on construction.  ``lexc`` is
+    set when some lexical entry at the leaves carries lexc+.  Edges compare
+    and hash by identity."""
 
-    start: int
-    end: int
-    category: Category
-    lf: lf.Term
-    rule: RuleId | None = None
-    children: tuple["Edge", ...] = ()
-    entry: LexEntry | None = None
-    lexc: bool = False  # some lexical entry at the leaves carries lexc+
+    __slots__ = ("start", "end", "category", "lf", "rule", "children", "entry", "lexc")
+
+    def __init__(
+        self, start: int, end: int, category: Category, lf: lf.Term,
+        rule: RuleId | None = None, children: tuple[Edge, ...] = (), entry: LexEntry | None = None, lexc: bool = False,
+    ):
+        self.start, self.end, self.category, self.lf = start, end, category, lf
+        self.rule, self.children, self.entry, self.lexc = rule, children, entry, lexc
 
     @property
     def span(self) -> tuple[int, int]:
@@ -132,16 +132,16 @@ def derived_features(edge: Edge | Node, weight_threshold: int) -> dict[str, str]
     return {"lexc": "+" if edge.lexc else "-", "weight": "-" if _light(edge, weight_threshold) else "+"}
 
 
-@dataclass(eq=False)
 class Node:
     """The derivations of one category and lexc flag over tokens [start, end), as the ways
-    they were made, in order: (seed index, seed edge) or (rule, left node, right node)."""
+    they were made, in order: (seed index, seed edge) or (rule, left node, right node).
+    Nodes compare and hash by identity."""
 
-    start: int
-    end: int
-    category: Category
-    lexc: bool
-    ways: list[tuple] = field(default_factory=list)
+    __slots__ = ("start", "end", "category", "lexc", "ways")
+
+    def __init__(self, start: int, end: int, category: Category, lexc: bool):
+        self.start, self.end, self.category, self.lexc = start, end, category, lexc
+        self.ways: list[tuple] = []
 
 
 class Chart:

@@ -14,7 +14,6 @@ node_duplicates checks each node's deduplication against first_per_reading,
 which keys every derivation.
 """
 
-from dataclasses import replace
 from operator import itemgetter
 from unittest import mock
 
@@ -29,7 +28,7 @@ def derivations(lex: Lexicon, tokens: list[str], max_steps: int = lf.DEFAULT_STE
     """Every derivation over the full span, in the order an unpacked chart
     adds them: seeds in lookup order, then by split, left derivation, right
     derivation and rule row."""
-    chart = Chart(replace(lex), tokens, max_steps)
+    chart = Chart(lex.copy(), tokens, max_steps)
     lexical: dict[tuple[int, int], list[Edge]] = {}
     for edge in seed_edges(chart):
         lexical.setdefault(edge.span, []).append(edge)

@@ -6,7 +6,6 @@ values were derived by hand before implementation and are frozen here.
 """
 
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -272,7 +271,7 @@ def test_c6_literal_readings_survive_idiom_removal(fragment, corpus):
             else:
                 kept.setdefault(first, []).append(entry)
     assert removed >= 8
-    stripped = replace(fragment, entries=kept)
+    stripped = fragment.copy(entries=kept)
     for sentence, _, _ in corpus:
         before = literal_readings(fragment, sentence)
         after = literal_readings(stripped, sentence)

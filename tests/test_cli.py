@@ -523,6 +523,25 @@ def test_the_console_script_keeps_argparse_exits(argv, code):
         assert err.splitlines()[-1] == "ccgparse parse: error: the following arguments are required: -l/--lexicon, sentence"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", HELP)
+def test_unbuffered_help_to_a_full_device_exits_2_without_a_traceback(command):
+    # argparse ignores a failed write of its own, and unbuffered no flush is left to fail
+    env = {**os.environ, "PYTHONUNBUFFERED": "1"}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.Popen([sys.executable, "-m", "ccgparse", *HELP[command]], stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+        err = proc.communicate()[1]
+    assert proc.returncode == 2
+    assert err == f"cannot write output: {NO_SPACE}\n"
+
+
+@pytest.mark.parametrize("command", HELP)
+def test_a_failed_write_of_the_help_is_an_operational_error(capsys, monkeypatch, command):
+    monkeypatch.setattr(sys, "stdout", FailingStdout(NO_SPACE))
+    assert main(HELP[command]) == 2
+    assert capsys.readouterr().err == f"cannot write output: {NO_SPACE}\n"
+
+
 def test_output_to_a_closed_pipe_exits_2_without_a_traceback():
     proc = buffered_run(COMMANDS["test"], subprocess.PIPE)
     proc.stdout.close()  # before the child writes: no reader is left

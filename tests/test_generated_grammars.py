@@ -15,7 +15,6 @@ and each node must keep the first of its derivations per reading key.
 """
 
 from contextlib import suppress
-from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -165,7 +164,7 @@ def grammars(draw) -> tuple[Lexicon, list[str]]:
     entries += [LexEntry(s, Atom("N"), lf.Const("w")) for s in sorted(strings - {e.phon for e in entries})]
     lex = Lexicon(atom_declarations=BUILTIN_ATOMS | {"Q"}, weight_threshold=draw(st.integers(1, 4)))
     for line, entry in enumerate(entries, 1):
-        lex.add(replace(entry, source_line=line))
+        lex.add(entry._replace(source_line=line))
     text = render_lexicon(lex)
     lex, issues = parse_lexicon(text)
     assert not [i for i in issues if i.severity == "error"], (issues, text)
@@ -187,9 +186,9 @@ def _mirrored(c):
 def mirror(grammar):
     """The grammar's mirror image: every entry's words and category, and the sentence, reversed."""
     lex, tokens = grammar
-    out = replace(lex, entries={})
+    out = lex.copy(entries={})
     for e in lex.all_entries():
-        out.add(replace(e, phon=e.phon[::-1], category=_mirrored(e.category)))
+        out.add(e._replace(phon=e.phon[::-1], category=_mirrored(e.category)))
     return out, tokens[::-1]
 
 
@@ -261,7 +260,7 @@ def assert_shared_steps_are_cold_ones(charts: list[Chart]) -> None:
                     continue
                 for left in lefts.values():
                     for right in rights.values():
-                        cold = Chart(replace(chart.lexicon), chart.tokens, chart.max_steps)
+                        cold = Chart(chart.lexicon.copy(), chart.tokens, chart.max_steps)
                         got = [(row, category_key(c)) for row, c in _category_steps(left, right, chart)]
                         assert got == [(row, category_key(c)) for row, c in _category_steps(left, right, cold)], (
                             chart.tokens, (i, k, j), left.category, right.category,
@@ -279,5 +278,5 @@ def test_generated_charts_share_the_category_steps_a_fresh_table_computes(gramma
 
 
 def test_corpus_charts_share_the_category_steps_a_fresh_table_computes(fragment, corpus):
-    for lex in (replace(fragment), replace(fragment, weight_threshold=2)):
+    for lex in (fragment.copy(), fragment.copy(weight_threshold=2)):
         assert_shared_steps_are_cold_ones([build_chart(lex, lx.tokenize(sentence)) for sentence, _, _ in corpus])

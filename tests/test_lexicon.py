@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -353,7 +352,7 @@ def test_lookup_case_fold(fragment):
 
 def test_case_folded_keeps_the_settings(fragment):
     # --weight-threshold and --case-fold are both views of one lexicon, so they compose
-    assert case_folded(replace(fragment, weight_threshold=1)).weight_threshold == 1
+    assert case_folded(fragment.copy(weight_threshold=1)).weight_threshold == 1
     starred = load("set default_modality star ;\nJohn := NP : j ;")
     assert case_folded(starred).default_modality is Modality.STAR
 

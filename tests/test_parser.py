@@ -1,6 +1,5 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import pytest
 
@@ -279,7 +278,7 @@ def test_singleton_needs_derived_constituent(fragment):
         for first, group in fragment.entries.items()
     }
     entries = {k: v for k, v in entries.items() if v}
-    crippled = replace(fragment, entries=entries)
+    crippled = fragment.copy(entries=entries)
     with pytest.raises(UnknownTokenError):
         parse(crippled, tokenize("John kicked the bucket"))
 
@@ -296,7 +295,7 @@ def test_singleton_span_must_be_a_constituent(fragment):
     entries["bucket"] = [
         LexEntry(("bucket",), parse_category("PP"), lf.Const("bucket"), False, 0)
     ]
-    reshaped = replace(fragment, entries=entries)
+    reshaped = fragment.copy(entries=entries)
     edges = parse(reshaped, tokenize("John kicked the bucket"))
     assert edges == []
 
@@ -417,7 +416,7 @@ def test_a_span_at_the_threshold_is_light_and_one_past_it_heavy():
 @pytest.mark.parametrize("weight_threshold", [4, 1])
 def test_cky_matches_bruteforce_on_short_sentences(fragment, corpus, weight_threshold):
     assert fragment.weight_threshold == 4
-    lex = replace(fragment, weight_threshold=weight_threshold)
+    lex = fragment.copy(weight_threshold=weight_threshold)
     checked = differ = 0
     for sentence, _, _ in corpus:
         tokens = tokenize(sentence)
@@ -535,7 +534,7 @@ def direct_combine(left, right, chart):
     """combine's outputs summarized, each row's step computed afresh: no memo, no interning,
     and the right edge's variables always renamed apart."""
     out = []
-    right = replace(right, category=standardize(right.category, "r")[0])
+    right = Edge(right.start, right.end, standardize(right.category, "r")[0], right.lf, right.rule, right.children, right.entry, right.lexc)
     for row in RULES:
         f_edge, g_edge = (left, right) if row.f_direction is Direction.FORWARD else (right, left)
         step = parser._category_step(row, f_edge, g_edge, chart)
@@ -720,11 +719,11 @@ def test_nodes_keep_the_first_derivation_per_reading_key(fragment, corpus):
     clauses = COORD_CHAIN.removesuffix(" the bucket").split(" and ")
     chains = [" and ".join(clauses[:k]) + " the bucket" for k in range(1, len(clauses) + 1)]
     dropped = 0
-    for lex in (replace(fragment), replace(fragment, weight_threshold=2)):
+    for lex in (fragment.copy(), fragment.copy(weight_threshold=2)):
         for chart in corpus_charts(lex, corpus):
             dropped += node_duplicates(chart)[0]
     for sentence in chains + list(MODSTACK):
-        dropped += node_duplicates(build_chart(replace(fragment), tokenize(sentence)))[0]
+        dropped += node_duplicates(build_chart(fragment.copy(), tokenize(sentence)))[0]
     assert (len(clauses), dropped > 0) == (6, True)  # the nodes hold alpha-equal derivations to drop
 
 
@@ -794,7 +793,7 @@ def test_edges_the_chart_did_not_intern_are_renamed_apart_as_seeds_are():
     ids=["shifted", "particle first", "kick"],
 )
 def test_equal_categories_are_one_object_and_share_their_category_steps(fragment, sentence, steps, categories):
-    lex, tokens = replace(fragment), tokenize(sentence)  # a copy starts an empty category table
+    lex, tokens = fragment.copy(), tokenize(sentence)  # a copy starts an empty category table
     table = lex.category_table
     chart = build_chart(lex, tokens)
     longs = [node.category for i, t in enumerate(tokens) if t == "long" for node in chart.cells[i, i + 1].values()]
@@ -805,13 +804,13 @@ def test_equal_categories_are_one_object_and_share_their_category_steps(fragment
     again = build_chart(lex, tokens)
     assert (len(table.category_steps), len(table.categories)) == (steps, categories)
     assert all(a.category is b.category for a, b in zip(again.cells[0, 1].values(), chart.cells[0, 1].values(), strict=True))
-    for view in (replace(lex, weight_threshold=6), case_folded(lex)):
+    for view in (lex.copy(weight_threshold=6), case_folded(lex)):
         assert not (view.category_table.category_steps or view.category_table.categories or view.category_table.seeds)
 
 
 def test_charts_built_at_once_over_one_lexicon_read_as_charts_built_alone(fragment, corpus):
     sentences = [tokenize(sentence) for sentence, _, _ in corpus]
-    alone = [[e.reading_key() for e in chart_readings(build_chart(replace(fragment), tokens))] for tokens in sentences]
+    alone = [[e.reading_key() for e in chart_readings(build_chart(fragment.copy(), tokens))] for tokens in sentences]
 
     def build_all(lex):
         charts = [build_chart(lex, tokens) for tokens in sentences]
@@ -822,7 +821,7 @@ def test_charts_built_at_once_over_one_lexicon_read_as_charts_built_alone(fragme
     try:
         with ThreadPoolExecutor(4) as pool:
             for _ in range(8):  # a race shows in some rounds only
-                lex = replace(fragment)
+                lex = fragment.copy()
                 results = list(pool.map(build_all, [lex] * 4, timeout=120))
                 categories = lex.category_table.categories
                 for charts, readings in results:

@@ -36,7 +36,6 @@ import json
 import platform
 import statistics
 import sys
-from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
 
@@ -59,7 +58,7 @@ def measure(lexicon, sentence: str) -> tuple[dict, str, int]:
     times: dict[str, list[float]] = {"median_s": [], "chart_s": [], "ascii_s": [], "json_s": []}
     for _ in range(TIMINGS):
         chart = doc = ascii_text = json_text = None  # free the last run's results before the next
-        fresh = replace(lexicon)
+        fresh = lexicon.copy()
         start = perf_counter()
         chart = build_chart(fresh, tokens)
         charted = perf_counter()
