@@ -197,18 +197,28 @@ def main(argv: list[str] | None = None) -> int:
         message = "input nested too deeply"
     except OSError as exc:  # every file is read by _read, so this is a write to stdout
         return _output_failed(exc)
-    if message:
+    return _report(message) if message else ERROR
+
+
+def _to_devnull(stream) -> None:
+    """Point stream's file at os.devnull, so that the interpreter's final flush of the text it still holds cannot fail."""
+    with suppress(AttributeError, OSError, ValueError), open(os.devnull, "w") as devnull:  # a stream with no file holds no text for it
+        os.dup2(devnull.fileno(), stream.fileno())
+
+
+def _report(message: str) -> int:
+    """Print message on stderr; ERROR, also when that write fails (see _to_devnull)."""
+    try:
         print(message, file=sys.stderr)
+    except OSError:
+        _to_devnull(sys.stderr)
     return ERROR
 
 
 def _output_failed(exc: OSError) -> int:
-    """Report a failed write to stdout on stderr, once stdout's file is os.devnull, so that the
-    interpreter's final flush of the text still held cannot fail again; ERROR."""
-    with suppress(AttributeError, OSError, ValueError), open(os.devnull, "w") as devnull:  # a stdout with no file holds no text for it
-        os.dup2(devnull.fileno(), sys.stdout.fileno())
-    print(f"cannot write output: {exc}", file=sys.stderr)
-    return ERROR
+    """Report a failed write to stdout on stderr, once stdout's file is os.devnull (see _to_devnull); ERROR."""
+    _to_devnull(sys.stdout)
+    return _report(f"cannot write output: {exc}")
 
 
 def entry_point() -> None:

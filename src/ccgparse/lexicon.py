@@ -378,9 +378,10 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
     that every atom name is declared or built in, that computed features
     stand only on the entry's own arguments, and that every singleton's
     token string is itself derivable from the lexicon, without which
-    singleton application could never fire.  Every logical form is
-    normalized and keyed as in a parse, under the lexicon's own settings.
-    A step budget or nesting depth exhausted there raises BudgetExceeded
+    singleton application could never fire.  As in a parse, under the
+    lexicon's own settings, every entry's logical form is normalized and
+    keyed, and each reading of a singleton's string printed.  A step
+    budget or nesting depth exhausted there raises BudgetExceeded
     naming the entry's line and, when a singleton's derivation is at
     fault, the singleton.
     """
@@ -420,11 +421,11 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
                 continue
             checked.add(s.tokens)
             with _naming_source(lambda: f'line {entry.source_line}: derivation of "{" ".join(s.tokens)}"'):
-                try:
-                    derivable = bool(parse(lex, list(s.tokens)))
+                try:  # the parse keys readings by cached fingerprints; printing walks each whole
+                    printed = [lf.pretty_print(e.lf) for e in parse(lex, list(s.tokens))]
                 except ParserError:
-                    derivable = False
-            if not derivable:
+                    printed = []
+            if not printed:
                 out.append(
                     Violation(
                         UNDERIVABLE_SINGLETON,

@@ -21,15 +21,14 @@ class BudgetExceeded(Exception):
 
 class _Node:
     """Facts a term node computes once, when it is made: ``free``, its free
-    variables, and ``normal``, whether it holds no redex.  A closed node
-    keeps its alpha key in ``key`` once alpha_key has made it, and every
-    node its fingerprint in ``fp`` once fingerprint has made it.
+    variables, and ``normal``, whether it holds no redex.  Every node keeps
+    its fingerprint in ``fp`` once fingerprint has made it.
 
     A node is a value: equality, hashing and repr read the fields each class
     names in ``__match_args__``, as a frozen dataclass's would.  Each class
     writes its own __init__, which sets the facts beside the fields."""
 
-    __slots__ = ("free", "normal", "key", "fp")
+    __slots__ = ("free", "normal", "fp")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self.__match_args__])
@@ -51,7 +50,7 @@ class Var(_Node):
     __slots__ = __match_args__ = ("name",)
 
     def __init__(self, name: str):
-        self.name, self.free, self.normal, self.key, self.fp = name, frozenset((name,)), True, None, None
+        self.name, self.free, self.normal, self.fp = name, frozenset((name,)), True, None
 
 
 class Const(_Node):
@@ -63,7 +62,7 @@ class Const(_Node):
         for c in contingencies:
             free = free | c.free if free else c.free
             normal = normal and c.normal
-        self.free, self.normal, self.key, self.fp = free, normal, None, None
+        self.free, self.normal, self.fp = free, normal, None
 
 
 class Abs(_Node):
@@ -73,7 +72,7 @@ class Abs(_Node):
         self.var, self.body = var, body
         free = body.free
         self.free, self.normal = free - {var} if var in free else free, body.normal
-        self.key = self.fp = None
+        self.fp = None
 
 
 class App(_Node):
@@ -84,7 +83,7 @@ class App(_Node):
         f, a = fun.free, arg.free
         self.free = f | a if f and a and f is not a else f or a
         self.normal = fun.normal and arg.normal and type(fun) is not Abs
-        self.key = self.fp = None
+        self.fp = None
 
 
 Term = Var | Const | Abs | App
@@ -96,9 +95,9 @@ def absn(variables: list[str] | tuple[str, ...], body: Term) -> Term:
     return body
 
 
-# substitute, beta_normalize, alpha_key and pretty_print run once or more
-# per chart edge, so they dispatch on type(t) rather than with structural
-# pattern matching, which is several times slower.
+# substitute, beta_normalize, fingerprint, _same and pretty_print run once
+# or more per chart edge, so they dispatch on type(t) rather than with
+# structural pattern matching, which is several times slower.
 
 def fresh_name(base: str, avoid: frozenset[str]) -> str:
     name = base
@@ -205,60 +204,6 @@ def beta_normalize(t: Term, max_steps: int = DEFAULT_STEP_BUDGET) -> Term:
     return _normal_form(t, [0, max_steps])
 
 
-def alpha_eq(a: Term, b: Term) -> bool:
-    """Equality up to consistent renaming of bound variables."""
-    return alpha_key(a) == alpha_key(b)
-
-
-def _key(t: Term, depth: int, binders: dict[str, list[int]], out: list[str]) -> None:
-    """alpha_key's walk; binders maps a name to the depths of its binders in scope.
-
-    A closed subterm's key depends on neither, so one that alpha_key has
-    keyed before is appended whole.
-    """
-    if t.key is not None:
-        out.append(t.key)
-        return
-    cls = type(t)
-    if cls is Var:
-        ds = binders.get(t.name)
-        out.append(f"b{depth - 1 - ds[-1]}" if ds else "f:" + t.name)
-    elif cls is App:
-        out.append("(")
-        _key(t.fun, depth, binders, out)
-        out.append(" ")
-        _key(t.arg, depth, binders, out)
-        out.append(")")
-    elif cls is Abs:
-        out.append("(\\")
-        ds = binders.setdefault(t.var, [])
-        ds.append(depth)
-        _key(t.body, depth + 1, binders, out)
-        ds.pop()
-        out.append(")")
-    else:
-        out.append("c:" + t.name)
-        if t.contingencies:
-            sep = "{"
-            for c in t.contingencies:
-                out.append(sep)
-                _key(c, depth, binders, out)
-                sep = ","
-            out.append("}")
-
-
-def alpha_key(t: Term) -> str:
-    """Canonical string shared by alpha-equivalent terms: bound variables by
-    binder depth, free ones by name.  A closed term keeps its key."""
-    if t.key is None:
-        out: list[str] = []
-        _key(t, 0, {}, out)
-        if t.free:
-            return "".join(out)
-        t.key = "".join(out)
-    return t.key
-
-
 _FP_VAR, _FP_ABS, _FP_APP = 0, 1, 2  # the tags of the nodes that carry no name
 
 
@@ -266,8 +211,8 @@ def fingerprint(t: Term) -> int:
     """A hash shared by alpha-equivalent terms: every variable hashes alike,
     a constant by its name and subscripts, and any other node by its
     structure.  Terms that differ only in which variable stands where share
-    one too, so equal fingerprints call for an alpha_key comparison.  Each
-    node keeps its own."""
+    one too, so it is AlphaKey's hash, and its equality walks the terms.
+    Each node keeps its own."""
     fp = t.fp
     if fp is None:
         cls = type(t)
@@ -284,6 +229,53 @@ def fingerprint(t: Term) -> int:
             fp = hash((t.name, *subs))
         t.fp = fp
     return fp
+
+
+def _same(a: Term, b: Term, depth: int, binders_a: dict[str, int], binders_b: dict[str, int]) -> bool:
+    """Whether a and b are alpha-equivalent; binders map the names bound in scope to their binders' depths."""
+    if a is b and not a.free:
+        return True
+    cls = type(a)
+    if cls is not type(b):
+        return False
+    if cls is Var:
+        d = binders_a.get(a.name)
+        return d == binders_b.get(b.name) and (d is not None or a.name == b.name)
+    if cls is App:
+        return _same(a.fun, b.fun, depth, binders_a, binders_b) and _same(a.arg, b.arg, depth, binders_a, binders_b)
+    if cls is Abs:
+        return _same(a.body, b.body, depth + 1, {**binders_a, a.var: depth}, {**binders_b, b.var: depth})
+    if a.name != b.name or len(a.contingencies) != len(b.contingencies):
+        return False
+    for c, d in zip(a.contingencies, b.contingencies):
+        if not _same(c, d, depth, binders_a, binders_b):
+            return False
+    return True
+
+
+class AlphaKey:
+    """A term as the key of its alpha-equivalence class: hashed by fingerprint, compared by _same."""
+
+    __slots__ = ("term", "fp")
+
+    def __init__(self, t: Term):
+        self.term, self.fp = t, fingerprint(t)
+
+    def __hash__(self) -> int:
+        return self.fp
+
+    def __eq__(self, other: object) -> bool:
+        return self.fp == other.fp and _same(self.term, other.term, 0, {}, {}) if type(other) is AlphaKey else NotImplemented
+
+
+def alpha_key(t: Term) -> AlphaKey:
+    """The key t shares with exactly the terms alpha-equivalent to it (see AlphaKey)."""
+    return AlphaKey(t)
+
+
+def alpha_eq(a: Term, b: Term) -> bool:
+    """Equality up to consistent renaming of bound variables."""
+    return alpha_key(a) == alpha_key(b)
 
 
 def spine(t: Term) -> tuple[Term, list[Term]]:

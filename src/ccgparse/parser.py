@@ -113,7 +113,7 @@ class Edge:
     def label(self) -> str:
         return self.rule.value if self.rule is not None else "LEX"
 
-    def reading_key(self, category_text: str | None = None) -> tuple[str, str]:
+    def reading_key(self, category_text: str | None = None) -> tuple[str, lf.AlphaKey]:
         """The category's key, or category_text when the caller holds it, and the logical form's alpha key."""
         return (category_text or category_key(self.category), lf.alpha_key(self.lf))
 
@@ -186,37 +186,14 @@ class Chart:
 
 
 def _first_per_reading(found: list[tuple[tuple, Edge]], chart: Chart) -> list[tuple[tuple, Edge]]:
-    """The first (key, edge) pair of found for each reading key of its edge, in order."""
-    first: dict[tuple[str, str], tuple[tuple, Edge]] = {}
+    """The first (key, edge) pair of found for each reading key of its edge, in order (see lf.AlphaKey)."""
+    if len(found) < 2:
+        return found
+    first: dict[tuple[str, lf.AlphaKey], tuple[tuple, Edge]] = {}
     keys = chart.lexicon.category_table.category_keys
     for key, e in found:
         first.setdefault(e.reading_key(keys.get(id(e.category))), (key, e))
     return list(first.values())
-
-
-def _first_per_form(found: list[tuple[tuple, Edge]], chart: Chart) -> list[tuple[tuple, Edge]]:
-    """_first_per_reading of the derivations of one node, which share its category and lexc
-    flag: an edge is keyed only when an earlier one has its logical form's fingerprint."""
-    if len(found) < 2:
-        return found
-    text = chart.lexicon.category_table.category_keys.get(id(found[0][1].category))
-    first: dict[int, Edge | None] = {}  # fingerprint -> its first edge, or None once that is keyed
-    keys: set[tuple[str, str]] = set()
-    out = []
-    for pair in found:
-        e = pair[1]
-        fp = lf.fingerprint(e.lf)
-        other = first.setdefault(fp, e)
-        if other is not e:
-            if other is not None:  # the fingerprint's first collision: key its first edge too
-                keys.add(other.reading_key(text))
-                first[fp] = None
-            key = e.reading_key(text)
-            if key in keys:
-                continue
-            keys.add(key)
-        out.append(pair)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +391,7 @@ def _derivations(node: Node, chart: Chart, every: bool, skipped: tuple[int, ...]
                 for rkey, r in _derivations(right, chart, every):
                     found += [((left.end, lkey, rkey, i), e) for i, e in enumerate(combine(l, r, chart)) if e.rule is row]
         found.sort(key=itemgetter(0))
-        found = chart.derivations[node, every, skipped] = found if every else _first_per_form(found, chart)
+        found = chart.derivations[node, every, skipped] = found if every else _first_per_reading(found, chart)
     return found
 
 

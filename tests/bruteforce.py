@@ -11,7 +11,7 @@ recursion deliberately recomputes sub-spans.
 Beside it, chart_edges and all_chart_edges read a filled chart's cells as
 edges, for tests that check every constituent rather than the readings, and
 node_duplicates checks each node's deduplication against first_per_reading,
-which keys every derivation.
+which keys every derivation by its category key and reference alpha key.
 """
 
 from operator import itemgetter
@@ -22,6 +22,7 @@ from ccgparse import parser
 from ccgparse.category import category_key
 from ccgparse.lexicon import Lexicon
 from ccgparse.parser import Chart, Edge, _derivations, combine, seed_edges
+from lfhelpers import reference_alpha_key
 
 
 def derivations(lex: Lexicon, tokens: list[str], max_steps: int = lf.DEFAULT_STEP_BUDGET) -> list[Edge]:
@@ -63,10 +64,11 @@ def all_chart_edges(chart: Chart) -> list[Edge]:
 
 
 def first_per_reading(found: list[tuple[tuple, Edge]]) -> list[tuple[tuple, Edge]]:
-    """The first (key, edge) pair of found for each reading key of its edge, in order, every edge keyed."""
+    """The first (key, edge) pair of found for each reading of its edge, in order, every edge
+    keyed by its category key and its logical form's reference_alpha_key."""
     first: dict[tuple[str, str], tuple[tuple, Edge]] = {}
     for key, e in found:
-        first.setdefault(e.reading_key(), (key, e))
+        first.setdefault((category_key(e.category), reference_alpha_key(e.lf)), (key, e))
     return list(first.values())
 
 
@@ -75,7 +77,7 @@ def node_duplicates(chart: Chart) -> tuple[int, int]:
     derivations first_per_reading keeps of those it made; the counts of derivations dropped,
     and of those kept though an earlier one of their node has their logical form's fingerprint."""
     dropped = collided = 0
-    deduplicate = parser._first_per_form
+    deduplicate = parser._first_per_reading
 
     def checked(found: list[tuple[tuple, Edge]], chart: Chart) -> list[tuple[tuple, Edge]]:
         nonlocal dropped, collided
@@ -87,7 +89,7 @@ def node_duplicates(chart: Chart) -> tuple[int, int]:
         return kept
 
     assert not chart.derivations
-    with mock.patch.object(parser, "_first_per_form", checked):
+    with mock.patch.object(parser, "_first_per_reading", checked):
         for cell in chart.cells.values():
             for node in cell.values():
                 _derivations(node, chart, False)

@@ -1,11 +1,12 @@
 """Logical-form queries and reference reducers used only by the tests.
 
 The idiom-head queries let the acceptance tests tell idiomatic readings
-from literal ones.  The property tests compare the library's one-pass
-normal-order ``beta_normalize`` against two step-at-a-time reducers: the
-leftmost-outermost one below, which must make the same contractions and
-so give the same term, and an applicative-order one, which must agree up
-to alpha equivalence.
+from literal ones.  ``reference_alpha_key`` spells alpha equivalence as a
+string, the oracle for the library's ``alpha_key``.  The property tests
+compare the library's one-pass normal-order ``beta_normalize`` against
+two step-at-a-time reducers: the leftmost-outermost one below, which must
+make the same contractions and so give the same term, and an
+applicative-order one, which must agree up to alpha equivalence.
 """
 
 import functools
@@ -40,6 +41,24 @@ def reference_substitute(t: Term, v: str, s: Term) -> Term:
                 body = reference_substitute(body, x, Var(x2))
                 return Abs(x2, reference_substitute(body, v, s))
             return Abs(x, reference_substitute(body, v, s))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def reference_alpha_key(t: Term, bound: tuple[str, ...] = ()) -> str:
+    """The canonical string that exactly the terms alpha-equivalent to t
+    share: a bound variable by its de Bruijn index, ``b0`` for the nearest
+    binder, a free one as ``f:name``, a constant as ``c:name`` with its
+    subscripts' strings in braces.  ``bound`` holds the names that
+    enclosing lambdas bind, outermost first."""
+    match t:
+        case Var(name):
+            return f"b{bound[::-1].index(name)}" if name in bound else "f:" + name
+        case Const(name, cs):
+            return "c:" + name + ("{" + ",".join(reference_alpha_key(c, bound) for c in cs) + "}" if cs else "")
+        case App(f, a):
+            return f"({reference_alpha_key(f, bound)} {reference_alpha_key(a, bound)})"
+        case Abs(v, body):
+            return f"(\\{reference_alpha_key(body, bound + (v,))})"
     raise TypeError(f"not a term: {t!r}")
 
 

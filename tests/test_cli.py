@@ -480,10 +480,10 @@ def test_the_console_script_flushes_stdout_before_exit(capsys, monkeypatch, erro
     assert capsys.readouterr().err == f"cannot write output: {error}\n"
 
 
-def buffered_run(argv, stdout):
+def buffered_run(argv, stdout, stderr=subprocess.PIPE):
     """python -m ccgparse with block-buffered stdout, as when it is not a terminal."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    return subprocess.Popen([sys.executable, "-m", "ccgparse", *argv], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+    return subprocess.Popen([sys.executable, "-m", "ccgparse", *argv], stdout=stdout, stderr=stderr, text=True, env=env)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -494,6 +494,27 @@ def test_output_to_a_full_device_exits_2_without_a_traceback(command):
         err = proc.communicate()[1]
     assert proc.returncode == 2
     assert err == f"cannot write output: {NO_SPACE}\n"
+
+
+# operational errors whose message stderr cannot take; in the last two, stdout is full too
+UNREPORTED = {
+    "unknown token": (["parse", "-l", FRAGMENT, "zzz"], False),
+    "unreadable lexicon": (["parse", "-l", os.devnull + "/none.ccg", "x"], False),
+    "bad budget": (["parse", "--max-steps", "0", "-l", FRAGMENT, "the book"], False),
+    "unknown token, stdout full": (["parse", "-l", FRAGMENT, "zzz"], True),
+    "reading, stdout full": (["parse", "-l", FRAGMENT, "the book"], True),
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("case", UNREPORTED)
+def test_an_operational_error_exits_2_when_stderr_is_full(case):
+    argv, stdout_full = UNREPORTED[case]
+    with open("/dev/full", "w") as full:
+        proc = buffered_run(argv, full if stdout_full else subprocess.PIPE, full)
+        out = proc.communicate()[0]
+    assert proc.returncode == 2
+    assert out in (None, "")
 
 
 HELP = {"help": ["--help"], "parse help": ["parse", "--help"]}

@@ -147,7 +147,8 @@ def test_alpha_eq_distinct_constants():
     assert not lf.alpha_eq(p(r"\x. p x"), p(r"\x. q x"))
 
 
-# strings produced before the single-pass alpha_key; Chart.add packs readings by them
+# canonical strings of alpha equivalence, as lfhelpers.reference_alpha_key spells them;
+# alpha_key must partition terms as they do
 ALPHA_KEYS = [
     (p(r"\x. \x. x"), "(\\(\\b0))"),
     (lf.Abs("x", lf.App(lf.Abs("x", lf.Var("x")), lf.Var("x"))), "(\\((\\b0) b0))"),
@@ -165,7 +166,20 @@ ALPHA_KEYS = [
 
 @pytest.mark.parametrize("term, key", ALPHA_KEYS, ids=[lf.pretty_print(t) for t, _ in ALPHA_KEYS])
 def test_alpha_key_strings(term, key):
-    assert lf.alpha_key(term) == key
+    """The reference spells each pinned string, and alpha_key equality over the pinned
+    terms and their binder-renamed copies partitions them as the strings do."""
+    assert lfh.reference_alpha_key(term) == key
+    for t in (term, renamed_apart(term, {}, (f"w{i}" for i in itertools.count()))):
+        for other, other_key in ALPHA_KEYS:
+            for o in (other, renamed_apart(other, {}, (f"v{i}" for i in itertools.count()))):
+                assert (lf.alpha_key(t) == lf.alpha_key(o)) is (key == other_key)
+
+
+def test_a_shared_subterm_with_free_variables_is_walked_under_its_binders():
+    body = lfh.app(lf.Const("g"), lf.Var("x"), lf.Var("y"))  # one object under both binder orders
+    assert lf.alpha_key(lf.absn(["x", "y"], body)) != lf.alpha_key(lf.absn(["y", "x"], body))
+    assert lf.alpha_key(lf.absn(["x", "y"], body)) == lf.alpha_key(p(r"\u\v. g u v"))
+    assert lf.alpha_key(body) != lf.alpha_key(lfh.app(lf.Const("g"), lf.Var("y"), lf.Var("x")))  # free ones by name
 
 
 def test_alpha_key_agrees_with_alpha_eq():
@@ -361,6 +375,42 @@ def test_alpha_equivalent_terms_share_a_fingerprint(pair):
         assert lf.fingerprint(copy) == lf.fingerprint(t)
 
 
+def to_nearest_binder(t: lf.Term, scope: tuple[str, ...] = ()) -> lf.Term:
+    """t with each bound variable renamed to the nearest binder's name: the same
+    fingerprint, and mostly another alpha class; scope holds the names bound, outermost first."""
+    match t:
+        case lf.Var(name):
+            return lf.Var(scope[-1]) if name in scope else t
+        case lf.Const(name, cs):
+            return lf.Const(name, tuple(to_nearest_binder(c, scope) for c in cs))
+        case lf.Abs(v, body):
+            return lf.Abs(v, to_nearest_binder(body, scope + (v,)))
+        case lf.App(f, a):
+            return lf.App(to_nearest_binder(f, scope), to_nearest_binder(a, scope))
+    raise TypeError(f"not a term: {t!r}")
+
+
+@given(st.lists(st.sampled_from(sample(2718, 200)), min_size=1, max_size=4))
+def test_alpha_keys_are_equal_exactly_when_the_reference_strings_are(pairs):
+    """On generated terms, their binder-collapsed variants, variants whose variables
+    point at the nearest binder (equal fingerprints, other alpha classes) and the
+    normal forms of all three: keys hash by fingerprint and compare as the strings
+    do, and so does the walk that settles equal fingerprints."""
+    terms = []
+    for term, _ in pairs:
+        for variant in (term, collapse_binders(term), to_nearest_binder(term)):
+            terms += [variant, lf.beta_normalize(variant)]
+    keys = [lf.alpha_key(t) for t in terms]
+    strings = [lfh.reference_alpha_key(t) for t in terms]
+    for t, key in zip(terms, keys):
+        assert hash(key) == lf.fingerprint(t)
+        assert (key == "x") is False and (key != "x") is True
+    for t, key, text in zip(terms, keys, strings):
+        for o, other, other_text in zip(terms, keys, strings):
+            assert (key == other) is (text == other_text), (text, other_text)
+            assert lf._same(t, o, 0, {}, {}) is (text == other_text), (text, other_text)  # the walk alone, without the hash
+
+
 def test_a_fingerprint_reads_constants_but_no_variable_name():
     assert lf.fingerprint(p(r"\x\y. r x y")) == lf.fingerprint(p(r"\x\y. r y x"))
     assert lf.fingerprint(p("r a")) != lf.fingerprint(p("r b"))
@@ -386,7 +436,7 @@ def plain_free_vars(t: lf.Term, memo: dict[int, frozenset[str]]) -> frozenset[st
 
 
 def rebuilt(t: lf.Term) -> lf.Term:
-    """A copy of t made of new nodes, none of which keeps a key."""
+    """A copy of t made of new nodes, none of which keeps a fingerprint."""
     match t:
         case lf.Var(name):
             return lf.Var(name)
@@ -420,9 +470,9 @@ def subterms(t: lf.Term, seen: set[int]):
 def test_cached_term_facts_agree_with_plain_walks():
     """On every subterm of the generated terms, their binder-collapsed
     variants and the normal forms of both: the free variables, the normal
-    flag, and the alpha key, which only a closed subterm keeps, and the
-    fingerprint, which every subterm keeps, each made after those of its
-    subterms so that it reuses theirs, against a rebuilt copy's."""
+    flag, the alpha key, and the fingerprint, which every subterm keeps,
+    each made after those of its subterms so that it reuses theirs, against
+    a rebuilt copy's."""
     generated = generated_terms() + sample(4242, 150) + sample(97, 40)
     for i, (term, _) in enumerate(generated):
         seen: set[int] = set()
@@ -432,7 +482,5 @@ def test_cached_term_facts_agree_with_plain_walks():
                 for sub in reversed(list(subterms(t, seen))):  # each subterm after its own subterms
                     assert sub.free == plain_free_vars(sub, free), f"term {i}: {lf.pretty_print(sub)}"
                     assert sub.normal is not lfh.has_redex(sub), f"term {i}: {lf.pretty_print(sub)}"
-                    key = lf.alpha_key(sub)
-                    assert key == lf.alpha_key(rebuilt(sub)), f"term {i}: {lf.pretty_print(sub)}"
-                    assert sub.key == (None if sub.free else key), f"term {i}: {lf.pretty_print(sub)}"
+                    assert lf.alpha_key(sub) == lf.alpha_key(rebuilt(sub)), f"term {i}: {lf.pretty_print(sub)}"
                     assert lf.fingerprint(sub) == sub.fp == lf.fingerprint(rebuilt(sub)), f"term {i}: {lf.pretty_print(sub)}"

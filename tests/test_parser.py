@@ -457,6 +457,24 @@ def test_readings_list_one_edge_per_reading_key():
     assert [e.span for e in build_chart(lex, ["a", "b"]).longest_partials()] == [(0, 1), (1, 2)]
 
 
+# one span: two categories with alpha-equal logical forms, and binder-renamed copies of
+# the first, one of them on a node of its own (lexc+)
+ONE_FORM_TWO_CATEGORIES = r"""
+a := S/NP : \x. f x ;
+a := NP/NP : \y. f y ;
+a := S/NP : \z. f z ;
+a := S/NP : \w. f w [lexc+] ;
+"""
+
+
+def test_a_span_keeps_one_reading_per_category_of_alpha_equal_forms():
+    chart = build_chart(load(ONE_FORM_TWO_CATEGORIES), ["a"])
+    assert len(chart.cells[0, 1]) == 3  # S/NP, NP/NP and S/NP lexc+
+    readings = [(render_category(e.category), lf.pretty_print(e.lf)) for e in chart_readings(chart)]
+    assert readings == [("S/NP", r"\x. f x"), ("NP/NP", r"\y. f y")]
+    assert len(chart_readings(chart, all_derivations=True)) == 4
+
+
 def derivation_tree(edge):
     return (
         edge.span, edge.label, render_category(edge.category), lf.pretty_print(edge.lf), edge.lexc,
@@ -713,7 +731,8 @@ def test_every_derivation_walks_the_twin_ways_too(fragment, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one node's derivations: keyed only when their logical forms' fingerprints collide
+# one node's derivations: deduplicated as a span's readings are, walked only when their
+# logical forms' fingerprints collide
 
 def test_nodes_keep_the_first_derivation_per_reading_key(fragment, corpus):
     clauses = COORD_CHAIN.removesuffix(" the bucket").split(" and ")
