@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Callable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import Callable, Container, Iterator, Mapping, NamedTuple, TypeVar
 
 from .cursor import Cursor
 
@@ -251,17 +251,14 @@ def computed_attrs(c: Category) -> list[str]:
     return [a for a, _ in c.features if a in COMPUTED_ATTRS] if type(c) is Atom else []
 
 
-def misplaced_computed(c: Category, slots: list[Category]) -> list[tuple[Atom, list[str]]]:
-    """The parts of c that carry computed attributes but are none of slots, each with those attributes."""
-    return [(part, found) for part in category_parts(c) if (found := computed_attrs(part)) and not any(part is s for s in slots)]
-
-
 # ---------------------------------------------------------------------------
 # structural validation
 
 SINGLETON_AS_RESULT = "SINGLETON_AS_RESULT"
 NON_STAR_SINGLETON_SLASH = "NON_STAR_SINGLETON_SLASH"
 EMPTY_SINGLETON = "EMPTY_SINGLETON"
+UNDECLARED_ATOM = "UNDECLARED_ATOM"
+MISPLACED_COMPUTED_FEATURE = "MISPLACED_COMPUTED_FEATURE"
 
 
 class Violation(NamedTuple):
@@ -288,35 +285,38 @@ def category_parts(c: Category) -> Iterator[Category]:
             stack += (c.argument, c.result)
 
 
-def validate_category(c: Category) -> list[Violation]:
-    """All structural violations in a category; empty iff well-formed.
+def validate_category(c: Category, atoms: Container[str], slots: list[Category]) -> list[Violation]:
+    """All violations in a category, in one walk; empty iff well-formed.
 
-    Token-string categories may only be arguments (of anything, at any
-    depth), never a functor's result, and their slash must be STAR.  This
-    also rejects identity functors like "up"/*"up": their result is a
-    Singleton like any other.
+    First the string-placement violations, in pre-order: token-string
+    categories may only be arguments (of anything, at any depth), never a
+    functor's result, and their slash must be STAR.  This also rejects
+    identity functors like "up"/*"up": their result is a Singleton like any
+    other.  Then UNDECLARED_ATOM for each atom name that atoms lacks, by
+    name.  Then MISPLACED_COMPUTED_FEATURE, in pre-order, for each part that
+    carries a computed attribute and is not itself one of slots; its detail
+    names the attributes and the part, and the caller says what the slots are.
     """
     out: list[Violation] = []
+    undeclared: set[str] = set()
+    misplaced: list[Violation] = []
     for part in category_parts(c):
-        if type(part) is Singleton and not part.tokens:
+        cls = type(part)
+        if cls is Atom:
+            if part.name not in atoms:
+                undeclared.add(part.name)
+            if (found := computed_attrs(part)) and not any(part is s for s in slots):
+                misplaced.append(Violation(MISPLACED_COMPUTED_FEATURE, f"computed {', '.join(found)} on {render_category(part)}"))
+        elif cls is Singleton and not part.tokens:
             out.append(Violation(EMPTY_SINGLETON, "a string category cannot be empty"))
-        elif type(part) is Functor:
+        elif cls is Functor:
             if type(part.result) is Singleton:
-                out.append(
-                    Violation(
-                        SINGLETON_AS_RESULT,
-                        f"{render_category(part)} puts a string category in result position",
-                    )
-                )
+                out.append(Violation(SINGLETON_AS_RESULT, f"{render_category(part)} puts a string category in result position"))
             if type(part.argument) is Singleton and part.slash.modality is not Modality.STAR:
-                out.append(
-                    Violation(
-                        NON_STAR_SINGLETON_SLASH,
-                        f"{render_category(part)} must use an application-only slash "
-                        "on its string argument",
-                    )
-                )
-    return out
+                detail = f"{render_category(part)} must use an application-only slash on its string argument"
+                out.append(Violation(NON_STAR_SINGLETON_SLASH, detail))
+    out += [Violation(UNDECLARED_ATOM, f"category symbol {name!r} is not declared") for name in sorted(undeclared)]
+    return out + misplaced
 
 
 # ---------------------------------------------------------------------------

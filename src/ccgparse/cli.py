@@ -14,9 +14,9 @@ import sys
 from contextlib import suppress
 from pathlib import Path
 
-from .category import CategorySyntaxError, misplaced_computed, parse_category, render_category, validate_category
+from .category import MISPLACED_COMPUTED_FEATURE, CategorySyntaxError, parse_category, validate_category
 from . import logical_form as lf
-from .lexicon import Lexicon, case_folded, fold_strings, lexicon_notes, parse_lexicon, tokenize, undeclared_atoms, validate_lexicon
+from .lexicon import Lexicon, case_folded, fold_strings, lexicon_notes, parse_lexicon, tokenize, validate_lexicon
 from .parser import ParserError, build_chart, parse
 from .derivation import document, render_ascii, render_json
 
@@ -38,7 +38,7 @@ def _read(what: str, path: str) -> str:
 def _load_lexicon(path: str, strict: bool = True):
     lexicon, issues = parse_lexicon(_read("lexicon", path))
     for issue in issues:
-        print(f"{path}: {issue}", file=sys.stderr)
+        _warn(f"{path}: {issue}")
     if strict and any(i.severity == "error" for i in issues):
         raise CommandError()
     return lexicon, issues
@@ -65,11 +65,11 @@ def cmd_parse(args: argparse.Namespace) -> int:
             goal = parse_category(args.goal, lexicon.default_modality)
         except CategorySyntaxError as exc:
             raise CommandError(f"bad goal category: {exc}") from None
-        problems = [str(v) for v in validate_category(goal) + undeclared_atoms(lexicon, goal)]
-        # the sentence fills the goal as one slot
-        problems += [f"computed {', '.join(c)} on {render_category(p)}, not the goal itself" for p, c in misplaced_computed(goal, [goal])]
+        problems = validate_category(goal, lexicon.atom_declarations, [goal])  # the sentence fills the goal as one slot
         if problems:
-            raise CommandError(f"bad goal category: {problems[0]}")
+            v = problems[0]
+            problem = f"{v.detail}, not the goal itself" if v.code == MISPLACED_COMPUTED_FEATURE else v
+            raise CommandError(f"bad goal category: {problem}")
         if args.case_fold:
             goal = fold_strings(goal)
     tokens = tokenize(args.sentence, args.case_fold)
@@ -206,12 +206,17 @@ def _to_devnull(stream) -> None:
         os.dup2(devnull.fileno(), stream.fileno())
 
 
-def _report(message: str) -> int:
-    """Print message on stderr; ERROR, also when that write fails (see _to_devnull)."""
+def _warn(message: str) -> None:
+    """Print message on stderr, or drop it when stderr cannot take it (see _to_devnull)."""
     try:
         print(message, file=sys.stderr)
     except OSError:
         _to_devnull(sys.stderr)
+
+
+def _report(message: str) -> int:
+    """Print message on stderr as _warn does; ERROR, also when that write fails."""
+    _warn(message)
     return ERROR
 
 

@@ -20,17 +20,17 @@ from contextlib import contextmanager, suppress
 from typing import Callable, Iterator, NamedTuple
 
 from .category import (
-    Atom,
     Category,
     CategorySyntaxError,
     CategoryTable,
     Functor,
+    MISPLACED_COMPUTED_FEATURE,
     Modality,
     SINGLETON_AS_RESULT,
     Singleton,
+    UNDECLARED_ATOM,
     Violation,
     category_parts,
-    misplaced_computed,
     parse_category,
     rebuild,
     render_category,
@@ -41,9 +41,7 @@ from . import logical_form as lf
 BUILTIN_ATOMS = frozenset({"S", "NP", "N", "VP", "PP", "PredP"})
 
 ARITY_MISMATCH = "ARITY_MISMATCH"
-UNDECLARED_ATOM = "UNDECLARED_ATOM"
 UNDERIVABLE_SINGLETON = "UNDERIVABLE_SINGLETON"
-MISPLACED_COMPUTED_FEATURE = "MISPLACED_COMPUTED_FEATURE"
 LEXICAL_WRAP = "LEXICAL_WRAP"
 
 _MODALITY_NAMES = {m.name.lower(): m for m in Modality}
@@ -363,77 +361,61 @@ def _naming_source(where: Callable[[], str]):
         raise lf.BudgetExceeded(f"{where()}: input nested too deeply") from None
 
 
-def undeclared_atoms(lex: Lexicon, c: Category) -> list[Violation]:
-    """An UNDECLARED_ATOM violation for each atom name in c that lex neither declares nor builds in, by name."""
-    names = {part.name for part in category_parts(c) if type(part) is Atom} - lex.atom_declarations
-    return [Violation(UNDECLARED_ATOM, f"category symbol {name!r} is not declared") for name in sorted(names)]
+#: The codes of validate_category that a lexicon entry's report names the entry in, each with what ends its detail.
+_ENTRY_NAMED = {UNDECLARED_ATOM: "", MISPLACED_COMPUTED_FEATURE: ", not one of the entry's arguments"}
 
 
 def validate_lexicon(lex: Lexicon) -> list[Violation]:
     """All structural violations across the lexicon (errors only).
 
-    Beyond per-category checks this verifies that an entry's own category
-    is a string category only when it spells the entry's own words, that
-    each entry's logical form carries one abstraction per argument slot,
-    that every atom name is declared or built in, that computed features
-    stand only on the entry's own arguments, and that every singleton's
-    token string is itself derivable from the lexicon, without which
-    singleton application could never fire.  As in a parse, under the
-    lexicon's own settings, every entry's logical form is normalized and
-    keyed, and each reading of a singleton's string printed.  A step
-    budget or nesting depth exhausted there raises BudgetExceeded
-    naming the entry's line and, when a singleton's derivation is at
-    fault, the singleton.
+    Beyond validate_category, with the lexicon's atoms and the entry's own
+    arguments as its slots, this verifies that an entry's own category is a
+    string category only when it spells the entry's own words, that each
+    entry's logical form carries one abstraction per argument slot, and
+    that every singleton's token string is itself derivable from the
+    lexicon, without which singleton application could never fire.  Each
+    distinct category object is checked once, and each violation it has is
+    reported for every entry that has it, at the entry's line.  As in a
+    parse, under the lexicon's own settings, every entry's logical form is
+    normalized and keyed, and each reading of a singleton's string printed.
+    A step budget or nesting depth exhausted there raises BudgetExceeded
+    naming the entry's line and, when a singleton's derivation is at fault,
+    the singleton.
     """
     from .parser import ParserError, parse  # deferred: parser imports this module
 
     out: list[Violation] = []
+    found: dict[int, list[Violation]] = {}  # validate_category's, by the id of an entry's category
+    strings: dict[tuple[str, ...], LexEntry] = {}  # each singleton's tokens, and the first entry with them
     for entry in lex.all_entries():
         with _naming_source(lambda: f"line {entry.source_line}: logical form of {entry}"):
             lf.alpha_key(lf.beta_normalize(entry.lf))
-        for v in validate_category(entry.category):
-            out.append(v.at_line(entry.source_line))
-        if type(entry.category) is Singleton and entry.category.tokens != entry.phon:  # not in validate_category: a goal may be one
-            detail = f"{entry}: a string category is an argument, or the category of its own words only"
-            out.append(Violation(SINGLETON_AS_RESULT, detail, entry.source_line))
+        c, arguments = entry.category, _spine_arguments(entry.category)
+        if id(c) not in found:
+            found[id(c)] = validate_category(c, lex.atom_declarations, arguments)
+            for tokens in sorted({part.tokens for part in category_parts(c) if type(part) is Singleton}):
+                if tokens:
+                    strings.setdefault(tokens, entry)
+        own = []
+        if type(c) is Singleton and c.tokens != entry.phon:  # not in validate_category: a goal may be one
+            own.append(Violation(SINGLETON_AS_RESULT, f"{entry}: a string category is an argument, or the category of its own words only"))
         lambdas = len(_leading_lambdas(entry.lf)[0])
-        arguments = _spine_arguments(entry.category)
-        arity = len(arguments)
-        if lambdas < arity:
-            out.append(
-                Violation(
-                    ARITY_MISMATCH,
-                    f"{entry}: {arity} argument slots but only {lambdas} leading abstractions",
-                    entry.source_line,
-                )
-            )
-        for v in undeclared_atoms(lex, entry.category):
-            out.append(v._replace(detail=f"{entry}: {v.detail}", line=entry.source_line))
-        for part, computed in misplaced_computed(entry.category, arguments):
-            detail = f"{entry}: computed {', '.join(computed)} on {render_category(part)}, not one of the entry's arguments"
-            out.append(Violation(MISPLACED_COMPUTED_FEATURE, detail, entry.source_line))
+        if lambdas < len(arguments):
+            own.append(Violation(ARITY_MISMATCH, f"{entry}: {len(arguments)} argument slots but only {lambdas} leading abstractions"))
+        for v in sorted(found[id(c)] + own, key=lambda v: v.code in _ENTRY_NAMED):  # string placement, own, then named
+            if v.code in _ENTRY_NAMED:
+                v = v._replace(detail=f"{entry}: {v.detail}{_ENTRY_NAMED[v.code]}")
+            out.append(v.at_line(entry.source_line))
 
-    checked: set[tuple[str, ...]] = set()
-    for entry in lex.all_entries():
-        singletons = {part for part in category_parts(entry.category) if isinstance(part, Singleton)}
-        for s in sorted(singletons, key=lambda s: s.tokens):
-            if not s.tokens or s.tokens in checked:
-                continue
-            checked.add(s.tokens)
-            with _naming_source(lambda: f'line {entry.source_line}: derivation of "{" ".join(s.tokens)}"'):
-                try:  # the parse keys readings by cached fingerprints; printing walks each whole
-                    printed = [lf.pretty_print(e.lf) for e in parse(lex, list(s.tokens))]
-                except ParserError:
-                    printed = []
-            if not printed:
-                out.append(
-                    Violation(
-                        UNDERIVABLE_SINGLETON,
-                        f'"{" ".join(s.tokens)}" has no derivation of its own, '
-                        "so it can never substitute for the string category",
-                        entry.source_line,
-                    )
-                )
+    for tokens, entry in strings.items():
+        with _naming_source(lambda: f'line {entry.source_line}: derivation of "{" ".join(tokens)}"'):
+            try:  # the parse keys readings by cached fingerprints; printing walks each whole
+                printed = [lf.pretty_print(e.lf) for e in parse(lex, list(tokens))]
+            except ParserError:
+                printed = []
+        if not printed:
+            detail = f'"{" ".join(tokens)}" has no derivation of its own, so it can never substitute for the string category'
+            out.append(Violation(UNDERIVABLE_SINGLETON, detail, entry.source_line))
     return out
 
 

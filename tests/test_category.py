@@ -24,7 +24,7 @@ from ccgparse.category import (
     unify,
     validate_category,
 )
-from ccgparse.lexicon import fold_strings
+from ccgparse.lexicon import BUILTIN_ATOMS, fold_strings
 from ccgparse.parser import RULES, RuleId
 
 
@@ -175,44 +175,64 @@ def test_computed_feature_never_unified_structurally():
 # validate_category
 
 def test_validate_good_idiom_category():
-    assert validate_category(cat(r'(S\NP)/*"the bucket"')) == []
+    assert validate_category(cat(r'(S\NP)/*"the bucket"'), BUILTIN_ATOMS, []) == []
 
 
 def test_validate_singleton_as_result():
-    codes = [v.code for v in validate_category(cat('"up"/NP'))]
+    codes = [v.code for v in validate_category(cat('"up"/NP'), BUILTIN_ATOMS, [])]
     assert codes == [SINGLETON_AS_RESULT]
 
 
 def test_validate_non_star_singleton_slash():
-    codes = [v.code for v in validate_category(cat(r'(S\NP)/"the bucket"'))]
+    codes = [v.code for v in validate_category(cat(r'(S\NP)/"the bucket"'), BUILTIN_ATOMS, [])]
     assert codes == [NON_STAR_SINGLETON_SLASH]
 
 
 def test_validate_empty_singleton():
-    codes = [v.code for v in validate_category(Functor(cat("S"), Slash(Direction.FORWARD, Modality.STAR), Singleton(())))]
+    codes = [v.code for v in validate_category(Functor(cat("S"), Slash(Direction.FORWARD, Modality.STAR), Singleton(())), BUILTIN_ATOMS, [])]
     assert EMPTY_SINGLETON in codes
 
 
 def test_validate_trivial_identity_functor_rejected():
-    codes = [v.code for v in validate_category(parse_category('"up"/*"up"'))]
+    codes = [v.code for v in validate_category(parse_category('"up"/*"up"'), BUILTIN_ATOMS, [])]
     assert SINGLETON_AS_RESULT in codes
 
 
 def test_validate_singleton_as_argument_of_result_is_fine():
-    assert validate_category(cat(r'(VP/*"the breeze")/PredP')) == []
+    assert validate_category(cat(r'(VP/*"the breeze")/PredP'), BUILTIN_ATOMS, []) == []
 
 
 def test_bare_singleton_entry_category_is_fine():
-    assert validate_category(singleton("every which way")) == []
+    assert validate_category(singleton("every which way"), BUILTIN_ATOMS, []) == []
 
 
 def test_validate_lists_violations_in_pre_order():
     # a functor's own violations, then its result's, then its argument's
-    violations = validate_category(cat('(("up"/NP)/"down")/(S/"x")'))
+    violations = validate_category(cat('(("up"/NP)/"down")/(S/"x")'), BUILTIN_ATOMS, [])
     assert [str(v) for v in violations] == [
         'NON_STAR_SINGLETON_SLASH: ("up"/NP)/"down" must use an application-only slash on its string argument',
         'SINGLETON_AS_RESULT: "up"/NP puts a string category in result position',
         'NON_STAR_SINGLETON_SLASH: S/"x" must use an application-only slash on its string argument',
+    ]
+
+
+def test_validate_lists_string_placement_then_undeclared_atoms_then_misplaced_computed_features():
+    c = cat(r'(("up"/NP[weight=+])/Zed)/(Foo[lexc=+]\S[weight=-])')
+    assert [str(v) for v in validate_category(c, BUILTIN_ATOMS, [])] == [
+        'SINGLETON_AS_RESULT: "up"/NP[weight=+] puts a string category in result position',
+        # by name, though Zed comes first in pre-order
+        "UNDECLARED_ATOM: category symbol 'Foo' is not declared",
+        "UNDECLARED_ATOM: category symbol 'Zed' is not declared",
+        "MISPLACED_COMPUTED_FEATURE: computed weight on NP[weight=+]",
+        "MISPLACED_COMPUTED_FEATURE: computed lexc on Foo[lexc=+]",
+        "MISPLACED_COMPUTED_FEATURE: computed weight on S[weight=-]",
+    ]
+    # a slot may carry a computed feature; the slots are parts of c itself, not parts equal to them
+    foo = c.argument.result
+    assert [str(v) for v in validate_category(c, BUILTIN_ATOMS | {"Foo", "Zed"}, [foo, Atom("S", (("weight", "-"),))])] == [
+        'SINGLETON_AS_RESULT: "up"/NP[weight=+] puts a string category in result position',
+        "MISPLACED_COMPUTED_FEATURE: computed weight on NP[weight=+]",
+        "MISPLACED_COMPUTED_FEATURE: computed weight on S[weight=-]",
     ]
 
 
@@ -456,7 +476,9 @@ def test_fold_strings_is_idempotent_and_folds_only_strings(c):
 
 @given(_categories)
 def test_wellformed_means_star_singleton_arguments(c):
-    if validate_category(c):
+    # its own atoms and every part as a slot: only string placement can make it ill-formed
+    parts = list(category_parts(c))
+    if validate_category(c, {p.name for p in parts if type(p) is Atom}, parts):
         return
 
     def check(c):

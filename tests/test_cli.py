@@ -364,6 +364,21 @@ MISPLACED_WEIGHT_REPORT = (
     "{d}/x.ccg: MISPLACED_COMPUTED_FEATURE: f := S/(S\\NP[weight=+]): computed weight on NP[weight=+], "
     "not one of the entry's arguments (line 2)\n"
 )
+# three entries spelled with one category text, which the reader parses to one object and the
+# check reads once: each violation still names its own entry and line, the arity check in between
+SHARED_CATEGORY = "a := NP[weight=+]/Foo : \\x. a x ;\nb := NP[weight=+]/Foo : \\x. b x ;\nc := NP[weight=+]/Foo : c ;\n"
+SHARED_CATEGORY_REPORT = "".join(
+    f"{{d}}/x.ccg: {line}\n"
+    for line in [
+        "UNDECLARED_ATOM: a := NP[weight=+]/Foo: category symbol 'Foo' is not declared (line 1)",
+        "MISPLACED_COMPUTED_FEATURE: a := NP[weight=+]/Foo: computed weight on NP[weight=+], not one of the entry's arguments (line 1)",
+        "UNDECLARED_ATOM: b := NP[weight=+]/Foo: category symbol 'Foo' is not declared (line 2)",
+        "MISPLACED_COMPUTED_FEATURE: b := NP[weight=+]/Foo: computed weight on NP[weight=+], not one of the entry's arguments (line 2)",
+        "ARITY_MISMATCH: c := NP[weight=+]/Foo: 1 argument slots but only 0 leading abstractions (line 3)",
+        "UNDECLARED_ATOM: c := NP[weight=+]/Foo: category symbol 'Foo' is not declared (line 3)",
+        "MISPLACED_COMPUTED_FEATURE: c := NP[weight=+]/Foo: computed weight on NP[weight=+], not one of the entry's arguments (line 3)",
+    ]
+)
 
 
 @pytest.mark.parametrize(
@@ -515,6 +530,22 @@ def test_an_operational_error_exits_2_when_stderr_is_full(case):
         out = proc.communicate()[0]
     assert proc.returncode == 2
     assert out in (None, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_lexicon_warning_that_stderr_cannot_take_is_dropped(tmp_path):
+    # a duplicate entry is a warning: the command's own outcome decides its exit code
+    (tmp_path / "dup.ccg").write_text("a := NP : a ;\na := NP : a ;\n", encoding="utf-8")
+    lexicon = str(tmp_path / "dup.ccg")
+    with open("/dev/full", "w") as full:
+        proc = buffered_run(["parse", "-l", lexicon, "a"], subprocess.PIPE, full)
+        out = proc.communicate()[0]
+        assert proc.returncode == 0
+        assert out.startswith("reading 1: NP : a\n")
+        proc = buffered_run(["validate", "-l", lexicon], subprocess.PIPE, full)
+        out = proc.communicate()[0]
+        assert proc.returncode == 0
+        assert out == f"{lexicon}: ok (2 entries)\n"
 
 
 HELP = {"help": ["--help"], "parse help": ["parse", "--help"]}
@@ -803,6 +834,14 @@ CONTRACT = [
         2,
         "",
         MISPLACED_WEIGHT_REPORT,
+    ),
+    (
+        "entries sharing a category object under validate",
+        {"x.ccg": SHARED_CATEGORY},
+        ["validate", "-l", "{d}/x.ccg"],
+        1,
+        SHARED_CATEGORY_REPORT,
+        "",
     ),
     (
         "suite failure",

@@ -5,12 +5,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import ccgparse
 from ccgparse import logical_form as lf
-from ccgparse.category import Modality, Singleton, parse_category
+from ccgparse.category import UNDECLARED_ATOM, Modality, Singleton, parse_category
 from ccgparse.cli import main
 from ccgparse.lexicon import (
     ARITY_MISMATCH,
     LEXICAL_WRAP,
-    UNDECLARED_ATOM,
     UNDERIVABLE_SINGLETON,
     _chunks,
     case_folded,
@@ -293,6 +292,23 @@ def test_arity_mismatch():
 def test_extra_lambdas_are_fine():
     lex = load(r"to := VP[form=toinf]/VP[form=inf] : \p. p ;\n".replace(r"\n", "\n"))
     assert validate_lexicon(lex) == []
+
+
+def test_validation_walks_each_distinct_category_object_at_most_twice(fragment, monkeypatch):
+    # once to check it and once to find its string categories, however many entries share it
+    walks = []
+    parts = ccgparse.category.category_parts
+
+    def counted(c):
+        walks.append(c)
+        return parts(c)
+
+    for module in ("category", "lexicon"):
+        monkeypatch.setattr(f"ccgparse.{module}.category_parts", counted)
+    assert validate_lexicon(fragment) == []
+    distinct = {id(e.category) for e in fragment.all_entries()}
+    assert len(distinct) < len(fragment.all_entries())
+    assert len(walks) <= 2 * len(distinct)
 
 
 def test_undeclared_atom():

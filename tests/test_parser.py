@@ -388,11 +388,12 @@ def test_edge_lexc_flags_a_lexc_plus_leaf(fragment, corpus):
 
 
 def test_no_edge_category_has_singleton_result(fragment, corpus):
-    from ccgparse.category import validate_category
+    from ccgparse.category import category_parts, validate_category
 
     for chart in corpus_charts(fragment, corpus):
         for edge in all_chart_edges(chart):
-            assert not [v for v in validate_category(edge.category) if v.code == "SINGLETON_AS_RESULT"]
+            c = edge.category
+            assert not [v for v in validate_category(c, fragment.atom_declarations, list(category_parts(c))) if v.code == "SINGLETON_AS_RESULT"]
 
 
 def test_the_weight_threshold_is_the_lexicons_whatever_the_settings():
