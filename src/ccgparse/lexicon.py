@@ -162,6 +162,8 @@ def case_folded(lex: Lexicon) -> Lexicon:
 # parsing the file format
 
 _MARK_RE = re.compile(r'"[^"]*"|"|[#;]')  # quoted text, a quote left open, or a '#' or ';' outside quotes
+# an entry's category, up to the first ':' outside quotes, that ':', and its logical form
+_CATEGORY_RE = re.compile(r'((?:"[^"\n]*"|"|[^":]+)*)(:?)(.*)', re.S)
 
 
 def _chunks(text: str) -> Iterator[tuple[int, str, bool]]:
@@ -268,7 +270,7 @@ def parse_lexicon(text: str) -> tuple[Lexicon, list[LexiconIssue]]:
         if not phon:
             issues.append(LexiconIssue(line, "entry has an empty phonological side"))
             continue
-        cat_text, colon, lf_text = rest.partition(":")
+        cat_text, colon, lf_text = _CATEGORY_RE.match(rest).groups()
         if not colon:
             issues.append(LexiconIssue(line, "entry is missing ': <logical form>'"))
             continue
@@ -377,7 +379,7 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
     distinct category object is checked once, and each violation it has is
     reported for every entry that has it, at the entry's line.  As in a
     parse, under the lexicon's own settings, every entry's logical form is
-    normalized and keyed, and each reading of a singleton's string printed.
+    normalized and printed, and so is each reading of a singleton's string.
     A step budget or nesting depth exhausted there raises BudgetExceeded
     naming the entry's line and, when a singleton's derivation is at fault,
     the singleton.
@@ -389,7 +391,7 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
     strings: dict[tuple[str, ...], LexEntry] = {}  # each singleton's tokens, and the first entry with them
     for entry in lex.all_entries():
         with _naming_source(lambda: f"line {entry.source_line}: logical form of {entry}"):
-            lf.alpha_key(lf.beta_normalize(entry.lf))
+            lf.pretty_print(lf.beta_normalize(entry.lf))
         c, arguments = entry.category, _spine_arguments(entry.category)
         if id(c) not in found:
             found[id(c)] = validate_category(c, lex.atom_declarations, arguments)
@@ -409,7 +411,7 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
 
     for tokens, entry in strings.items():
         with _naming_source(lambda: f'line {entry.source_line}: derivation of "{" ".join(tokens)}"'):
-            try:  # the parse keys readings by cached fingerprints; printing walks each whole
+            try:  # the parse keys readings by the fingerprints their nodes hold; printing walks each whole
                 printed = [lf.pretty_print(e.lf) for e in parse(lex, list(tokens))]
             except ParserError:
                 printed = []

@@ -20,13 +20,18 @@ class BudgetExceeded(Exception):
 
 
 class _Node:
-    """Facts a term node computes once, when it is made: ``free``, its free
-    variables, and ``normal``, whether it holds no redex.  Every node keeps
-    its fingerprint in ``fp`` once fingerprint has made it.
+    """Facts a term node computes once, when it is made, from its children's:
+    ``free``, its free variables, ``normal``, whether it holds no redex, and
+    ``fp``, its fingerprint.  The fingerprint is a hash shared by
+    alpha-equivalent terms: every variable hashes alike, a constant by its
+    name and subscripts, and any other node by its structure.  Terms that
+    differ only in which variable stands where share one too, so it is
+    AlphaKey's hash, and its equality walks the terms.
 
-    A node is a value: equality, hashing and repr read the fields each class
-    names in ``__match_args__``, as a frozen dataclass's would.  Each class
-    writes its own __init__, which sets the facts beside the fields."""
+    A node is a value: equality and repr read the fields each class names in
+    ``__match_args__``, as a frozen dataclass's would, and the hash is the
+    fingerprint, which structurally equal terms share.  Each class writes its
+    own __init__, which sets the facts beside the fields."""
 
     __slots__ = ("free", "normal", "fp")
 
@@ -37,20 +42,21 @@ class _Node:
         return self._values() == other._values() if type(other) is type(self) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return self.fp
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({', '.join([f'{f}={getattr(self, f)!r}' for f in self.__match_args__])})"
 
 
 _CLOSED: frozenset[str] = frozenset()
+_FP_VAR, _FP_ABS, _FP_APP = 0, 1, 2  # the tags of the nodes that carry no name
 
 
 class Var(_Node):
     __slots__ = __match_args__ = ("name",)
 
     def __init__(self, name: str):
-        self.name, self.free, self.normal, self.fp = name, frozenset((name,)), True, None
+        self.name, self.free, self.normal, self.fp = name, frozenset((name,)), True, _FP_VAR
 
 
 class Const(_Node):
@@ -58,11 +64,12 @@ class Const(_Node):
 
     def __init__(self, name: str, contingencies: tuple["Term", ...] = ()):
         self.name, self.contingencies = name, contingencies
-        free, normal = _CLOSED, True
+        free, normal, fp = _CLOSED, True, (name,)
         for c in contingencies:
             free = free | c.free if free else c.free
             normal = normal and c.normal
-        self.free, self.normal, self.fp = free, normal, None
+            fp += (c.fp,)
+        self.free, self.normal, self.fp = free, normal, hash(fp)
 
 
 class Abs(_Node):
@@ -72,7 +79,7 @@ class Abs(_Node):
         self.var, self.body = var, body
         free = body.free
         self.free, self.normal = free - {var} if var in free else free, body.normal
-        self.fp = None
+        self.fp = hash((_FP_ABS, body.fp))
 
 
 class App(_Node):
@@ -83,7 +90,7 @@ class App(_Node):
         f, a = fun.free, arg.free
         self.free = f | a if f and a and f is not a else f or a
         self.normal = fun.normal and arg.normal and type(fun) is not Abs
-        self.fp = None
+        self.fp = hash((_FP_APP, fun.fp, arg.fp))
 
 
 Term = Var | Const | Abs | App
@@ -95,9 +102,9 @@ def absn(variables: list[str] | tuple[str, ...], body: Term) -> Term:
     return body
 
 
-# substitute, beta_normalize, fingerprint, _same and pretty_print run once
-# or more per chart edge, so they dispatch on type(t) rather than with
-# structural pattern matching, which is several times slower.
+# substitute, beta_normalize, _same and pretty_print run once or more per
+# chart edge, so they dispatch on type(t) rather than with structural
+# pattern matching, which is several times slower.
 
 def fresh_name(base: str, avoid: frozenset[str]) -> str:
     name = base
@@ -204,33 +211,6 @@ def beta_normalize(t: Term, max_steps: int = DEFAULT_STEP_BUDGET) -> Term:
     return _normal_form(t, [0, max_steps])
 
 
-_FP_VAR, _FP_ABS, _FP_APP = 0, 1, 2  # the tags of the nodes that carry no name
-
-
-def fingerprint(t: Term) -> int:
-    """A hash shared by alpha-equivalent terms: every variable hashes alike,
-    a constant by its name and subscripts, and any other node by its
-    structure.  Terms that differ only in which variable stands where share
-    one too, so it is AlphaKey's hash, and its equality walks the terms.
-    Each node keeps its own."""
-    fp = t.fp
-    if fp is None:
-        cls = type(t)
-        if cls is App:
-            fp = hash((_FP_APP, fingerprint(t.fun), fingerprint(t.arg)))
-        elif cls is Abs:
-            fp = hash((_FP_ABS, fingerprint(t.body)))
-        elif cls is Var:
-            fp = _FP_VAR
-        else:
-            subs = []
-            for c in t.contingencies:
-                subs.append(fingerprint(c))
-            fp = hash((t.name, *subs))
-        t.fp = fp
-    return fp
-
-
 def _same(a: Term, b: Term, depth: int, binders_a: dict[str, int], binders_b: dict[str, int]) -> bool:
     """Whether a and b are alpha-equivalent; binders map the names bound in scope to their binders' depths."""
     if a is b and not a.free:
@@ -259,7 +239,7 @@ class AlphaKey:
     __slots__ = ("term", "fp")
 
     def __init__(self, t: Term):
-        self.term, self.fp = t, fingerprint(t)
+        self.term, self.fp = t, t.fp
 
     def __hash__(self) -> int:
         return self.fp

@@ -83,7 +83,7 @@ def node_duplicates(chart: Chart) -> tuple[int, int]:
         nonlocal dropped, collided
         kept = deduplicate(found, chart)
         assert kept == first_per_reading(found), (chart.tokens, [lf.pretty_print(e.lf) for _, e in found])
-        fingerprints = [lf.fingerprint(e.lf) for _, e in kept]
+        fingerprints = [e.lf.fp for _, e in kept]
         dropped += len(found) - len(kept)
         collided += len(fingerprints) - len(set(fingerprints))
         return kept

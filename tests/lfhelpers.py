@@ -2,11 +2,13 @@
 
 The idiom-head queries let the acceptance tests tell idiomatic readings
 from literal ones.  ``reference_alpha_key`` spells alpha equivalence as a
-string, the oracle for the library's ``alpha_key``.  The property tests
-compare the library's one-pass normal-order ``beta_normalize`` against
-two step-at-a-time reducers: the leftmost-outermost one below, which must
-make the same contractions and so give the same term, and an
-applicative-order one, which must agree up to alpha equivalence.
+string, the oracle for the library's ``alpha_key``, and
+``reference_fingerprint`` is the oracle for the hash each term node makes.
+The property tests compare the library's one-pass normal-order
+``beta_normalize`` against two step-at-a-time reducers: the
+leftmost-outermost one below, which must make the same contractions and
+so give the same term, and an applicative-order one, which must agree up
+to alpha equivalence.
 """
 
 import functools
@@ -59,6 +61,23 @@ def reference_alpha_key(t: Term, bound: tuple[str, ...] = ()) -> str:
             return f"({reference_alpha_key(f, bound)} {reference_alpha_key(a, bound)})"
         case Abs(v, body):
             return f"(\\{reference_alpha_key(body, bound + (v,))})"
+    raise TypeError(f"not a term: {t!r}")
+
+
+def reference_fingerprint(t: Term) -> int:
+    """The fingerprint of t by a plain walk, the oracle for the one each
+    node makes when it is made: every variable hashes alike, a constant by
+    its name and subscripts' fingerprints, and any other node by its tag and
+    its children's fingerprints."""
+    match t:
+        case Var():
+            return lf._FP_VAR
+        case Const(name, cs):
+            return hash((name, *(reference_fingerprint(c) for c in cs)))
+        case App(f, a):
+            return hash((lf._FP_APP, reference_fingerprint(f), reference_fingerprint(a)))
+        case Abs(_, body):
+            return hash((lf._FP_ABS, reference_fingerprint(body)))
     raise TypeError(f"not a term: {t!r}")
 
 

@@ -424,6 +424,20 @@ def test_validate_rejects_a_logical_form_every_parse_rejects(tmp_path):
     assert proc.stderr == "line 1: logical form of w := NP: input nested too deeply\n"
 
 
+# a chain of binders is read, made, hashed and printed in loops, so its length sets no limit
+BINDER_CHAIN = "".join(f"\\x{i}" for i in range(1500)) + ". x0"
+
+
+@pytest.mark.parametrize("command", ["validate", "parse"])
+def test_a_long_chain_of_binders_is_no_error(capsys, tmp_path, command):
+    argv = {"validate": [], "parse": ["w"]}[command]
+    path = write(tmp_path, f"w := NP : {BINDER_CHAIN} ;")
+    code, out, err = run(capsys, command, "-l", path, *argv)
+    assert (code, err) == (0, "")
+    first = {"validate": f"{path}: ok (1 entries)", "parse": f"reading 1: NP : {BINDER_CHAIN}"}[command]
+    assert out.splitlines()[0] == first
+
+
 @pytest.mark.parametrize("command", ["validate", "parse"])
 def test_a_divergent_spine_is_a_budget_error(capsys, tmp_path, command):
     argv = {"validate": [], "parse": ["w"]}[command]

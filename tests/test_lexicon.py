@@ -211,6 +211,20 @@ def test_a_quote_left_open_at_the_end_of_its_line_is_one_error_on_that_line():
     assert [e.phon for e in lex.all_entries()] == [("y",)]
 
 
+def test_a_colon_inside_quotes_is_part_of_the_string_category():
+    # the logical form starts at the first ':' outside quotes; a token may hold a ':' too
+    lex, issues = parse_lexicon('kicked := (S\\NP)/*"a:b" : \\x\\y. die_{x} y ;\na:b := NP : ab ;\n')
+    assert issues == []
+    kicked, ab = lex.all_entries()
+    assert kicked.category.argument == Singleton(("a:b",)) and ab.phon == ("a:b",)
+    assert lf.pretty_print(kicked.lf) == r"\x\y. die_{x} y"
+    assert validate_lexicon(lex) == []
+    assert [lf.pretty_print(e.lf) for e in parse(lex, ["kicked", "a:b"])] == [r"\y. die_{ab} y"]
+    # a quote left open still ends the category at the next ':'
+    _, issues = parse_lexicon('w := NP/*"a : x ;\n')
+    assert [str(i) for i in issues] == ["line 1: error: bad category: unterminated string category in ' NP/*\"a '"]
+
+
 _CODE_RE = re.compile(r'(?:[^"#]|"[^"]*"?)*')  # a line up to a '#' outside quotes
 _SEMICOLON_RE = re.compile(r'"[^"]*"|;')  # quoted text, or a ';' that no pair of quotes encloses
 

@@ -372,7 +372,7 @@ def test_alpha_equivalent_terms_share_a_fingerprint(pair):
     for t in (term, lf.beta_normalize(term)):
         copy = renamed_apart(t, {}, (f"w{i}" for i in itertools.count()))  # generated names are u and v ones
         assert (copy == t) is not bound_names(t) and lf.alpha_eq(copy, t)
-        assert lf.fingerprint(copy) == lf.fingerprint(t)
+        assert copy.fp == t.fp
 
 
 def to_nearest_binder(t: lf.Term, scope: tuple[str, ...] = ()) -> lf.Term:
@@ -403,7 +403,7 @@ def test_alpha_keys_are_equal_exactly_when_the_reference_strings_are(pairs):
     keys = [lf.alpha_key(t) for t in terms]
     strings = [lfh.reference_alpha_key(t) for t in terms]
     for t, key in zip(terms, keys):
-        assert hash(key) == lf.fingerprint(t)
+        assert hash(key) == t.fp
         assert (key == "x") is False and (key != "x") is True
     for t, key, text in zip(terms, keys, strings):
         for o, other, other_text in zip(terms, keys, strings):
@@ -412,8 +412,19 @@ def test_alpha_keys_are_equal_exactly_when_the_reference_strings_are(pairs):
 
 
 def test_a_fingerprint_reads_constants_but_no_variable_name():
-    assert lf.fingerprint(p(r"\x\y. r x y")) == lf.fingerprint(p(r"\x\y. r y x"))
-    assert lf.fingerprint(p("r a")) != lf.fingerprint(p("r b"))
+    assert p(r"\x\y. r x y").fp == p(r"\x\y. r y x").fp
+    assert p("r a").fp != p("r b").fp
+
+
+def test_hashing_and_keying_a_deep_term_walk_nothing():
+    """Each node makes its fingerprint from its children's when it is made, so
+    a term of any depth hashes and keys in one step, with no RecursionError."""
+    t = lf.Const("a")
+    for _ in range(100_000):
+        t = lf.App(t, lf.Const("b"))
+    assert hash(t) == t.fp
+    assert hash(lf.alpha_key(t)) == t.fp
+    assert lf.alpha_eq(t, t)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +447,7 @@ def plain_free_vars(t: lf.Term, memo: dict[int, frozenset[str]]) -> frozenset[st
 
 
 def rebuilt(t: lf.Term) -> lf.Term:
-    """A copy of t made of new nodes, none of which keeps a fingerprint."""
+    """A copy of t made of new nodes, each of which makes its facts afresh from its children's."""
     match t:
         case lf.Var(name):
             return lf.Var(name)
@@ -470,9 +481,8 @@ def subterms(t: lf.Term, seen: set[int]):
 def test_cached_term_facts_agree_with_plain_walks():
     """On every subterm of the generated terms, their binder-collapsed
     variants and the normal forms of both: the free variables, the normal
-    flag, the alpha key, and the fingerprint, which every subterm keeps,
-    each made after those of its subterms so that it reuses theirs, against
-    a rebuilt copy's."""
+    flag, the alpha key and the fingerprint, which each node makes from its
+    children's when it is made, against plain walks and a rebuilt copy's."""
     generated = generated_terms() + sample(4242, 150) + sample(97, 40)
     for i, (term, _) in enumerate(generated):
         seen: set[int] = set()
@@ -483,4 +493,4 @@ def test_cached_term_facts_agree_with_plain_walks():
                     assert sub.free == plain_free_vars(sub, free), f"term {i}: {lf.pretty_print(sub)}"
                     assert sub.normal is not lfh.has_redex(sub), f"term {i}: {lf.pretty_print(sub)}"
                     assert lf.alpha_key(sub) == lf.alpha_key(rebuilt(sub)), f"term {i}: {lf.pretty_print(sub)}"
-                    assert lf.fingerprint(sub) == sub.fp == lf.fingerprint(rebuilt(sub)), f"term {i}: {lf.pretty_print(sub)}"
+                    assert sub.fp == lfh.reference_fingerprint(sub) == rebuilt(sub).fp, f"term {i}: {lf.pretty_print(sub)}"

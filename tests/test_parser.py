@@ -760,7 +760,7 @@ def test_a_fingerprint_collision_is_settled_by_the_alpha_key():
     chart = build_chart(lex, ["f"])
     (node,) = chart.cells[0, 1].values()
     seeds = [way[1] for way in node.ways]
-    assert len({lf.fingerprint(e.lf) for e in seeds}) == 1
+    assert len({e.lf.fp for e in seeds}) == 1
     assert node_duplicates(chart) == (1, 1)  # the third dropped, the second kept
     assert [e for _, e in parser._derivations(node, chart, False)] == seeds[:2]
     assert [lf.pretty_print(e.lf) for e in parse(lex, ["f"])] == [r"\x\y. r x y", r"\x\y. r y x"]
