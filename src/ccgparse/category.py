@@ -14,7 +14,7 @@ import re
 from enum import Enum
 from typing import Callable, Container, Iterator, Mapping, NamedTuple, TypeVar
 
-from .cursor import Cursor
+from .cursor import LETTERS, Cursor
 
 _D = TypeVar("_D")
 
@@ -326,68 +326,63 @@ class CategorySyntaxError(ValueError):
     pass
 
 
-_CATEGORY_SCANNER = re.compile(
-    r"""\s*(?: (?P<slash>[/\\](?:[*.]|x(?![A-Za-z0-9]))?)
-    | (?P<string>"[^"\n]*") | (?P<unterminated>")
-    | (?P<punct>[()\[\],=+-])
-    | (?P<var>\?[A-Za-z0-9][A-Za-z0-9']*) | (?P<bad_var>\?)
-    | (?P<word>[A-Za-z0-9][A-Za-z0-9']*)
-    | (?P<bad_char>\S) )""",
-    re.VERBOSE,
-)
+_CATEGORY_SCANNER = re.compile(r"""[/\\](?:[*.]|x(?![A-Za-z0-9]))?|"[^"\n]*"|\??[A-Za-z0-9][A-Za-z0-9']*|\S""")
+_CATEGORY_KINDS = {"/": "slash", "\\": "slash", '"': "string", "?": "var"} | dict.fromkeys("()[],=+-", "punct")
+_CATEGORY_KINDS |= dict.fromkeys(LETTERS + "0123456789", "word")
 _CATEGORY_ERRORS = {
-    "unterminated": "unterminated string category in {text!r}",
-    "bad_var": "bad feature variable at {rest!r}",
-    "bad_char": "unexpected character {found!r} in category {text!r}",
+    '"': "unterminated string category in {text!r}",
+    "?": "bad feature variable at {rest!r}",
+    None: "unexpected character {found!r} in category {text!r}",
 }
-_MODALITY_CHARS = {m.value: m for m in Modality if m.value}
+_SLASHES = {d.value + m.value: (d, m if m.value else None) for d in Direction for m in Modality}  # None: the default
 CATEGORY_VARIABLES = frozenset({"X", "Y", "Z"})
 
 
 def _category(cur: Cursor, default_modality: Modality) -> Category:
     left = _part(cur, default_modality)
-    while cur.peek()[0] == "slash":
-        slash = cur.take()[1]
-        modality = _MODALITY_CHARS.get(slash[1:], default_modality)
-        left = Functor(left, Slash(Direction(slash[0]), modality), _part(cur, default_modality))
+    while (slash := _SLASHES.get(cur.tokens[cur.pos])) is not None:
+        cur.pos += 1
+        left = Functor(left, Slash(slash[0], slash[1] or default_modality), _part(cur, default_modality))
     return left
 
 
 def _part(cur: Cursor, default_modality: Modality) -> Category:
-    kind, text = cur.take()
+    text = cur.tokens[cur.pos]
+    kind = _CATEGORY_KINDS.get(text[:1])
+    if text != "(" and kind != "string" and kind != "word":
+        raise cur.unexpected()
+    cur.pos += 1
     if text == "(":
         inner = _category(cur, default_modality)
         cur.take(")")
         return inner
     if kind == "string":
         return Singleton(tuple(text[1:-1].split()))
-    if kind != "word":
-        raise cur.unexpected(text)
     if text in CATEGORY_VARIABLES:
         return Var(text)
-    return Atom(text, _features(cur) if cur.peek()[1] == "[" else ())
+    return Atom(text, _features(cur) if cur.tokens[cur.pos] == "[" else ())
 
 
 def _features(cur: Cursor) -> Features:
-    """A bracketed feature list; only a value may be a ``?name`` variable."""
-    cur.take("[")
+    """A bracketed feature list, read from its '['; only a value may be a ``?name`` variable."""
     pairs: list[tuple[str, str]] = []
-    while True:
-        attr = cur.take("word")[1]
+    while not pairs or cur.tokens[cur.pos] == ",":
+        cur.pos += 1  # past the '[' or ','
+        attr = cur.tokens[cur.pos]
+        cur.take("word")
         cur.take("=")
-        kind, value = cur.take()
-        if kind not in ("word", "var") and value not in ("+", "-"):
-            raise CategorySyntaxError(f"bad feature value {value!r}")
+        value = cur.tokens[cur.pos]
+        if _CATEGORY_KINDS.get(value[:1]) not in ("word", "var") and value not in ("+", "-"):
+            raise cur.fail(f"bad feature value {value!r}")
         pairs.append((attr, value))
-        separator = cur.take()[1]
-        if separator == "]":
-            attrs = [a for a, _ in pairs]
-            for i, a in enumerate(attrs):
-                if a in attrs[:i]:
-                    raise CategorySyntaxError(f"repeated feature attribute {a!r}")
-            return tuple(sorted(pairs))
-        if separator != ",":
-            raise CategorySyntaxError("expected ',' or ']' in feature list")
+        cur.pos += 1
+    if cur.tokens[cur.pos] != "]":
+        raise cur.fail("expected ',' or ']' in feature list")
+    cur.pos += 1
+    attrs = [a for a, _ in pairs]
+    if repeated := [a for i, a in enumerate(attrs) if a in attrs[:i]]:
+        raise CategorySyntaxError(f"repeated feature attribute {repeated[0]!r}")
+    return tuple(sorted(pairs))
 
 
 def parse_category(text: str, default_modality: Modality = Modality.DIAMOND) -> Category:
@@ -399,7 +394,7 @@ def parse_category(text: str, default_modality: Modality = Modality.DIAMOND) -> 
     category variables; features go in brackets, ``NP[agr=3s, head=?h]``,
     and a ``?name`` feature variable may stand only as a feature's value.
     """
-    cur = Cursor(_CATEGORY_SCANNER, _CATEGORY_ERRORS, text, CategorySyntaxError, "category")
+    cur = Cursor(_CATEGORY_SCANNER, _CATEGORY_KINDS, _CATEGORY_ERRORS, text, CategorySyntaxError, "category")
     cat = _category(cur, default_modality)
     cur.finish()
     return cat

@@ -4,47 +4,47 @@ from __future__ import annotations
 
 import re
 
+LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+
 
 class Cursor:
-    """The tokens of one reader's input, read left to right.
+    """One reader's input as plain-string tokens, ``""`` at the end.
 
-    ``scanner`` is one regular expression, ``\\s*(?:...)``, whose named
-    groups are the token kinds; it must match every character that is not
-    whitespace.  A group named in ``errors`` is a lexical error whose message
-    is formatted with the matched text (``found``), the input from there on
-    (``rest``) and the whole input (``text``).  The whole input is scanned
-    before any token is read.
+    One ``findall`` of ``scanner`` yields the tokens, and ``kinds`` maps a
+    token's first character to its kind.  A token that ``errors`` names, or
+    whose first character has no kind, is a lexical error: ``errors[token]``
+    or else ``errors[None]``, formatted with the token (``found``), the input
+    from there on (``rest``) and the whole input (``text``).  All the input is
+    scanned before any token is read.  The readers index ``tokens`` at ``pos``
+    and step ``pos`` past what they read; the errors below are about the token
+    at ``pos``, or the end of the input.
     """
 
-    def __init__(self, scanner: re.Pattern, errors: dict[str, str], text: str, error: type[ValueError], noun: str):
-        self.error, self.noun, self.text, self.kinds = error, noun, text, scanner.groupindex
-        matches = list(scanner.finditer(text))
-        for m in matches:
-            kind = m.lastgroup
-            if kind in errors:
-                raise error(errors[kind].format(found=m[kind], rest=text[m.start(kind) :], text=text))
-        self.tokens = [(m.lastgroup, m[m.lastgroup]) for m in matches]
-        self.tokens.append(("", ""))  # the end of the input
+    def __init__(self, scanner: re.Pattern, kinds: dict[str, str], errors: dict, text: str, error: type[ValueError], noun: str):
+        self.error, self.noun, self.text, self.kinds = error, noun, text, kinds
+        self.tokens = tokens = scanner.findall(text)
+        for token in tokens:
+            if token in errors or token[0] not in kinds:  # the first token so spelled
+                rest = text[[m.start() for m in scanner.finditer(text)][tokens.index(token)] :]
+                raise error(errors.get(token, errors[None]).format(found=token, rest=rest, text=text))
+        tokens.append("")
         self.pos = 0
 
-    def peek(self) -> tuple[str, str]:
-        """The next token as (kind, text), or ("", "") at the end."""
-        return self.tokens[self.pos]
-
-    def take(self, want: str | None = None) -> tuple[str, str]:
-        """Consume the next token, which must have kind or text ``want`` if given."""
-        kind, text = self.tokens[self.pos]
-        if not kind:
-            raise self.error(f"unexpected end of {self.noun}")
-        if want is not None and want != kind and want != text:
-            raise self.error(f"expected {want if want in self.kinds else repr(want)}, found {text!r}")
+    def take(self, want: str) -> None:
+        """Step past the next token, which must have kind or text ``want``."""
+        token = self.tokens[self.pos]
+        if want != token and want != self.kinds.get(token[:1]):
+            raise self.fail(f"expected {want if want in self.kinds.values() else repr(want)}, found {token!r}")
         self.pos += 1
-        return kind, text
 
-    def unexpected(self, text: str) -> ValueError:
-        return self.error(f"unexpected {text!r} in {self.noun}")
+    def fail(self, message: str) -> ValueError:
+        """The error ``message``, or "unexpected end" at the end of the input."""
+        return self.error(message if self.tokens[self.pos] else f"unexpected end of {self.noun}")
+
+    def unexpected(self) -> ValueError:
+        return self.fail(f"unexpected {self.tokens[self.pos]!r} in {self.noun}")
 
     def finish(self) -> None:
         """Require that every token has been read."""
-        if self.tokens[self.pos][0]:
+        if self.tokens[self.pos]:
             raise self.error(f"trailing material in {self.noun} {self.text!r}")

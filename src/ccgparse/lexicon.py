@@ -279,6 +279,7 @@ def parse_lexicon(text: str) -> tuple[Lexicon, list[LexiconIssue]]:
 
     lexicon.atom_declarations = frozenset(declared)
     categories: dict[str, Category] = {}  # by text, so that entries spelled alike share one category
+    terms: dict[str, lf.Term] = {}  # and one logical form
     for line, phon, cat_text, lf_text, lexc in pending:
         try:
             category = categories.get(cat_text) or categories.setdefault(cat_text, parse_category(cat_text, lexicon.default_modality))
@@ -286,13 +287,15 @@ def parse_lexicon(text: str) -> tuple[Lexicon, list[LexiconIssue]]:
             issues.append(LexiconIssue(line, f"bad category: {exc}"))
             continue
         try:
-            term = lf.parse_term(lf_text)
+            term = terms.get(lf_text) or terms.setdefault(lf_text, lf.parse_term(lf_text))
         except lf.LFSyntaxError as exc:
             issues.append(LexiconIssue(line, f"bad logical form: {exc}"))
             continue
         entry = LexEntry(phon, category, term, lexc, line)
         with suppress(RecursionError):  # too deep to compare; validation names the entry
-            if any(entry == prior for prior in lexicon.entries.get(phon[0], ())):
+            # terms read from text are equal when they print alike: printing loops over binders, == recurses
+            priors = [p.lf for p in lexicon.entries.get(phon[0], ()) if p[:2] == entry[:2] and p.lexc == lexc]
+            if any(t is term or t.fp == term.fp and lf.pretty_print(t) == lf.pretty_print(term) for t in priors):
                 issues.append(LexiconIssue(line, f"duplicate entry for {' '.join(phon)!r}", "warning"))
         lexicon.add(entry)
     return lexicon, issues
@@ -378,20 +381,22 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
     lexicon, without which singleton application could never fire.  Each
     distinct category object is checked once, and each violation it has is
     reported for every entry that has it, at the entry's line.  As in a
-    parse, under the lexicon's own settings, every entry's logical form is
-    normalized and printed, and so is each reading of a singleton's string.
-    A step budget or nesting depth exhausted there raises BudgetExceeded
-    naming the entry's line and, when a singleton's derivation is at fault,
-    the singleton.
+    parse, under the lexicon's own settings, each distinct logical-form object
+    of the entries is normalized and printed once, and so is each reading of a
+    singleton's string.  A step budget or nesting depth exhausted there raises
+    BudgetExceeded naming the line of the first entry at fault and, when a
+    singleton's derivation is at fault, the singleton.
     """
     from .parser import ParserError, parse  # deferred: parser imports this module
 
     out: list[Violation] = []
     found: dict[int, list[Violation]] = {}  # validate_category's, by the id of an entry's category
     strings: dict[tuple[str, ...], LexEntry] = {}  # each singleton's tokens, and the first entry with them
+    first: dict[int, LexEntry] = {}  # the first entry with each logical form, by its id
     for entry in lex.all_entries():
-        with _naming_source(lambda: f"line {entry.source_line}: logical form of {entry}"):
-            lf.pretty_print(lf.beta_normalize(entry.lf))
+        if first.setdefault(id(entry.lf), entry) is entry:
+            with _naming_source(lambda: f"line {entry.source_line}: logical form of {entry}"):
+                lf.pretty_print(lf.beta_normalize(entry.lf))
         c, arguments = entry.category, _spine_arguments(entry.category)
         if id(c) not in found:
             found[id(c)] = validate_category(c, lex.atom_declarations, arguments)

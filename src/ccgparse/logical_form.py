@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .cursor import Cursor
+from .cursor import LETTERS, Cursor
 
 DEFAULT_STEP_BUDGET = 10000
 
@@ -275,8 +275,9 @@ class LFSyntaxError(ValueError):
     pass
 
 
-_LF_SCANNER = re.compile(r"\s*(?:(?P<punct>[\\.(){}_,&])|(?P<ident>[A-Za-z][A-Za-z0-9']*)|(?P<bad_char>\S))")
-_LF_ERRORS = {"bad_char": "unexpected character {found!r} in logical form {text!r}"}
+_LF_SCANNER = re.compile(r"[A-Za-z][A-Za-z0-9']*|\S")
+_LF_KINDS = dict.fromkeys("\\.(){}_,&", "punct") | dict.fromkeys(LETTERS, "ident")
+_LF_ERRORS = {None: "unexpected character {found!r} in logical form {text!r}"}
 
 _LEVEL_TOP = 0
 _LEVEL_CONJ = 1
@@ -286,50 +287,50 @@ _LEVEL_ATOM = 3
 
 def _term(cur: Cursor, bound: list[str]) -> Term:
     """Read a term; ``bound`` holds the names that enclosing lambdas bind."""
-    return _lam(cur, bound) if cur.peek()[1] == "\\" else _conj(cur, bound)
+    return _lam(cur, bound) if cur.tokens[cur.pos] == "\\" else _conj(cur, bound)
 
 
 def _lam(cur: Cursor, bound: list[str]) -> Term:
     binders: list[str] = []
-    while cur.peek()[1] == "\\":
-        cur.take()
-        kind, name = cur.take()
-        if kind != "ident":
-            raise LFSyntaxError(f"bad binder name {name!r}")
+    while cur.tokens[cur.pos] == "\\":
+        cur.pos += 1
+        if _LF_KINDS.get((name := cur.tokens[cur.pos])[:1]) != "ident":
+            raise cur.fail(f"bad binder name {name!r}")
         binders.append(name)
+        cur.pos += 1
     cur.take(".")
     return absn(binders, _term(cur, bound + binders))
 
 
 def _conj(cur: Cursor, bound: list[str]) -> Term:
     left = _application(cur, bound)
-    while cur.peek()[1] == "&":
-        cur.take()
+    while cur.tokens[cur.pos] == "&":
+        cur.pos += 1
         left = App(App(Const("and"), left), _application(cur, bound))
     return left
 
 
 def _application(cur: Cursor, bound: list[str]) -> Term:
     fun = _atom(cur, bound)
-    while (tok := cur.peek())[0] == "ident" or tok[1] in ("(", "\\"):
-        if tok[1] == "\\":
-            # a lambda swallows the rest; it can only be the last argument
-            raise LFSyntaxError("parenthesize lambda arguments")
+    while (tok := cur.tokens[cur.pos]) == "(" or _LF_KINDS.get(tok[:1]) == "ident":
         fun = App(fun, _atom(cur, bound))
+    if tok == "\\":  # a lambda swallows the rest; it can only be the last argument
+        raise LFSyntaxError("parenthesize lambda arguments")
     return fun
 
 
 def _atom(cur: Cursor, bound: list[str]) -> Term:
-    kind, tok = cur.take()
+    tok = cur.tokens[cur.pos]
+    if tok != "(" and _LF_KINDS.get(tok[:1]) != "ident":
+        raise cur.unexpected()
+    cur.pos += 1
     if tok == "(":
         inner = _term(cur, bound)
         cur.take(")")
         return inner
-    if kind != "ident":
-        raise cur.unexpected(tok)
     subs: tuple[Term, ...] = ()
-    if cur.peek()[1] == "_":
-        cur.take()
+    if cur.tokens[cur.pos] == "_":
+        cur.pos += 1
         subs = _subscript(cur, bound)
     if tok in bound:
         if subs:
@@ -339,17 +340,16 @@ def _atom(cur: Cursor, bound: list[str]) -> Term:
 
 
 def _subscript(cur: Cursor, bound: list[str]) -> tuple[Term, ...]:
-    if cur.peek()[1] == "{":
-        cur.take()
-        terms = [_term(cur, bound)]
-        while cur.peek()[1] == ",":
-            cur.take()
+    if cur.tokens[cur.pos] == "{":
+        terms: list[Term] = []
+        while not terms or cur.tokens[cur.pos] == ",":
+            cur.pos += 1  # past the '{' or ','
             terms.append(_term(cur, bound))
         cur.take("}")
         return tuple(terms)
-    kind, name = cur.take()
-    if kind != "ident":
-        raise LFSyntaxError(f"bad subscript {name!r}")
+    if _LF_KINDS.get((name := cur.tokens[cur.pos])[:1]) != "ident":
+        raise cur.fail(f"bad subscript {name!r}")
+    cur.pos += 1
     return (Var(name) if name in bound else Const(name),)
 
 
@@ -362,7 +362,7 @@ def parse_term(text: str) -> Term:
     preceding constant.  Identifiers bound by an enclosing lambda are
     variables; all others are constants.
     """
-    cur = Cursor(_LF_SCANNER, _LF_ERRORS, text, LFSyntaxError, "logical form")
+    cur = Cursor(_LF_SCANNER, _LF_KINDS, _LF_ERRORS, text, LFSyntaxError, "logical form")
     t = _term(cur, [])
     cur.finish()
     return t

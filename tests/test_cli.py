@@ -713,13 +713,14 @@ CONTRACT = [
         "",
         "{d}/x.ccg: line 1: error: bad category: repeated feature attribute 'a'\n",
     ),
+    # both copies read as one logical form, so the duplicate check warns without walking it
     (
         "duplicated deep entry under validate",
         {"x.ccg": LONG_APPLICATION + "\n" + LONG_APPLICATION + "\n"},
         ["validate", "-l", "{d}/x.ccg"],
         2,
         "",
-        "line 1: logical form of w := NP: input nested too deeply\n",
+        "{d}/x.ccg: line 2: warning: duplicate entry for 'w'\nline 1: logical form of w := NP: input nested too deeply\n",
     ),
     (
         "duplicated deep entry under parse",
@@ -727,7 +728,7 @@ CONTRACT = [
         ["parse", "-l", "{d}/x.ccg", "w"],
         2,
         "",
-        "line 1: logical form of w := NP: input nested too deeply\n",
+        "{d}/x.ccg: line 2: warning: duplicate entry for 'w'\nline 1: logical form of w := NP: input nested too deeply\n",
     ),
     (
         "unreadable suite",

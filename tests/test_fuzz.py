@@ -1,7 +1,7 @@
-"""Fuzzed input: the readers raise only their own syntax errors, what they
-accept renders back to text they read as the same value, and the CLI maps
-whatever it is given to exit 0, 1 or 2 without a traceback, input nested
-thousands deep included.
+"""Fuzzed input: the readers scan as the reference tokenizer below does, raise
+only their own syntax errors, what they accept renders back to text they
+read as the same value, and the CLI maps whatever it is given to exit 0, 1
+or 2 without a traceback, input nested thousands deep included.
 
 Inputs are short, but for the nested forms, and example counts small, so
 each test runs in about a second.
@@ -9,12 +9,15 @@ each test runs in about a second.
 
 import contextlib
 import io
+import re
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from ccgparse import logical_form as lf
+from ccgparse import category, logical_form as lf
 from ccgparse.category import CategorySyntaxError, parse_category, render_category
 from ccgparse.cli import main
+from ccgparse.cursor import Cursor
 from ccgparse.lexicon import parse_lexicon
 
 LF_CHARS = "\\.() _{},&|'xyfgpa01"
@@ -41,6 +44,63 @@ _lexicon_text = st.lists(
     max_size=5,
 ).map(lambda lines: "\n".join(["a := NP : a ;", "b := S\\NP : \\x. f x ;"] + lines))
 _sentence = st.lists(st.sampled_from(WORDS), max_size=4).map(" ".join)
+
+
+# The reference tokenizer: each reader's scanner as one regular expression,
+# \s*(?:...), whose named groups are the token kinds, error kinds among them.
+REFERENCE_SCANNERS = {
+    "category": (
+        re.compile(
+            r"""\s*(?: (?P<slash>[/\\](?:[*.]|x(?![A-Za-z0-9]))?)
+            | (?P<string>"[^"\n]*") | (?P<unterminated>")
+            | (?P<punct>[()\[\],=+-])
+            | (?P<var>\?[A-Za-z0-9][A-Za-z0-9']*) | (?P<bad_var>\?)
+            | (?P<word>[A-Za-z0-9][A-Za-z0-9']*)
+            | (?P<bad_char>\S) )""",
+            re.VERBOSE,
+        ),
+        {
+            "unterminated": "unterminated string category in {text!r}",
+            "bad_var": "bad feature variable at {rest!r}",
+            "bad_char": "unexpected character {found!r} in category {text!r}",
+        },
+    ),
+    "logical form": (
+        re.compile(r"\s*(?:(?P<punct>[\\.(){}_,&])|(?P<ident>[A-Za-z][A-Za-z0-9']*)|(?P<bad_char>\S))"),
+        {"bad_char": "unexpected character {found!r} in logical form {text!r}"},
+    ),
+}
+READERS = {
+    "category": (category._CATEGORY_SCANNER, category._CATEGORY_KINDS, category._CATEGORY_ERRORS, CategorySyntaxError),
+    "logical form": (lf._LF_SCANNER, lf._LF_KINDS, lf._LF_ERRORS, lf.LFSyntaxError),
+}
+
+
+def reference_scan(noun: str, text: str) -> list[tuple[str, str]] | str:
+    """Each token of text as (kind, text), or the message of its first lexical error."""
+    scanner, errors = REFERENCE_SCANNERS[noun]
+    tokens = []
+    for m in scanner.finditer(text):
+        kind = m.lastgroup
+        if kind in errors:
+            return errors[kind].format(found=m[kind], rest=text[m.start(kind) :], text=text)
+        tokens.append((kind, m[kind]))
+    return tokens
+
+
+@pytest.mark.parametrize("noun", READERS)
+@given(st.one_of(st.text(alphabet=CATEGORY_CHARS, max_size=24), st.text(alphabet=LF_CHARS, max_size=24), st.text(max_size=12)))
+@example('NP[a=?] "b')
+@example('"a?b" NP[a=?]')
+@example("A/x'y \\x1 é")
+def test_scan_agrees_with_the_reference_tokenizer(noun, text):
+    scanner, kinds, errors, error = READERS[noun]
+    try:
+        tokens = Cursor(scanner, kinds, errors, text, error, noun).tokens
+    except error as exc:
+        assert str(exc) == reference_scan(noun, text)
+    else:
+        assert tokens[-1] == "" and [(kinds[t[0]], t) for t in tokens[:-1]] == reference_scan(noun, text)
 
 
 @settings(max_examples=300, deadline=None)

@@ -167,6 +167,33 @@ def test_duplicate_entry_is_warning():
     assert [i.severity for i in issues] == ["warning"]
 
 
+DEEP_BINDERS = "".join(f"\\x{i}" for i in range(1500))
+
+
+@pytest.mark.parametrize(
+    "second, issues",
+    [
+        (DEEP_BINDERS + ". x0", ["line 2: warning: duplicate entry for 'w'"]),
+        (DEEP_BINDERS.replace("\\", " \\") + " . x0", ["line 2: warning: duplicate entry for 'w'"]),
+        (DEEP_BINDERS + ". x1", []),
+    ],
+    ids=["spelled alike", "spaced apart", "another term"],
+)
+def test_a_duplicate_too_deep_for_term_equality_is_still_found(second, issues):
+    # == on a term recurses once per binder; the check compares printed text, which loops over them
+    _, found = parse_lexicon(f"w := NP : {DEEP_BINDERS}. x0 ;\nw := NP : {second} ;\n")
+    assert [str(i) for i in found] == issues
+
+
+def test_entries_spelled_alike_share_one_logical_form(fragment):
+    entries = fragment.all_entries()
+    # 65 objects when each entry's logical-form text was read on its own
+    assert (len(entries), len({id(e.lf) for e in entries})) == (65, 55)
+    assert len({e.lf for e in entries}) == 55
+    a, b, c = load("a := NP : \\x. f x ;\nb := N : \\x. f x ;\nc := N : \\x.f x ;\n").all_entries()
+    assert a.lf is b.lf and a.lf == c.lf and a.lf is not c.lf
+
+
 def test_entries_spelled_alike_share_one_category(fragment):
     entries = fragment.all_entries()
     # 65 objects when each entry's category text was read on its own
@@ -323,6 +350,31 @@ def test_validation_walks_each_distinct_category_object_at_most_twice(fragment, 
     distinct = {id(e.category) for e in fragment.all_entries()}
     assert len(distinct) < len(fragment.all_entries())
     assert len(walks) <= 2 * len(distinct)
+
+
+def test_validation_normalizes_each_distinct_entry_term_once(fragment, monkeypatch):
+    # the singleton strings' parses normalize entry terms too; only validation's own calls count
+    normalized, in_parse = [], []
+    normalize, real_parse = lf.beta_normalize, ccgparse.parser.parse
+
+    def counted(t, *args, **kwargs):
+        if not in_parse:
+            normalized.append(id(t))
+        return normalize(t, *args, **kwargs)
+
+    def marked_parse(*args, **kwargs):
+        in_parse.append(True)
+        try:
+            return real_parse(*args, **kwargs)
+        finally:
+            in_parse.pop()
+
+    monkeypatch.setattr("ccgparse.logical_form.beta_normalize", counted)
+    monkeypatch.setattr("ccgparse.parser.parse", marked_parse)
+    assert validate_lexicon(fragment) == []
+    terms = {id(e.lf) for e in fragment.all_entries()}
+    # 65 normalizations when each entry's logical form was its own object
+    assert sorted(normalized) == sorted(terms) and len(terms) == 55
 
 
 def test_undeclared_atom():
