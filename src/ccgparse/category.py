@@ -26,11 +26,13 @@ class Modality(Enum):
     DIAMOND = ""    # harmonic composition and substitution
     CROSS = "x"     # crossing composition
     DOT = "."       # compatible with every rule
+    __hash__ = object.__hash__  # by identity, as members compare, and without Enum's Python-level hash
 
 
 class Direction(Enum):
     FORWARD = "/"
     BACKWARD = "\\"
+    __hash__ = object.__hash__  # as Modality's
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +456,8 @@ class CategoryTable:
     Categories are standardized, and equal ones are one object, hashed and keyed once, so the
     rest is looked up by the id of an interned category.  The table holds every object whose id
     it keys by, which keeps that id the object's own.  Entries are only added, and each write
-    stores what any other would, so charts built at once over one table agree.
+    stores what any other would, so charts built at once over one table agree, and a category
+    is handed out only once its key is stored (see intern).
     """
 
     def __init__(self) -> None:
@@ -466,6 +469,9 @@ class CategoryTable:
 
     def intern(self, c: Category) -> Category:
         """The table's one category equal to c standardized."""
+        found = self.categories.get(c)
+        if found is not None and id(found) in self.category_keys:  # one found unkeyed is another intern's, between its writes
+            return found  # c equals a standardized category, so it is one
         c, variables = standardize(c)
         found = self.categories.setdefault(c, c)
         if id(found) not in self.category_keys:

@@ -22,6 +22,7 @@ from .category import (
     Functor,
     Modality,
     Singleton,
+    Slash,
     apply_bindings,
     category_key,
     computed_attrs,
@@ -73,7 +74,15 @@ class RuleId(Enum):
     __hash__ = object.__hash__  # by identity, as members compare, and without Enum's Python-level hash
 
 
-RULES = tuple(RuleId)  # a tuple, iterated on every category-step memo miss
+RULES = tuple(RuleId)  # the order rules are tried in; a category-step memo miss tries only the rows its slashes admit
+
+# by the primary slash of each side (None for no functor): the rows of RULES, in order, whose primary gate admits it
+_PRIMARY = (None, *(Slash(d, m) for d in Direction for m in Modality))
+_ROWS = {
+    (ls, rs): tuple(row for row in RULES if (s := ls if row.f_direction is _FWD else rs) is not None
+                    and s.direction is row.f_direction and s.modality in row.admits)
+    for ls in _PRIMARY for rs in _PRIMARY
+}
 
 
 class ParserError(Exception):
@@ -271,10 +280,10 @@ def _category_steps(left: Edge | Node, right: Edge | Node, chart: Chart) -> list
         if id(lc) not in table.closed and id(rc) not in table.closed:  # both may share variable names
             right = Node(right.start, right.end, standardize(rc, "r")[0], right.lexc)
         rows = []
-        for row in RULES:
+        for row in _ROWS[lc.slash if type(lc) is Functor else None, rc.slash if type(rc) is Functor else None]:
             step = _category_step(row, *((left, right) if row.f_direction is _FWD else (right, left)), chart)
-            if step is not None:
-                rows.append((row, table.intern(apply_bindings(*step))))
+            if step is not None:  # bindings that bind nothing rebuild the same category
+                rows.append((row, table.intern(apply_bindings(*step) if step[1] else step[0])))
         found = table.category_steps[key] = (rows, lc, rc)  # holding lc and rc keeps their ids theirs
     return found[0]
 

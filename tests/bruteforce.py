@@ -8,10 +8,12 @@ step budget; none of the parser's control structure or packing is shared,
 and no cell is ever filled.  Intended for short sentences only; the
 recursion deliberately recomputes sub-spans.
 
-Beside it, chart_edges and all_chart_edges read a filled chart's cells as
-edges, for tests that check every constituent rather than the readings, and
-node_duplicates checks each node's deduplication against first_per_reading,
-which keys every derivation by its category key and reference alpha key.
+Beside it, direct_category_steps tries every rule row on its own, without
+the memo, the row table or interning; chart_edges and all_chart_edges read a
+filled chart's cells as edges, for tests that check every constituent rather
+than the readings; and node_duplicates checks each node's deduplication
+against first_per_reading, which keys every derivation by its category key
+and reference alpha key.
 """
 
 from operator import itemgetter
@@ -19,9 +21,9 @@ from unittest import mock
 
 from ccgparse import logical_form as lf
 from ccgparse import parser
-from ccgparse.category import category_key
+from ccgparse.category import Category, Direction, apply_bindings, category_key, standardize
 from ccgparse.lexicon import Lexicon
-from ccgparse.parser import Chart, Edge, _derivations, combine, seed_edges
+from ccgparse.parser import RULES, Chart, Edge, Node, RuleId, _derivations, combine, seed_edges
 from lfhelpers import reference_alpha_key
 
 
@@ -49,6 +51,19 @@ def derivations(lex: Lexicon, tokens: list[str], max_steps: int = lf.DEFAULT_STE
 def enumerate_readings(lex: Lexicon, tokens: list[str], max_steps: int = lf.DEFAULT_STEP_BUDGET) -> set[tuple[str, str]]:
     """All (category key, lf alpha key) pairs derivable over the full span."""
     return {(category_key(e.category), lf.alpha_key(e.lf)) for e in derivations(lex, tokens, max_steps)}
+
+
+def direct_category_steps(left: Edge | Node, right: Edge | Node, chart: Chart) -> list[tuple[RuleId, Category]]:
+    """The rows of RULES that fire on two adjacent edges or nodes, in order, each with its result
+    category: every row tried through parser._category_step, with no memo, no row table and no
+    interning, and the right side's variables always renamed apart."""
+    right = Node(right.start, right.end, standardize(right.category, "r")[0], right.lexc)
+    out = []
+    for row in RULES:
+        step = parser._category_step(row, *((left, right) if row.f_direction is Direction.FORWARD else (right, left)), chart)
+        if step is not None:
+            out.append((row, apply_bindings(*step)))
+    return out
 
 
 def chart_edges(chart: Chart, start: int, end: int) -> list[Edge]:

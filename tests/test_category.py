@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from ccgparse import category
 from ccgparse.category import (
     EMPTY_SINGLETON,
     NON_STAR_SINGLETON_SLASH,
@@ -8,6 +9,7 @@ from ccgparse.category import (
     Atom,
     Bindings,
     CategorySyntaxError,
+    CategoryTable,
     Direction,
     Functor,
     Modality,
@@ -356,6 +358,31 @@ def test_category_key_numbers_feature_and_category_variables_together():
     assert category_key(standardize(c, "r")[0]) == expected
     assert category_key(cat(r"((Y\NP[agr=?b])/X)/(X/N[agr=?b, head=?z])")) == expected
     assert render_category(standardize(c, "r")[0]) == render_category(c)
+
+
+# ---------------------------------------------------------------------------
+# the category table
+
+def test_interning_a_value_equal_to_an_interned_category_standardizes_nothing(monkeypatch):
+    table = CategoryTable()
+    first = table.intern(cat("NP[head=?h]/N[head=?h]"))
+    again = standardize(cat("NP[head=?h]/N[head=?h]"))[0]  # an equal value, another object
+    assert again == first and again is not first
+    calls = []
+    monkeypatch.setattr(category, "standardize", lambda *args: calls.append(args) or standardize(*args))
+    assert table.intern(again) is first and calls == []
+    # a value equal to it only once standardized is standardized first
+    assert table.intern(cat("NP[head=?h]/N[head=?h]")) is first and len(calls) == 1
+
+
+@pytest.mark.parametrize("text, closed", [("NP[head=?h]/N[head=?h]", False), ("NP[head=b]/N", True)])
+def test_intern_hands_out_no_category_before_its_key_is_stored(text, closed):
+    table = CategoryTable()
+    c = standardize(cat(text))[0]
+    table.categories[c] = c  # what another thread's intern leaves between its two writes
+    assert table.intern(standardize(cat(text))[0]) is c
+    assert table.category_keys[id(c)] == category_key(c)
+    assert (id(c) in table.closed) is closed
 
 
 # ---------------------------------------------------------------------------

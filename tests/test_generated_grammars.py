@@ -10,8 +10,9 @@ among entries drawn at random.  Most words have two entries of one category
 that differ in ``lexc``, so a chart that packs them together loses readings
 that the oracle finds.  The grammar's mirror image must derive the mirror
 image of each reading, since each rule row has a mirror row.  The category
-steps that one lexicon's charts share must be those a fresh table computes,
-and each node must keep the first of its derivations per reading key.
+steps that one lexicon's charts share must be those a fresh table computes
+and those every rule row gives when tried on its own, and each node must keep
+the first of its derivations per reading key.
 """
 
 from contextlib import suppress
@@ -36,7 +37,7 @@ from ccgparse import lexicon as lx
 from ccgparse.lexicon import BUILTIN_ATOMS, LexEntry, Lexicon, parse_lexicon, render_lexicon, validate_lexicon
 from ccgparse.parser import Chart, RuleId, UnknownTokenError, _category_steps, build_chart, chart_readings
 
-from bruteforce import all_chart_edges, derivations, node_duplicates
+from bruteforce import all_chart_edges, derivations, direct_category_steps, node_duplicates
 from lfhelpers import app, has_redex
 
 ATOMS = ("S", "NP", "N", "Q")  # Q is declared by the lexicon
@@ -252,7 +253,8 @@ def test_generated_charts_fire_every_rule_row():
 def assert_shared_steps_are_cold_ones(charts: list[Chart]) -> None:
     """Check every pair of adjacent nodes in each of charts, all built over one lexicon first: the
     category steps that the lexicon's table gives them, written by any of the charts, must be
-    those that a copy of the lexicon, whose table starts empty, computes, by rule and category key."""
+    those that a copy of the lexicon, whose table starts empty, computes, and those that each row
+    of RULES gives when tried on its own (see direct_category_steps), by rule and category key."""
     for chart in charts:
         for (i, k), lefts in chart.cells.items():
             for (start, j), rights in chart.cells.items():
@@ -262,9 +264,9 @@ def assert_shared_steps_are_cold_ones(charts: list[Chart]) -> None:
                     for right in rights.values():
                         cold = Chart(chart.lexicon.copy(), chart.tokens, chart.max_steps)
                         got = [(row, category_key(c)) for row, c in _category_steps(left, right, chart)]
-                        assert got == [(row, category_key(c)) for row, c in _category_steps(left, right, cold)], (
-                            chart.tokens, (i, k, j), left.category, right.category,
-                        )
+                        where = (chart.tokens, (i, k, j), left.category, right.category)
+                        assert got == [(row, category_key(c)) for row, c in _category_steps(left, right, cold)], where
+                        assert got == [(row, category_key(c)) for row, c in direct_category_steps(left, right, chart)], where
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])

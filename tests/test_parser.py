@@ -10,12 +10,13 @@ from ccgparse import parser
 from ccgparse.derivation import document
 from ccgparse.category import (
     COMPUTED_ATTRS,
+    Atom,
     Direction,
     Functor,
-    apply_bindings,
+    Modality,
+    Slash,
     parse_category,
     render_category,
-    standardize,
 )
 from ccgparse.lexicon import Lexicon, case_folded, parse_lexicon, tokenize
 from ccgparse.parser import (
@@ -33,7 +34,7 @@ from ccgparse.parser import (
     seed_edges,
 )
 
-from bruteforce import all_chart_edges, chart_edges, derivations, enumerate_readings, node_duplicates
+from bruteforce import all_chart_edges, chart_edges, derivations, direct_category_steps, enumerate_readings, node_duplicates
 
 
 def load(text):
@@ -204,6 +205,24 @@ def test_rule_gate_blocks(gate, rule, left, right):
 
     assert fired(*FIRING[rule])
     assert not fired(left, right), gate
+
+
+# the primary slash a side of a pair offers: None for a category that is no functor
+PRIMARY_SLASHES = [None] + [Slash(d, m) for d in Direction for m in Modality]
+
+
+def test_a_memo_miss_tries_the_rows_whose_primary_gate_admits_the_pair_in_rule_order():
+    """Every pair of primary slashes, against each row of RULES gated on a functor that carries
+    the slash of the side its f_direction names."""
+    assert len(parser._ROWS) == 81
+    for left in PRIMARY_SLASHES:
+        for right in PRIMARY_SLASHES:
+            expected = []
+            for row in RULES:
+                slash = left if row.f_direction is Direction.FORWARD else right
+                if slash is not None and parser._gated(Functor(Atom("S"), slash, Atom("NP")), row.f_direction, row.admits):
+                    expected.append(row)
+            assert parser._ROWS[left, right] == tuple(expected), (left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -550,16 +569,12 @@ def summary(edges):
 
 
 def direct_combine(left, right, chart):
-    """combine's outputs summarized, each row's step computed afresh: no memo, no interning,
-    and the right edge's variables always renamed apart."""
+    """combine's outputs summarized, each row's step computed afresh (see direct_category_steps)."""
     out = []
-    right = Edge(right.start, right.end, standardize(right.category, "r")[0], right.lf, right.rule, right.children, right.entry, right.lexc)
-    for row in RULES:
+    for row, category in direct_category_steps(left, right, chart):
         f_edge, g_edge = (left, right) if row.f_direction is Direction.FORWARD else (right, left)
-        step = parser._category_step(row, f_edge, g_edge, chart)
-        if step is not None:
-            term = parser._lf_step(row.shape, f_edge.lf, g_edge.lf, chart.max_steps)
-            out.append((row, render_category(apply_bindings(*step)), lf.alpha_key(term), left.lexc or right.lexc))
+        term = parser._lf_step(row.shape, f_edge.lf, g_edge.lf, chart.max_steps)
+        out.append((row, render_category(category), lf.alpha_key(term), left.lexc or right.lexc))
     return out
 
 
@@ -598,19 +613,19 @@ def counted_calls(monkeypatch, *names):
 
 def test_the_memo_takes_one_category_step_per_distinct_input(fragment, monkeypatch):
     calls = counted_calls(monkeypatch, "_category_step", "category_key")
-    chart = build_chart(fragment, tokenize(CHAIN_6))
+    chart = build_chart(fragment.copy(), tokenize(CHAIN_6))  # a copy starts an empty category table
     assert len(all_chart_edges(chart)) == 364
-    assert calls["_category_step"] <= 1800  # 9104 without the memo
+    assert calls["_category_step"] <= 242  # 728 when each of the 91 misses tried all eight rows, 9104 without the memo
     assert calls["category_key"] <= 40  # 433 without interning: one per edge
 
 
 def test_logical_forms_are_made_only_by_the_walk_of_the_readings(fragment, monkeypatch):
     calls = counted_calls(monkeypatch, "combine", "_lf_step", "_category_step")
-    chart = build_chart(fragment, tokenize(CHAIN_6))
+    chart = build_chart(fragment.copy(), tokenize(CHAIN_6))
     assert calls["combine"] == calls["_lf_step"] == 0
     assert len(document(chart).readings) == 42
     assert calls["_lf_step"] <= 190  # 270 before twin ways were skipped, 403 when every edge's logical form was made
-    assert calls["_category_step"] <= 1800  # 1360 either way
+    assert calls["_category_step"] <= 242  # the chart's steps: the walk reads them from the memo; 728 with all eight rows per miss
 
 
 # ---------------------------------------------------------------------------
