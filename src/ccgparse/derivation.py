@@ -1,6 +1,8 @@
 """Derivation documents: proof-style ASCII display and stable JSON.
 
-A document is made of NamedTuple records, whose fields are its JSON schema.
+A document is made of NamedTuple records, whose fields are its JSON schema
+in both directions: render_json writes each record as an object of its fields
+in order, and read_json restores each record from those fields.
 """
 
 from __future__ import annotations
@@ -147,16 +149,6 @@ def render_ascii(doc: DerivationDoc) -> str:
 # ---------------------------------------------------------------------------
 # JSON round trip
 
-def _node_from(obj: dict) -> TreeNode:
-    return TreeNode(
-        tuple(obj["span"]),
-        obj["category"],
-        obj["lf"],
-        obj["rule"],
-        tuple(_node_from(c) for c in obj["children"]),
-    )
-
-
 # each document record's fields in order, as JSON object keys with their separator
 _KEYS = {
     cls: tuple((name, encode_basestring_ascii(name) + ": ") for name in cls._fields)
@@ -229,12 +221,20 @@ def render_json(doc: DerivationDoc) -> str:
     return "".join(out)
 
 
+# the record held by each field that holds records, or a tuple of them
+_NESTED = {"tree": TreeNode, "children": TreeNode, "readings": Reading, "near_misses": NearMiss}
+
+
+def _restore(value: object, cls: type | None) -> object:
+    """A JSON value as a document value: a list becomes a tuple, and an object
+    becomes a cls record built from its fields in order, whatever its keys' order."""
+    if type(value) is list:
+        return tuple(_restore(item, cls) for item in value)
+    if cls is None:
+        return value
+    return cls(*(_restore(value[name], _NESTED.get(name)) for name in cls._fields))
+
+
 def read_json(text: str) -> DerivationDoc:
-    obj = json.loads(text)
-    return DerivationDoc(
-        tuple(obj["sentence"]),
-        tuple(
-            Reading(r["category"], r["lf"], _node_from(r["tree"])) for r in obj["readings"]
-        ),
-        tuple(NearMiss(tuple(m["span"]), m["category"], m["lf"]) for m in obj["near_misses"]),
-    )
+    """The document that render_json wrote as text, each record restored from its fields."""
+    return _restore(json.loads(text), DerivationDoc)

@@ -179,14 +179,11 @@ class Chart:
 
     def longest_partials(self) -> list[Edge]:
         """The first edge for each reading key over the longest spans holding
-        edges, the whole sentence included: the near misses of a NO PARSE,
-        which under a goal are the spanning readings that missed it."""
-        n = len(self.tokens)
-        for length in range(n, 0, -1):
-            found = [e for (i, j), cell in self.cells.items() if j - i == length for e in _walk(cell.values(), self, False)]
-            if found:
-                return found
-        return []
+        nodes, the whole sentence included: the near misses of a NO PARSE,
+        which under a goal are the spanning readings that missed it.  Every
+        node yields a derivation (see _derivations), so these spans hold edges."""
+        length = max(j - i for i, j in self.cells)
+        return [e for (i, j), cell in self.cells.items() if j - i == length for e in _walk(cell.values(), self, False)]
 
     def fills(self, spec: Category, edge: Edge | Node) -> Bindings | None:
         """Match an argument slot against the edge's span of the sentence, computed features included."""

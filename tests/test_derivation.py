@@ -1,6 +1,7 @@
 import gc
 import json
 
+import pytest
 from hypothesis import given, strategies as st
 
 from ccgparse.category import parse_category
@@ -208,6 +209,23 @@ def derivation_docs(draw):
 @given(derivation_docs())
 def test_json_layout_equals_the_standard_encoder(doc):
     assert render_json(doc) == standard_json(doc)
+    assert read_json(render_json(doc)) == doc
+
+
+def test_read_json_takes_fields_in_any_order_and_ignores_other_keys(fragment):
+    doc = doc_for(fragment, "I picked the book up")
+
+    def reordered(value):
+        """value with each object's keys reversed and one more key added."""
+        if type(value) is dict:
+            return {"extra": [1], **{k: reordered(v) for k, v in reversed(value.items())}}
+        return [reordered(v) for v in value] if type(value) is list else value
+
+    assert read_json(json.dumps(reordered(plain(doc)))) == doc
+    obj = plain(doc)
+    del obj["readings"][0]["tree"]["children"][0]["rule"]
+    with pytest.raises(KeyError):
+        read_json(json.dumps(obj))
 
 
 def test_json_layout_equals_the_standard_encoder_on_parses(fragment, corpus):

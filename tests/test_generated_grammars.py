@@ -17,7 +17,7 @@ the first of its derivations per reading key.
 
 from contextlib import suppress
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ccgparse import logical_form as lf
 from ccgparse.category import (
@@ -269,8 +269,25 @@ def assert_shared_steps_are_cold_ones(charts: list[Chart]) -> None:
                         assert got == [(row, category_key(c)) for row, c in direct_category_steps(left, right, chart)], where
 
 
+def lexicon_grammar(text: str, sentence: str) -> tuple[Lexicon, list[str]]:
+    lex, issues = parse_lexicon(text)
+    assert not issues, issues
+    return lex, sentence.split()
+
+
+# drawn grammars seldom fire substitution, so every run also takes >S and <S steps that bind a variable
+FORWARD_SUBSTITUTION = lexicon_grammar(
+    r"f := (S[agr=?a]/NP[agr=?a])/N : \x\y. f x y ; g := NP[agr=3s]/N : \x. g x ; n := N : n ;", "f g n"
+)
+BACKWARD_SUBSTITUTION = lexicon_grammar(
+    r"f := (S[agr=?a]\NP[agr=?a])\N : \x\y. f x y ; g := NP[agr=3s]\N : \x. g x ; n := N : n ;", "n g f"
+)
+
+
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(grammars())
+@example(FORWARD_SUBSTITUTION)
+@example(BACKWARD_SUBSTITUTION)
 def test_generated_charts_share_the_category_steps_a_fresh_table_computes(grammar):
     lex, tokens = grammar
     charts = [build_chart(lex, tokens)]
