@@ -328,7 +328,10 @@ class CategorySyntaxError(ValueError):
     pass
 
 
-_CATEGORY_SCANNER = re.compile(r"""[/\\](?:[*.]|x(?![A-Za-z0-9]))?|"[^"\n]*"|\??[A-Za-z0-9][A-Za-z0-9']*|\S""")
+_CATEGORY_SCANNER = (  # the tokens, and a character that may begin a lexical error: one of no kind or whose token errors names
+    re.compile(r"""[/\\](?:[*.]|x(?![A-Za-z0-9]))?|"[^"\n]*"|\??[A-Za-z0-9][A-Za-z0-9']*|\S"""),
+    re.compile(r"[^\s/\\()\[\],=+\-A-Za-z0-9]"),
+)
 _CATEGORY_KINDS = {"/": "slash", "\\": "slash", '"': "string", "?": "var"} | dict.fromkeys("()[],=+-", "punct")
 _CATEGORY_KINDS |= dict.fromkeys(LETTERS + "0123456789", "word")
 _CATEGORY_ERRORS = {

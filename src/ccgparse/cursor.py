@@ -10,22 +10,23 @@ LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 class Cursor:
     """One reader's input as plain-string tokens, ``""`` at the end.
 
-    One ``findall`` of ``scanner`` yields the tokens, and ``kinds`` maps a
+    One ``findall`` of ``scanner[0]`` yields the tokens, and ``kinds`` maps a
     token's first character to its kind.  A token that ``errors`` names, or
     whose first character has no kind, is a lexical error: ``errors[token]``
     or else ``errors[None]``, formatted with the token (``found``), the input
-    from there on (``rest``) and the whole input (``text``).  All the input is
-    scanned before any token is read.  The readers index ``tokens`` at ``pos``
-    and step ``pos`` past what they read; the errors below are about the token
-    at ``pos``, or the end of the input.
+    from there on (``rest``) and the whole input (``text``).  The tokens are
+    looked at only when ``scanner[1]`` finds a character that may begin such a
+    token.  All the input is scanned before any token is read.  The readers
+    index ``tokens`` at ``pos`` and step ``pos`` past what they read; the errors
+    below are about the token at ``pos``, or the end of the input.
     """
 
-    def __init__(self, scanner: re.Pattern, kinds: dict[str, str], errors: dict, text: str, error: type[ValueError], noun: str):
+    def __init__(self, scanner: tuple[re.Pattern, re.Pattern], kinds: dict[str, str], errors: dict, text: str, error: type[ValueError], noun: str):
         self.error, self.noun, self.text, self.kinds = error, noun, text, kinds
-        self.tokens = tokens = scanner.findall(text)
-        for token in tokens:
+        self.tokens = tokens = scanner[0].findall(text)
+        for token in tokens if scanner[1].search(text) else ():
             if token in errors or token[0] not in kinds:  # the first token so spelled
-                rest = text[[m.start() for m in scanner.finditer(text)][tokens.index(token)] :]
+                rest = text[[m.start() for m in scanner[0].finditer(text)][tokens.index(token)] :]
                 raise error(errors.get(token, errors[None]).format(found=token, rest=rest, text=text))
         tokens.append("")
         self.pos = 0

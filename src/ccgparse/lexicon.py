@@ -16,8 +16,7 @@ the entry as contributing lexical content to the computed ``lexc`` feature.
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager, suppress
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .category import (
     Category,
@@ -161,47 +160,34 @@ def case_folded(lex: Lexicon) -> Lexicon:
 # ---------------------------------------------------------------------------
 # parsing the file format
 
-_MARK_RE = re.compile(r'"[^"]*"|"|[#;]')  # quoted text, a quote left open, or a '#' or ';' outside quotes
+_CODE_RE = re.compile(r'^[^"#\n]*(?:"[^"\n]*"?[^"#\n]*)*', re.M)  # a line up to a '#' that no quote on it opens or encloses
+_SEMICOLON_RE = re.compile(r'"[^"\n]*"|;')  # a pair of quotes on one line, or a ';' outside them
+_ENTRY_LINE_RE = re.compile(r"(?<=\n)(?=[^\n]*:=)")  # the start of a line with a ':='
 # an entry's category, up to the first ':' outside quotes, that ':', and its logical form
 _CATEGORY_RE = re.compile(r'((?:"[^"\n]*"|"|[^":]+)*)(:?)(.*)', re.S)
 
 
 def _chunks(text: str) -> Iterator[tuple[int, str, bool]]:
-    """Yield (line, text, terminated) for each chunk that is not blank.
-
-    Chunks end at a ';' that no pair of quotes on its line encloses.  A
-    chunk that runs into a second ':=' on a later line ends before that
-    line, unterminated, and so does a tail without ';'.  ``line`` is where
-    the chunk's text begins; a quote does not span lines.  A quote left open
-    hides the '#'s after it on its line, but not the ';'s.
+    """Yield (line, text, terminated) for each chunk that is not blank: the text up to a ';'
+    that no pair of quotes on its line encloses, or before a later line with a second ':=',
+    or the tail.  ``line`` is where its text begins, in the lines of ``str.splitlines``, and
+    the text joins its lines with '\n', each without its comment.  A quote does not span
+    lines; one left open hides the '#'s after it on its line, but not the ';'s.
     """
-    parts: list[str] = []  # the chunk's text, line by line
-    start = entry = 0  # the lines of its first text and of its ':=', 0 while none
-    for number, code in enumerate(text.splitlines(), 1):
-        ends, opened = [-1], False
-        for m in _MARK_RE.finditer(code):
-            if m[0] == "#" and not opened:
-                code = code[: m.start()]
-                break
-            if m[0] == ";":
-                ends.append(m.start())
-            opened = opened or m[0] == '"'
-        ends.append(len(code))
-        for i, piece in enumerate(code[a + 1 : b] for a, b in zip(ends, ends[1:])):
-            if i:
-                if start:
-                    yield start, "\n".join(parts), True
-                parts, start, entry = [], 0, 0
-            if ":=" in piece:
-                if entry and entry < number:
-                    yield start, "\n".join(parts) + "\n", False
-                    parts, start = [], number
-                entry = number
-            parts.append(piece)
-            if not start and piece.strip():
-                start = number
-    if start:
-        yield start, "\n".join(parts), False
+    code = "\n".join(_CODE_RE.findall("\n".join(text.splitlines())))
+    ends = [m.start() for m in _SEMICOLON_RE.finditer(code) if m[0] == ";"]
+    chunks = [code[a + 1 : b] for a, b in zip([-1, *ends], [*ends, len(code)])]
+    line = 1
+    for tail, chunk in enumerate(chunks, 1 - len(chunks)):  # tail is 0 at the last chunk, which no ';' ends
+        if chunk.count(":=") > 1 and (end := chunk.find("\n", chunk.find(":="))) > 0:  # past the first ':=' line,
+            first, *rest = _ENTRY_LINE_RE.split(chunk[end:])  # each line with a ':=' ends the text before it
+            *heads, chunk = chunk[:end] + first, *rest
+            for head in heads:
+                yield line + head.count("\n", 0, len(head) - len(head.lstrip())), head, False
+                line += head.count("\n")
+        if body := chunk.lstrip():
+            yield line + chunk.count("\n", 0, len(chunk) - len(body)), chunk, tail < 0
+        line += chunk.count("\n")
 
 
 def _parse_markers(text: str, line: int, issues: list[LexiconIssue]) -> tuple[str, bool]:
@@ -237,7 +223,8 @@ def parse_lexicon(text: str) -> tuple[Lexicon, list[LexiconIssue]]:
         if ";" in chunk:
             issues.append(LexiconIssue(line, "';' inside quotes: a string category cannot hold one"))
             continue
-        if ":=" not in chunk:
+        phon_text, entry_mark, rest = chunk.partition(":=")
+        if not entry_mark:
             words = chunk.split()
             if words[0] == "set" and len(words) == 3:
                 key, value = words[1], words[2]
@@ -265,7 +252,6 @@ def parse_lexicon(text: str) -> tuple[Lexicon, list[LexiconIssue]]:
             else:
                 issues.append(LexiconIssue(line, f"cannot parse {' '.join(words)!r}"))
             continue
-        phon_text, _, rest = chunk.partition(":=")
         phon = tuple(phon_text.split())
         if not phon:
             issues.append(LexiconIssue(line, "entry has an empty phonological side"))
@@ -292,11 +278,8 @@ def parse_lexicon(text: str) -> tuple[Lexicon, list[LexiconIssue]]:
             issues.append(LexiconIssue(line, f"bad logical form: {exc}"))
             continue
         entry = LexEntry(phon, category, term, lexc, line)
-        with suppress(RecursionError):  # too deep to compare; validation names the entry
-            # terms read from text are equal when they print alike: printing loops over binders, == recurses
-            priors = [p.lf for p in lexicon.entries.get(phon[0], ()) if p[:2] == entry[:2] and p.lexc == lexc]
-            if any(t is term or t.fp == term.fp and lf.pretty_print(t) == lf.pretty_print(term) for t in priors):
-                issues.append(LexiconIssue(line, f"duplicate entry for {' '.join(phon)!r}", "warning"))
+        if entry in lexicon.entries.get(phon[0], ()):  # terms read from text are equal when they print alike
+            issues.append(LexiconIssue(line, f"duplicate entry for {' '.join(phon)!r}", "warning"))
         lexicon.add(entry)
     return lexicon, issues
 
@@ -353,17 +336,9 @@ def _permutes_arguments(entry: LexEntry) -> bool:
     return any(b < a for a, b in zip(positions, positions[1:]))
 
 
-@contextmanager
-def _naming_source(where: Callable[[], str]):
-    """Re-raise an exhausted budget or recursion limit as a BudgetExceeded
-    that names where in the lexicon it happened; ``where()`` spells that
-    place only then."""
-    try:
-        yield
-    except lf.BudgetExceeded as exc:
-        raise lf.BudgetExceeded(f"{where()}: {exc}") from None
-    except RecursionError:
-        raise lf.BudgetExceeded(f"{where()}: input nested too deeply") from None
+def _named(where: str, exc: lf.BudgetExceeded | RecursionError) -> lf.BudgetExceeded:
+    """An exhausted budget or recursion limit as a BudgetExceeded that names where in the lexicon it happened."""
+    return lf.BudgetExceeded(f"{where}: {'input nested too deeply' if isinstance(exc, RecursionError) else exc}")
 
 
 #: The codes of validate_category that a lexicon entry's report names the entry in, each with what ends its detail.
@@ -395,8 +370,10 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
     first: dict[int, LexEntry] = {}  # the first entry with each logical form, by its id
     for entry in lex.all_entries():
         if first.setdefault(id(entry.lf), entry) is entry:
-            with _naming_source(lambda: f"line {entry.source_line}: logical form of {entry}"):
+            try:
                 lf.pretty_print(lf.beta_normalize(entry.lf))
+            except (lf.BudgetExceeded, RecursionError) as exc:
+                raise _named(f"line {entry.source_line}: logical form of {entry}", exc) from None
         c, arguments = entry.category, _spine_arguments(entry.category)
         if id(c) not in found:
             found[id(c)] = validate_category(c, lex.atom_declarations, arguments)
@@ -415,11 +392,12 @@ def validate_lexicon(lex: Lexicon) -> list[Violation]:
             out.append(v.at_line(entry.source_line))
 
     for tokens, entry in strings.items():
-        with _naming_source(lambda: f'line {entry.source_line}: derivation of "{" ".join(tokens)}"'):
-            try:  # the parse keys readings by the fingerprints their nodes hold; printing walks each whole
-                printed = [lf.pretty_print(e.lf) for e in parse(lex, list(tokens))]
-            except ParserError:
-                printed = []
+        try:  # the parse keys readings by the fingerprints their nodes hold; printing walks each whole
+            printed = [lf.pretty_print(e.lf) for e in parse(lex, list(tokens))]
+        except ParserError:
+            printed = []
+        except (lf.BudgetExceeded, RecursionError) as exc:
+            raise _named(f'line {entry.source_line}: derivation of "{" ".join(tokens)}"', exc) from None
         if not printed:
             detail = f'"{" ".join(tokens)}" has no derivation of its own, so it can never substitute for the string category'
             out.append(Violation(UNDERIVABLE_SINGLETON, detail, entry.source_line))

@@ -30,16 +30,33 @@ class _Node:
 
     A node is a value: equality and repr read the fields each class names in
     ``__match_args__``, as a frozen dataclass's would, and the hash is the
-    fingerprint, which structurally equal terms share.  Each class writes its
-    own __init__, which sets the facts beside the fields."""
+    fingerprint, which structurally equal terms share.  Equality walks the two
+    trees with its own stack, fingerprints first, so no depth is too deep to
+    compare.  Each class writes its own __init__, which sets the facts beside
+    the fields."""
 
     __slots__ = ("free", "normal", "fp")
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, f) for f in self.__match_args__])
-
     def __eq__(self, other: object) -> bool:
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            s, t = pairs.pop()
+            cls = type(s)
+            if s is t:
+                continue
+            if cls is not type(t) or s.fp != t.fp or cls is Abs and s.var != t.var:
+                return False
+            if cls is App:
+                pairs += ((s.fun, t.fun), (s.arg, t.arg))
+            elif cls is Abs:
+                pairs.append((s.body, t.body))
+            elif s.name != t.name or cls is Const and len(s.contingencies) != len(t.contingencies):
+                return False
+            elif cls is Const:
+                pairs += zip(s.contingencies, t.contingencies)
+        return True
 
     def __hash__(self) -> int:
         return self.fp
@@ -275,7 +292,7 @@ class LFSyntaxError(ValueError):
     pass
 
 
-_LF_SCANNER = re.compile(r"[A-Za-z][A-Za-z0-9']*|\S")
+_LF_SCANNER = re.compile(r"[A-Za-z][A-Za-z0-9']*|\S"), re.compile(r"[^\s\\.(){}_,&A-Za-z]")  # as _CATEGORY_SCANNER
 _LF_KINDS = dict.fromkeys("\\.(){}_,&", "punct") | dict.fromkeys(LETTERS, "ident")
 _LF_ERRORS = {None: "unexpected character {found!r} in logical form {text!r}"}
 

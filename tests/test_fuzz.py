@@ -10,6 +10,7 @@ each test runs in about a second.
 import contextlib
 import io
 import re
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -101,6 +102,15 @@ def test_scan_agrees_with_the_reference_tokenizer(noun, text):
         assert str(exc) == reference_scan(noun, text)
     else:
         assert tokens[-1] == "" and [(kinds[t[0]], t) for t in tokens[:-1]] == reference_scan(noun, text)
+
+
+@pytest.mark.parametrize("noun", READERS)
+def test_the_scanner_suspects_each_character_that_may_begin_a_lexical_error(noun):
+    # the cursor looks at the tokens only when this search finds one: a character of no kind, or one an error's token begins with
+    (_, suspect), kinds, errors, _ = READERS[noun]
+    named = {token[:1] for token in errors if token}
+    suspects = {c for c in map(chr, range(sys.maxunicode + 1)) if not c.isspace() and (c not in kinds or c in named)}
+    assert {m[0] for m in suspect.finditer("".join(map(chr, range(sys.maxunicode + 1))))} == suspects
 
 
 @settings(max_examples=300, deadline=None)

@@ -168,21 +168,34 @@ def test_duplicate_entry_is_warning():
 
 
 DEEP_BINDERS = "".join(f"\\x{i}" for i in range(1500))
+DEEP_SPINE = "f " + " ".join(f"a{i}" for i in range(3000))
 
 
 @pytest.mark.parametrize(
-    "second, issues",
+    "first, second, issues",
     [
-        (DEEP_BINDERS + ". x0", ["line 2: warning: duplicate entry for 'w'"]),
-        (DEEP_BINDERS.replace("\\", " \\") + " . x0", ["line 2: warning: duplicate entry for 'w'"]),
-        (DEEP_BINDERS + ". x1", []),
+        (DEEP_BINDERS + ". x0", DEEP_BINDERS + ". x0", ["line 2: warning: duplicate entry for 'w'"]),
+        (DEEP_BINDERS + ". x0", DEEP_BINDERS.replace("\\", " \\") + " . x0", ["line 2: warning: duplicate entry for 'w'"]),
+        (DEEP_BINDERS + ". x0", DEEP_BINDERS + ". x1", []),
+        (DEEP_SPINE, DEEP_SPINE.replace(" ", "  "), ["line 2: warning: duplicate entry for 'w'"]),
+        (DEEP_SPINE, DEEP_SPINE + " b", []),
     ],
-    ids=["spelled alike", "spaced apart", "another term"],
+    ids=["spelled alike", "spaced apart", "another term", "spine spaced apart", "another spine"],
 )
-def test_a_duplicate_too_deep_for_term_equality_is_still_found(second, issues):
-    # == on a term recurses once per binder; the check compares printed text, which loops over them
-    _, found = parse_lexicon(f"w := NP : {DEEP_BINDERS}. x0 ;\nw := NP : {second} ;\n")
+def test_a_duplicate_too_deep_for_term_equality_is_still_found(first, second, issues):
+    # printing recurses once per argument; the check compares entries, and == walks two terms with its own stack
+    _, found = parse_lexicon(f"w := NP : {first} ;\nw := NP : {second} ;\n")
     assert [str(i) for i in found] == issues
+
+
+@pytest.mark.parametrize(
+    "first, second, issues",
+    [("\\x. x", "\\y. y", []), ("\\x. c", "\\y. c", []), ("\\x. x", "\\x.x", ["line 2: warning: duplicate entry for 'w'"])],
+)
+def test_a_duplicate_is_a_term_printed_alike(first, second, issues):
+    # binder names count, as in printed text; the spelling of the text does not
+    _, found = parse_lexicon(f"w := NP : {first} ;\nw := NP : {second} ;\nv := NP : f (a) b ;\nv := NP : f a b ;\n")
+    assert [str(i) for i in found] == [*issues, "line 4: warning: duplicate entry for 'v'"]
 
 
 def test_entries_spelled_alike_share_one_logical_form(fragment):
@@ -280,12 +293,51 @@ def two_pass_chunks(text):
         yield start, "\n".join(parts), False
 
 
+_MARK_RE = re.compile(r'"[^"]*"|"|[#;]')  # quoted text, a quote left open, or a '#' or ';' outside quotes
+
+
+def line_by_line_chunks(text):
+    """_chunks as it read each line in one scan of its marks, and sliced the line into pieces."""
+    parts = []
+    start = entry = 0
+    for number, code in enumerate(text.splitlines(), 1):
+        ends, opened = [-1], False
+        for m in _MARK_RE.finditer(code):
+            if m[0] == "#" and not opened:
+                code = code[: m.start()]
+                break
+            if m[0] == ";":
+                ends.append(m.start())
+            opened = opened or m[0] == '"'
+        ends.append(len(code))
+        for i, piece in enumerate(code[a + 1 : b] for a, b in zip(ends, ends[1:])):
+            if i:
+                if start:
+                    yield start, "\n".join(parts), True
+                parts, start, entry = [], 0, 0
+            if ":=" in piece:
+                if entry and entry < number:
+                    yield start, "\n".join(parts) + "\n", False
+                    parts, start = [], number
+                entry = number
+            parts.append(piece)
+            if not start and piece.strip():
+                start = number
+    if start:
+        yield start, "\n".join(parts), False
+
+
+# every line break of str.splitlines, \r\n counted as one
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 @settings(max_examples=500, deadline=None)
-@given(st.lists(st.sampled_from([";", "#", '"', ":=", "w", "ab", " ", "\n", "\r\n"]), max_size=40).map("".join))
+@given(st.lists(st.sampled_from([";", "#", '"', ":=", "w", "ab", " ", "\t", *LINE_BREAKS]), max_size=40).map("".join))
 @example('w := "a ; b # c\nv := x ;')  # a quote left open: the ';' after it splits, the '#' is text
 @example('w := "a;b" "c # d" ; # e ; f')
+@example('w := "a\rb" ; v := x\x85:= y\u2028;')  # a quote does not span a line break, nor an entry
 def test_chunks_read_lines_as_the_two_pass_reader(text):
-    assert list(_chunks(text)) == list(two_pass_chunks(text))
+    assert list(_chunks(text)) == list(two_pass_chunks(text)) == list(line_by_line_chunks(text))
 
 
 def test_crlf_input():

@@ -427,6 +427,43 @@ def test_hashing_and_keying_a_deep_term_walk_nothing():
     assert lf.alpha_eq(t, t)
 
 
+def test_equality_of_a_deep_term_walks_with_its_own_stack():
+    """== walks two terms of any depth without RecursionError; every variable
+    fingerprints alike, so a difference at the bottom is found only there."""
+    s, t, u = lf.Var("x"), lf.Var("x"), lf.Var("y")
+    for _ in range(100_000):
+        s, t, u = (lf.App(lf.Abs("x", e), lf.Const("b")) for e in (s, t, u))
+    assert s == t and s is not t
+    assert s != u and s.fp == u.fp
+
+
+def reference_equal(s: lf.Term, t: lf.Term) -> bool:
+    """== as a frozen dataclass spells it, by a plain recursive walk: the same
+    class, and each field that ``__match_args__`` names equal."""
+    if type(s) is not type(t):
+        return False
+    for a, b in zip(map(s.__getattribute__, s.__match_args__), map(t.__getattribute__, t.__match_args__)):
+        if type(a) is tuple:
+            if len(a) != len(b) or not all(map(reference_equal, a, b)):
+                return False
+        elif not (a == b if type(a) is str else reference_equal(a, b)):
+            return False
+    return True
+
+
+@given(st.lists(st.sampled_from(sample(1618, 200)), min_size=1, max_size=4))
+def test_term_equality_is_the_recursive_field_comparison(pairs):
+    """On generated terms, renamed and binder-collapsed variants, fresh copies and
+    normal forms, == and != agree with a plain comparison of the fields."""
+    terms = []
+    for term, _ in pairs:
+        for t in (term, lf.beta_normalize(term)):
+            terms += [t, rebuilt(t), to_nearest_binder(t), renamed_apart(t, {}, (f"w{i}" for i in itertools.count()))]
+    for s in terms:
+        for t in terms:
+            assert (s == t) is reference_equal(s, t) is not (s != t)
+
+
 # ---------------------------------------------------------------------------
 # facts each term node computes once
 
