@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .category import Category, render_category
 from . import logical_form as lf
@@ -93,44 +93,68 @@ def _tree_node(edge: Edge, nodes: dict[Edge, TreeNode], texts: dict[int, str]) -
 _SEP = 2
 
 
-def _label(n: TreeNode) -> str:
-    return "" if n.rule == "LEX" else n.rule
-
-
-def _render_tree(sentence: tuple[str, ...], node: TreeNode) -> list[str]:
-    nodes, stack = [], [node]
-    while stack:
-        nodes.append(stack.pop())
-        stack += nodes[-1].children
-    # Narrow spans first: widening a span's last column widens every span
-    # that holds it.  Spans of one length in one tree are disjoint.
-    nodes.sort(key=lambda n: (n.span[1] - n.span[0], n.span[0]))
-    leaves = sorted((n for n in nodes if n.rule == "LEX"), key=lambda n: n.span)
-    first = leaves[0].span[0]
-    words = sentence[first : leaves[-1].span[1]]
-    widths = [len(w) + _SEP for w in words]  # each column with the separator after it
-    for n in nodes:
-        start, end = n.span[0] - first, n.span[1] - first
-        short = max(len(_label(n)) + 2, len(n.category), len(n.lf) + 2) + _SEP - sum(widths[start:end])
+def _layout(sentence: tuple[str, ...], node: TreeNode, memo: dict) -> tuple[list[int], list[TreeNode], list[tuple]]:
+    """node's column widths, each with the separator after it, its leaves and its
+    other steps narrow first as (span length, start, end, rule, category, ": " +
+    logical form), once per node.  Its descendants span fewer words than it and
+    widen their columns first: its widths are its children's, then it widens its
+    own last column; its steps are its children's merged, then itself."""
+    layout = memo.get(id(node))
+    if layout is None:
+        (start, end), rule = node.span, node.rule
+        if rule == "LEX":
+            widths, leaves, steps = [len(w) + _SEP for w in sentence[start:end]], [node], []
+        else:
+            widths, leaves, steps = [], [], []
+            for child in node.children:
+                child_widths, child_leaves, child_steps = _layout(sentence, child, memo)
+                widths += child_widths
+                leaves += child_leaves
+                steps += child_steps
+            steps.sort()  # by span length, then start: no two steps of a tree share both
+            steps.append((end - start, start, end, rule, node.category, ": " + node.lf))
+        short = max(len("" if rule == "LEX" else rule) + 2, len(node.category), len(node.lf) + 2) + _SEP - sum(widths)
         if short > 0:
-            widths[end - 1] += short
-    offset = [0, *accumulate(widths)]
+            widths[-1] += short
+        layout = memo[id(node)] = (widths, leaves, steps)
+    return layout
 
-    lines = ["".join(map(str.ljust, words[:-1], widths)) + words[-1]]
-    for group in [leaves] + [[n] for n in nodes if n.rule != "LEX"]:
+
+def _render_tree(sentence: tuple[str, ...], node: TreeNode, memo: dict, rows: dict) -> list[str]:
+    """node's lines: its word row and lexical rows once per distinct (widths,
+    leaves), and each step's lines wherever the step appears."""
+    widths, leaves, steps = _layout(sentence, node, memo)
+    key = (tuple(widths), tuple(leaves))
+    got = rows.get(key)
+    if got is None:
+        offset = [0] * node.span[0] + [0, *accumulate(widths)]  # by word position
+        words = sentence[slice(*node.span)]
         rule = category = form = ""
-        for n in group:
-            start, end = offset[n.span[0] - first], offset[n.span[1] - first] - _SEP
-            rule += " " * (start - len(rule)) + _label(n).rjust(end - start, "-")
+        for n in leaves:
+            start, end = offset[n.span[0]], offset[n.span[1]] - _SEP
+            rule += " " * (start - len(rule)) + "-" * (end - start)
             category += " " * (start - len(category)) + n.category
             form += " " * (start - len(form)) + ": " + n.lf
-        lines += (rule, category, form)
+        got = rows[key] = (offset, ["".join(map(str.ljust, words[:-1], widths)) + words[-1], rule, category, form])
+    offset, lines = got[0], got[1].copy()
+    for _, start, end, rule, category, form in steps:
+        pad = " " * offset[start]
+        lines += (pad + rule.rjust(offset[end] - _SEP - len(pad), "-"), pad + category, pad + form)
     return lines
+
+
+def _blocks(doc: DerivationDoc) -> Iterator[str]:
+    """Each reading's block and line break; a join takes all before it copies, so layouts are freed first."""
+    memo, rows = {}, {}  # layouts by the id of a node, which the document holds; rows by (widths, leaves)
+    for i, reading in enumerate(doc.readings, 1):
+        header = f"reading {i}: {reading.category} : {reading.lf}"
+        yield "\n".join([header, *_render_tree(doc.sentence, reading.tree, memo, rows), ""])
 
 
 def render_ascii(doc: DerivationDoc) -> str:
     """One block per reading: tokens, then rule-labelled underlines with the
-    derived category and logical form per step; the final step is the goal."""
+    derived category and logical form per step; the final step is the goal.
+    Each node's children must tile its span in order, as every ``document``'s do."""
     if not doc.readings:
         lines = ["NO PARSE: " + " ".join(doc.sentence)]
         if doc.near_misses:
@@ -139,11 +163,7 @@ def render_ascii(doc: DerivationDoc) -> str:
                 covered = " ".join(doc.sentence[m.span[0] : m.span[1]])
                 lines.append(f"  [{m.span[0]}:{m.span[1]}] {covered} := {m.category} : {m.lf}")
         return "\n".join(lines) + "\n"
-    blocks = []
-    for i, reading in enumerate(doc.readings, 1):
-        header = f"reading {i}: {reading.category} : {reading.lf}"
-        blocks.append("\n".join([header] + _render_tree(doc.sentence, reading.tree)))
-    return "\n\n".join(blocks) + "\n"
+    return "\n".join(_blocks(doc))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import gc
 import json
+from itertools import cycle, islice
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ccgparse.category import parse_category
 from ccgparse.derivation import (
@@ -18,6 +19,9 @@ from ccgparse.derivation import (
 from ccgparse.lexicon import case_folded, tokenize
 from ccgparse import parser
 from ccgparse.parser import RuleId, build_chart, chart_readings, combine
+
+import asciiref
+from test_generated_grammars import grammars, mirror
 
 RULE_LABELS = ("LEX",) + tuple(rule.value for rule in RuleId)
 
@@ -146,6 +150,72 @@ def test_ascii_column_widths_count_the_rule_label_and_not_lex():
     ]
 
 
+def test_ascii_lays_out_a_shared_node_where_each_reading_puts_it():
+    # one node object under two parents, at depth 1 and at depth 2: the
+    # parent with the long form widens the shared node's last column, the
+    # other does not, so the node's lines differ between its appearances
+    a, b, c, d = (TreeNode((i, i + 1), w.upper(), f, "LEX") for i, (w, f) in enumerate(zip("abcd", "pqrs")))
+    shared = TreeNode((2, 4), "E", "e", ">", (c, d))
+    first = TreeNode((0, 4), "G", "g", "<", (TreeNode((0, 2), "F", "f", ">", (a, b)), shared))
+    wide = TreeNode((1, 4), "H", "a longer logical form", "<", (b, shared))
+    doc = DerivationDoc(tuple("abcd"), (Reading("G", "g", first), Reading("G", "g", TreeNode((0, 4), "G", "g", ">", (a, wide)))))
+    lexical = ["a    b    c    d", "---  ---  ---  ---", "A    B    C    D", ": p  : q  : r  : s"]
+    assert render_ascii(doc).splitlines() == [
+        "reading 1: G : g",
+        *lexical,
+        "------->",
+        "F",
+        ": f",
+        "          ------->",
+        "          E",
+        "          : e",
+        "-----------------<",
+        "G",
+        ": g",
+        "",
+        "reading 2: G : g",
+        *lexical[:1],
+        "---  ---  ---  -------------",
+        *lexical[2:],
+        "          ----------------->",
+        "          E",
+        "          : e",
+        "     ----------------------<",
+        "     H",
+        "     : a longer logical form",
+        "--------------------------->",
+        "G",
+        ": g",
+    ]
+    assert render_ascii(doc) == asciiref.render_ascii(doc)
+
+
+MODSTACK_NP = "the " + " ".join(islice(cycle(("long", "very", "proverbial")), 10))
+
+
+def test_ascii_equals_the_reference_renderer_on_parses(fragment, corpus):
+    # the reference walks, sorts and widens each reading on its own
+    docs = [doc_for(fragment, chain(k)) for k in range(1, 9)]
+    docs += [document(build_chart(fragment, tokenize(chain(k))), None, True) for k in range(1, 6)]
+    for sentence, _, _ in corpus:
+        chart = build_chart(fragment, tokenize(sentence))
+        docs += [document(chart), document(chart, parse_category("S")), document(chart, None, True)]
+    frames = (f"I picked {MODSTACK_NP} book up", f"I picked up {MODSTACK_NP} book", f"John kicked {MODSTACK_NP} bucket")
+    docs += [doc_for(fragment, sentence) for sentence in frames]
+    assert sum(not doc.readings for doc in docs) >= 3  # NO PARSE documents, with their near misses
+    for doc in docs:
+        assert render_ascii(doc) == asciiref.render_ascii(doc), doc.sentence
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grammars())
+def test_ascii_equals_the_reference_renderer_on_generated_grammars(grammar):
+    for lex, tokens in (grammar, mirror(grammar)):
+        chart = build_chart(lex, tokens)
+        for doc in (document(chart), document(chart, None, True)):
+            assert render_ascii(doc) == asciiref.render_ascii(doc)
+
+
 def test_ascii_no_parse_lists_near_misses(fragment):
     text = render_ascii(doc_for(fragment, "I picked the very very very long book up"))
     assert text.startswith("NO PARSE: I picked the very very very long book up")
@@ -177,9 +247,9 @@ def standard_json(doc):
 
 
 def chain(k):
-    """A k-clause coordination chain ending in "the bucket"."""
+    """A k-clause coordination chain ending in "the bucket", its six clauses repeated past six."""
     clauses = SIX_CLAUSES.removesuffix(" the bucket").split(" and ")
-    return " and ".join(clauses[:k]) + " the bucket"
+    return " and ".join(islice(cycle(clauses), k)) + " the bucket"
 
 
 TEXTS = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\u2028\U0001f600') | st.characters(), max_size=6)

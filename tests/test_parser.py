@@ -415,6 +415,27 @@ def test_no_edge_category_has_singleton_result(fragment, corpus):
             assert not [v for v in validate_category(c, fragment.atom_declarations, list(category_parts(c))) if v.code == "SINGLETON_AS_RESULT"]
 
 
+def test_corpus_nodes_project_their_constant_heads(fragment, corpus):
+    # heads project: a node whose target atom (its category's innermost
+    # result) has a constant head has that word among its span's tokens
+    from ccgparse.category import is_feature_variable
+
+    nodes = headed = 0
+    for chart in corpus_charts(fragment, corpus):
+        for (start, end), cell in chart.cells.items():
+            for node in cell.values():
+                target = node.category
+                while type(target) is Functor:
+                    target = target.result
+                head = dict(target.features).get("head") if type(target) is Atom else None
+                nodes += 1
+                if head is not None and not is_feature_variable(head):
+                    headed += 1
+                    assert head in chart.tokens[start:end], (chart.tokens, (start, end), render_category(node.category))
+    # what the fragment's corpus gives: the property is not checked vacuously
+    assert (headed, nodes) == (52, 411)
+
+
 def test_the_weight_threshold_is_the_lexicons_whatever_the_settings():
     lex = load(ccgparse.fragment_path().read_text(encoding="utf-8").replace("set weight_threshold 4 ;", "set weight_threshold 1 ;"))
     assert lex.weight_threshold == 1
